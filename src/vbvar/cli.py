@@ -140,6 +140,15 @@ def _require_seed(cfg):
     return int(cfg["seed"])
 
 
+def _independent_configs(cfg):
+    """Gibbs and VB settings of the independent-prior fit; needs a seed."""
+    gibbs_cfg = imc.GibbsConfig(n_draws=int(cfg["draws"]),
+                                burn_in=int(cfg["burn_in"]), seed=_require_seed(cfg))
+    vb_cfg = ivb.VbConfig(max_iters=int(cfg["max_iters"]),
+                          elbo_rel_tol=float(cfg["tol"]))
+    return gibbs_cfg, vb_cfg
+
+
 def _write_report(report, cfg):
     text = report.to_json()
     if cfg.get("out"):
@@ -186,19 +195,16 @@ def cmd_fit(args) -> int:
         report = conjugate_report(prior, data, x_next)
     else:
         prior = minnesota_independent(data, mn)
-        seed = _require_seed(cfg)
-        gibbs_cfg = imc.GibbsConfig(n_draws=int(cfg["draws"]),
-                                    burn_in=int(cfg["burn_in"]), seed=seed)
-        vb_cfg = ivb.VbConfig(max_iters=int(cfg["max_iters"]),
-                              elbo_rel_tol=float(cfg["tol"]))
+        gibbs_cfg, vb_cfg = _independent_configs(cfg)
+        vb = ivb.fit_vb_independent(prior, data, vb_cfg)
         if cfg.get("export_elbo_trace"):
-            vb = ivb.fit_vb_independent(prior, data, vb_cfg)
             _export_elbo_trace(vb.elbo_trace, cfg["export_elbo_trace"])
-        report = independent_report(prior, data, x_next, gibbs_cfg, vb_cfg)
+        draws = imc.gibbs_run(prior, data, gibbs_cfg)
+        report = independent_report(prior, data, x_next, gibbs_cfg, vb_cfg,
+                                    vb=vb, draws=draws)
         if not report.provenance.get("vb_converged", True):
             status = 2
         if cfg.get("export_draws"):
-            draws = imc.gibbs_run(prior, data, gibbs_cfg)
             _export_draws(draws, cfg["export_draws"])
     _write_report(report, cfg)
     return status
@@ -219,13 +225,9 @@ def cmd_compare(args) -> int:
     cfg = _merge_config(args)
     data = _load_design(cfg)
     mn = _minnesota_config(cfg)
-    seed = _require_seed(cfg)
+    gibbs_cfg, vb_cfg = _independent_configs(cfg)
     x_next = np.concatenate(([1.0], data.Y[-data.lag_order:][::-1].reshape(-1)))
     conj = conjugate_report(minnesota_conjugate(data, mn), data, x_next)
-    gibbs_cfg = imc.GibbsConfig(n_draws=int(cfg["draws"]),
-                                burn_in=int(cfg["burn_in"]), seed=seed)
-    vb_cfg = ivb.VbConfig(max_iters=int(cfg["max_iters"]),
-                          elbo_rel_tol=float(cfg["tol"]))
     indep = independent_report(minnesota_independent(data, mn), data, x_next,
                                gibbs_cfg, vb_cfg)
     combined = {

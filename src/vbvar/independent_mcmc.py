@@ -4,8 +4,9 @@ log-marginal-likelihood estimator.
 
 The stacked regression uses Z_t = I_M kron x_t, so the conditional
 precision of beta is V0^-1 + Sigma^-1 kron X'X and the cross term is
-vec(X' Y Sigma^-1); both are assembled from X directly instead of looping
-over the block-diagonal Z_t.
+vec(X' Y Sigma^-1); both are assembled from X'X and X'Y directly instead of
+looping over the block-diagonal Z_t.  The prior's inverse and determinants
+are cached on the prior; none of them is refactored per draw.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
-from .mvdist import NotPositiveDefiniteError, WishartDist
+from .mvdist import NotPositiveDefiniteError, WishartDist, chol_logdet, kron_add
 from .priors import IndependentPrior
 from .vardata import DesignData
 
@@ -88,17 +89,12 @@ def gibbs_run(prior: IndependentPrior, data: DesignData, cfg: GibbsConfig) -> Gi
         raise ValueError("prior and data dimensions disagree")
     rng = np.random.default_rng(cfg.seed)
     xtx = x.T @ x
-    v0_chol = cho_factor(np.asarray(prior.cov), lower=True)
-    v0_inv = cho_solve(v0_chol, np.eye(m * p))
-    v0_inv_b0 = v0_inv @ prior.mean_b
-    s0_chol = cho_factor(np.asarray(prior.scale), lower=True)
-    s0_inv = cho_solve(s0_chol, np.eye(m))
-    s0_inv = (s0_inv + s0_inv.T) / 2.0
+    xty = x.T @ y
 
     if isinstance(cfg.init_precision, str):
         if cfg.init_precision != "prior-mean":
             raise ValueError(f"unknown init_precision {cfg.init_precision!r}")
-        prec = prior.dof * s0_inv
+        prec = prior.dof * prior.scale_inv
     else:
         prec = np.asarray(cfg.init_precision, dtype=float)
 
@@ -106,14 +102,15 @@ def gibbs_run(prior: IndependentPrior, data: DesignData, cfg: GibbsConfig) -> Gi
     n_kept = cfg.n_draws - cfg.burn_in
     beta_draws = np.empty((n_kept, m * p))
     prec_draws = np.empty((n_kept, m, m))
+    post_prec = np.empty((m * p, m * p))
     for it in range(cfg.n_draws):
         try:
-            post_prec = v0_inv + np.kron(prec, xtx)
-            lb = np.linalg.cholesky(post_prec)
-            rhs = v0_inv_b0 + (x.T @ y @ prec).flatten(order="F")
-            mean_b = cho_solve((lb, True), rhs)
-            beta = mean_b + solve_triangular(lb, rng.standard_normal(m * p),
-                                             lower=True, trans="T")
+            kron_add(post_prec, prior.cov_inv, prec, xtx)
+            lb = cho_factor(post_prec, lower=True, overwrite_a=True, check_finite=False)
+            rhs = prior.cov_inv_mean + (xty @ prec).flatten(order="F")
+            mean_b = cho_solve(lb, rhs, check_finite=False)
+            beta = mean_b + solve_triangular(lb[0], rng.standard_normal(m * p),
+                                             lower=True, trans="T", check_finite=False)
             resid = y - x @ beta.reshape((p, m), order="F")
             scale = prior.scale + resid.T @ resid
             lw = np.linalg.cholesky(scale)
@@ -180,24 +177,20 @@ def predictive_gibbs(draws: GibbsDraws, x_next, rng: np.random.Generator) -> dic
 
 
 def _log_joint_independent(prior, data, beta, prec, lw) -> float:
-    """ln p(y | beta, Sigma^-1) + ln p(beta) + ln p(Sigma^-1)."""
+    """ln p(y | beta, Sigma^-1) + ln p(beta) + ln p(Sigma^-1) at one draw."""
     x, y = data.X, data.Y
     t, m = y.shape
     p = x.shape[1]
     resid = y - x @ beta.reshape((p, m), order="F")
-    logdet_prec = 2.0 * np.sum(np.log(np.diag(lw)))
     lp_y = (
         -m * t / 2.0 * np.log(2.0 * np.pi)
-        + t / 2.0 * logdet_prec
+        + t / 2.0 * chol_logdet(lw)
         - 0.5 * float(np.sum(prec * (resid.T @ resid)))
     )
     db = beta - prior.mean_b
-    v0_chol = cho_factor(np.asarray(prior.cov), lower=True)
-    quad = float(db @ cho_solve(v0_chol, db))
-    logdet_v0 = 2.0 * np.sum(np.log(np.diag(v0_chol[0])))
-    lp_b = -m * p / 2.0 * np.log(2.0 * np.pi) - 0.5 * logdet_v0 - 0.5 * quad
-    s0_inv = cho_solve(cho_factor(np.asarray(prior.scale), lower=True), np.eye(m))
-    lp_w = WishartDist((s0_inv + s0_inv.T) / 2.0, prior.dof).logpdf(prec)
+    quad = float(db @ prior.cov_inv @ db)
+    lp_b = -m * p / 2.0 * np.log(2.0 * np.pi) - 0.5 * prior.logdet_cov - 0.5 * quad
+    lp_w = WishartDist(prior.scale_inv, prior.dof).logpdf(prec)
     return lp_y + lp_b + lp_w
 
 
@@ -213,26 +206,46 @@ def lnml_ris(
     Returns the lnML estimate, a jackknife standard error, and the effective
     sample size of the weights.  A degenerate-weights warning flag is set
     when ESS falls below 5% of the draws.
+
+    All draws are handled together.  The residual cross-products come from
+    one QR of X = QR: with E = Y - Q Q'Y and D_i = Q'Y - R C_i,
+    (Y - X C_i)'(Y - X C_i) = E'E + D_i'D_i, which needs O(n p M) memory
+    instead of a stack of n residual matrices.
     """
     n = draws.n_kept
     m = draws.n_vars
-    q_beta_cov_chol = cho_factor(np.asarray(vb_post.cov_b), lower=True)
-    logdet_qcov = 2.0 * np.sum(np.log(np.diag(q_beta_cov_chol[0])))
+    x, y = data.X, data.Y
+    t = y.shape[0]
+    p = x.shape[1]
     mp = vb_post.mean_b.size
-    q_prec = vb_post.precision_density()
-    log_w = np.empty(n)
-    for i in range(n):
-        beta = draws.beta_draws[i]
-        prec = draws.precision_draws[i]
-        lw = np.linalg.cholesky(prec)
-        db = beta - vb_post.mean_b
-        lq_b = (
-            -mp / 2.0 * np.log(2.0 * np.pi)
-            - 0.5 * logdet_qcov
-            - 0.5 * float(db @ cho_solve(q_beta_cov_chol, db))
-        )
-        lq_w = q_prec.logpdf(prec)
-        log_w[i] = lq_b + lq_w - _log_joint_independent(prior, data, beta, prec, lw)
+    beta = draws.beta_draws
+    precs = draws.precision_draws
+    log_2pi = np.log(2.0 * np.pi)
+
+    # ln q(beta): one triangular solve with n right-hand sides
+    lq = cho_factor(np.asarray(vb_post.cov_b), lower=True)[0]
+    z = solve_triangular(lq, (beta - vb_post.mean_b).T, lower=True)
+    lq_b = -mp / 2.0 * log_2pi - 0.5 * chol_logdet(lq) - 0.5 * np.sum(z * z, axis=0)
+    lq_w = vb_post.precision_density().logpdf(precs)
+
+    # ln p(y | beta, Sigma^-1)
+    q, r = np.linalg.qr(x)
+    qty = q.T @ y
+    e = y - q @ qty
+    d_t = qty.T - (beta.reshape(n * m, p) @ r.T).reshape(n, m, p)  # D_i', stacked
+    ss = e.T @ e + d_t @ d_t.transpose(0, 2, 1)
+    lw = np.linalg.cholesky(precs)
+    logdet_prec = 2.0 * np.sum(np.log(np.diagonal(lw, axis1=1, axis2=2)), axis=1)
+    lp_y = (-m * t / 2.0 * log_2pi + t / 2.0 * logdet_prec
+            - 0.5 * np.sum(precs * ss, axis=(1, 2)))
+
+    # ln p(beta) + ln p(Sigma^-1)
+    db = beta - prior.mean_b
+    quad = np.sum((db @ prior.cov_inv) * db, axis=1)
+    lp_b = -mp / 2.0 * log_2pi - 0.5 * prior.logdet_cov - 0.5 * quad
+    lp_w = WishartDist(prior.scale_inv, prior.dof).logpdf(precs)
+
+    log_w = lq_b + lq_w - (lp_y + lp_b + lp_w)
     # lnML = -ln mean(exp(log_w))
     mx = log_w.max()
     shifted = np.exp(log_w - mx)

@@ -4,7 +4,9 @@ both the exact and the VB posterior.
 
 Per-observation sums exploit Z_t = I_M kron x_t: the coefficient-update
 precision is V0^-1 + E[Sigma^-1] kron X'X and the scale-update correction
-Omega has entries tr(Vq[m,n block] X'X).
+Omega has entries tr(Vq[m,n block] X'X).  The prior's V0^-1, S0^-1 and
+log-determinants are cached on the prior; each iteration factors the
+coefficient precision once and inverts that factor once.
 """
 
 from __future__ import annotations
@@ -19,6 +21,9 @@ from .mvdist import (
     NotPositiveDefiniteError,
     UndefinedMomentError,
     WishartDist,
+    chol_inverse,
+    chol_logdet,
+    kron_add,
     mv_log_gamma,
 )
 from .priors import IndependentPrior
@@ -95,49 +100,51 @@ class IndependentVbPosterior:
 
 def _omega(cov_b: np.ndarray, xtx: np.ndarray, m: int, p: int) -> np.ndarray:
     """Sum over t of Z_t cov_b Z_t': entries tr(cov_b[m-block, n-block] X'X)."""
-    out = np.empty((m, m))
-    for a in range(m):
-        for b in range(a, m):
-            blk = cov_b[a * p:(a + 1) * p, b * p:(b + 1) * p]
-            out[a, b] = out[b, a] = float(np.sum(blk * xtx))
-    return out
+    return np.einsum("akbl,kl->ab", cov_b.reshape(m, p, m, p), xtx)
 
 
-def _elbo_value(prior, data, mean_b, cov_b, scale_q, logdet_cov_b,
-                v0_chol, s0_inv, logdet_s0) -> float:
+# An ELBO step below -ELBO_FALL_TOL * max(1, |ELBO|) is a real decrease,
+# not round-off; coordinate ascent cannot produce one at a correct update.
+ELBO_FALL_TOL = 1e-11
+
+
+def _elbo_value(prior, data, mean_b, cov_b, logdet_cov_b, omega, q_prec) -> float:
     """ELBO E_q[ln p(y, theta)] + H[q], valid at any (q_beta, q_prec) pair."""
     x, y = data.X, data.Y
     t, m = y.shape
     p = x.shape[1]
-    nub = t + prior.dof
-    xtx = x.T @ x
-    q_prec = WishartDist(
-        _sym_inv(scale_q), nub
-    )
-    e_prec = nub * q_prec.scale
+    e_prec = q_prec.mean()
     e_logdet = q_prec.expected_logdet()
     resid = y - x @ mean_b.reshape((p, m), order="F")
-    omega = _omega(cov_b, xtx, m, p)
     lp_y = (
         -m * t / 2.0 * np.log(2.0 * np.pi)
         + t / 2.0 * e_logdet
         - 0.5 * float(np.sum(e_prec * (resid.T @ resid + omega)))
     )
     db = mean_b - prior.mean_b
-    quad = float(db @ cho_solve(v0_chol, db))
-    tr_vv = float(np.trace(cho_solve(v0_chol, cov_b)))
-    logdet_v0 = 2.0 * np.sum(np.log(np.diag(v0_chol[0])))
-    lp_b = -m * p / 2.0 * np.log(2.0 * np.pi) - 0.5 * logdet_v0 - 0.5 * (quad + tr_vv)
+    quad, tr_vv = _prior_quadratic(prior, db, cov_b)
+    lp_b = (-m * p / 2.0 * np.log(2.0 * np.pi) - 0.5 * prior.logdet_cov
+            - 0.5 * (quad + tr_vv))
     lp_w = (
         -mv_log_gamma(m, prior.dof / 2.0)
         - prior.dof * m / 2.0 * np.log(2.0)
-        + prior.dof / 2.0 * logdet_s0
+        + prior.dof / 2.0 * prior.logdet_scale
         + (prior.dof - m - 1) / 2.0 * e_logdet
-        - 0.5 * float(np.sum(np.asarray(prior.scale) * e_prec))
+        - 0.5 * float(np.sum(prior.scale * e_prec))
     )
     h_b = m * p / 2.0 * (1.0 + np.log(2.0 * np.pi)) + 0.5 * logdet_cov_b
     h_w = q_prec.entropy()
     return lp_y + lp_b + lp_w + h_b + h_w
+
+
+def _prior_quadratic(prior, db, cov_b):
+    """(db' V0^-1 db, tr(V0^-1 cov_b)) as elementwise sums with the cached
+    V0^-1.  einsum keeps these products off numpy's BLAS, whose thread pool
+    would otherwise stall the next scipy factorisation (numpy and scipy each
+    load their own OpenBLAS)."""
+    v0_inv = prior.cov_inv
+    return (float(np.einsum("i,ij,j->", db, v0_inv, db)),
+            float(np.einsum("ij,ij->", v0_inv, cov_b)))
 
 
 def _sym_inv(a: np.ndarray) -> np.ndarray:
@@ -146,11 +153,21 @@ def _sym_inv(a: np.ndarray) -> np.ndarray:
     return (inv + inv.T) / 2.0
 
 
+def _initial_precision(prior: IndependentPrior, init) -> np.ndarray:
+    if isinstance(init, str):
+        if init != "prior-mean":
+            raise ValueError(f"unknown init_precision {init!r}")
+        return prior.dof * prior.scale_inv
+    return np.asarray(init, dtype=float)
+
+
 def fit_vb_independent(
     prior: IndependentPrior, data: DesignData, cfg: VbConfig | None = None
 ) -> IndependentVbPosterior:
     """Coordinate ascent: beta-block update given E[Sigma^-1], then scale
-    update; stops when the relative ELBO increase drops below tolerance."""
+    update; stops when the relative ELBO increase drops below tolerance.
+
+    An ELBO decrease beyond round-off stops the iteration unconverged."""
     cfg = cfg or VbConfig()
     x, y = data.X, data.Y
     t, m = y.shape
@@ -159,43 +176,35 @@ def fit_vb_independent(
         raise ValueError("prior and data dimensions disagree")
     nub = t + prior.dof
     xtx = x.T @ x
-    v0_chol = cho_factor(np.asarray(prior.cov), lower=True)
-    v0_inv = cho_solve(v0_chol, np.eye(m * p))
-    v0_inv = (v0_inv + v0_inv.T) / 2.0
-    s0_inv = _sym_inv(np.asarray(prior.scale))
-    logdet_s0 = 2.0 * np.sum(np.log(np.diag(cho_factor(np.asarray(prior.scale),
-                                                       lower=True)[0])))
-    if isinstance(cfg.init_precision, str):
-        if cfg.init_precision != "prior-mean":
-            raise ValueError(f"unknown init_precision {cfg.init_precision!r}")
-        e_prec = prior.dof * s0_inv
-    else:
-        e_prec = np.asarray(cfg.init_precision, dtype=float)
+    xty = x.T @ y
+    e_prec = _initial_precision(prior, cfg.init_precision)
 
     trace = []
     converged = False
     mean_b = cov_b = scale_q = None
+    post_prec = np.empty((m * p, m * p))
     for _ in range(cfg.max_iters):
         try:
-            post_prec = v0_inv + np.kron(e_prec, xtx)
-            lq = cho_factor((post_prec + post_prec.T) / 2.0, lower=True)
-            cov_b = cho_solve(lq, np.eye(m * p))
-            cov_b = (cov_b + cov_b.T) / 2.0
-            mean_b = cho_solve(lq, v0_inv @ prior.mean_b
-                               + (x.T @ y @ e_prec).flatten(order="F"))
+            kron_add(post_prec, prior.cov_inv, e_prec, xtx)
+            lq = cho_factor(post_prec, lower=True, overwrite_a=True, check_finite=False)
+            cov_b = chol_inverse(lq[0])
+            mean_b = cho_solve(lq, prior.cov_inv_mean + (xty @ e_prec).flatten(order="F"),
+                               check_finite=False)
             resid = y - x @ mean_b.reshape((p, m), order="F")
-            scale_q = np.asarray(prior.scale) + resid.T @ resid + _omega(cov_b, xtx, m, p)
+            omega = _omega(cov_b, xtx, m, p)
+            scale_q = prior.scale + resid.T @ resid + omega
             scale_q = (scale_q + scale_q.T) / 2.0
-            e_prec = nub * _sym_inv(scale_q)
+            q_prec = WishartDist(_sym_inv(scale_q), nub)
         except np.linalg.LinAlgError as exc:
             raise NotPositiveDefiniteError("Cholesky failure in VB update") from exc
-        logdet_cov_b = -2.0 * np.sum(np.log(np.diag(lq[0])))
-        elbo = _elbo_value(prior, data, mean_b, cov_b, scale_q, logdet_cov_b,
-                           v0_chol, s0_inv, logdet_s0)
+        e_prec = q_prec.mean()
+        elbo = _elbo_value(prior, data, mean_b, cov_b, -chol_logdet(lq[0]), omega, q_prec)
         trace.append(elbo)
         if len(trace) > 1:
-            rel = (trace[-1] - trace[-2]) / max(abs(trace[-2]), 1.0)
-            if rel < cfg.elbo_rel_tol:
+            step = trace[-1] - trace[-2]
+            if step < -ELBO_FALL_TOL * max(abs(trace[-2]), 1.0):
+                break
+            if step / max(abs(trace[-2]), 1.0) < cfg.elbo_rel_tol:
                 converged = True
                 break
     return IndependentVbPosterior(
@@ -229,25 +238,16 @@ def elbo_independent(
     p = x.shape[1]
     nub = vb_post.dof
     lead = m * p / 2.0 if normal_constant == "mp_half" else p / 2.0
-    v0_chol = cho_factor(np.asarray(prior.cov), lower=True)
-    logdet_v0 = 2.0 * np.sum(np.log(np.diag(v0_chol[0])))
-    logdet_vq = 2.0 * np.sum(np.log(np.diag(
-        cho_factor(np.asarray(vb_post.cov_b), lower=True)[0])))
-    logdet_sq = 2.0 * np.sum(np.log(np.diag(
-        cho_factor(np.asarray(vb_post.scale_q), lower=True)[0])))
-    logdet_s0 = 2.0 * np.sum(np.log(np.diag(
-        cho_factor(np.asarray(prior.scale), lower=True)[0])))
-    db = vb_post.mean_b - prior.mean_b
-    tr_term = float(db @ cho_solve(v0_chol, db)) + float(
-        np.trace(cho_solve(v0_chol, np.asarray(vb_post.cov_b)))
-    )
+    logdet_vq = chol_logdet(cho_factor(np.asarray(vb_post.cov_b), lower=True)[0])
+    logdet_sq = chol_logdet(cho_factor(np.asarray(vb_post.scale_q), lower=True)[0])
+    tr_term = sum(_prior_quadratic(prior, vb_post.mean_b - prior.mean_b, vb_post.cov_b))
     return (
         lead
         - m * t / 2.0 * np.log(np.pi)
         + mv_log_gamma(m, nub / 2.0)
         - mv_log_gamma(m, prior.dof / 2.0)
-        + 0.5 * (logdet_vq - logdet_v0)
-        + 0.5 * (-nub * logdet_sq + prior.dof * logdet_s0)
+        + 0.5 * (logdet_vq - prior.logdet_cov)
+        + 0.5 * (-nub * logdet_sq + prior.dof * prior.logdet_scale)
         - 0.5 * tr_term
     )
 
@@ -297,15 +297,13 @@ def log_posterior_independent(prior: IndependentPrior, data: DesignData,
     beta = np.asarray(beta, dtype=float).reshape(-1)
     resid = y - x @ beta.reshape((p, m), order="F")
     db = beta - prior.mean_b
-    v0_chol = cho_factor(np.asarray(prior.cov), lower=True)
     sign, logdet = np.linalg.slogdet(precision)
     if sign <= 0:
         return -np.inf
     return (
         0.5 * (t + prior.dof - m - 1) * logdet
-        - 0.5 * float(db @ cho_solve(v0_chol, db))
-        - 0.5 * float(np.sum(np.asarray(precision) * (np.asarray(prior.scale)
-                                                      + resid.T @ resid)))
+        - 0.5 * float(db @ prior.cov_inv @ db)
+        - 0.5 * float(np.sum(np.asarray(precision) * (prior.scale + resid.T @ resid)))
     )
 
 
@@ -318,23 +316,21 @@ def _iterate_modes(prior, data, tol, max_iters, vb_corrected):
         raise UndefinedMomentError("mode iteration needs T + prior dof > M + 1")
     lam = 1.0 + (m + 1.0) / dof_factor if vb_corrected else 1.0
     xtx = x.T @ x
-    v0_chol = cho_factor(np.asarray(prior.cov), lower=True)
-    v0_inv = cho_solve(v0_chol, np.eye(m * p))
-    v0_inv = (v0_inv + v0_inv.T) / 2.0
-    prec = prior.dof * _sym_inv(np.asarray(prior.scale))
+    xty = x.T @ y
+    prec = _initial_precision(prior, "prior-mean")
     beta = np.asarray(prior.mean_b, dtype=float).copy()
     converged = False
+    post_prec = np.empty((m * p, m * p))
     for _ in range(max_iters):
         eff_prec = lam * prec
-        post_prec = v0_inv + np.kron(eff_prec, xtx)
-        lq = cho_factor((post_prec + post_prec.T) / 2.0, lower=True)
-        beta_new = cho_solve(lq, v0_inv @ prior.mean_b
-                             + (x.T @ y @ eff_prec).flatten(order="F"))
+        kron_add(post_prec, prior.cov_inv, eff_prec, xtx)
+        lq = cho_factor(post_prec, lower=True, overwrite_a=True, check_finite=False)
+        beta_new = cho_solve(lq, prior.cov_inv_mean + (xty @ eff_prec).flatten(order="F"),
+                             check_finite=False)
         resid = y - x @ beta_new.reshape((p, m), order="F")
-        scale = np.asarray(prior.scale) + resid.T @ resid
+        scale = prior.scale + resid.T @ resid
         if vb_corrected:
-            cov_b = cho_solve(lq, np.eye(m * p))
-            scale = scale + _omega((cov_b + cov_b.T) / 2.0, xtx, m, p)
+            scale = scale + _omega(chol_inverse(lq[0]), xtx, m, p)
         prec_new = dof_factor * _sym_inv((scale + scale.T) / 2.0)
         delta = max(
             float(np.max(np.abs(beta_new - beta))) / max(float(np.max(np.abs(beta_new))), 1e-12),

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mvdist import spd_cholesky
+from .mvdist import spd_cholesky, spd_inverse
 from .vardata import DesignData, InsufficientObservationsError
 
 __all__ = [
@@ -72,6 +72,10 @@ class IndependentPrior:
 
     ``n_vars`` must be given because cov is a full Mp x Mp matrix and the
     (M, p) split is not recoverable from shapes alone.
+
+    Construction validates both SPD blocks and caches, read-only, what every
+    fitting routine needs of them: ``cov_inv`` (V0^-1), ``cov_inv_mean``
+    (V0^-1 b0), ``logdet_cov``, ``scale_inv`` (S0^-1) and ``logdet_scale``.
     """
 
     mean_b: np.ndarray
@@ -79,11 +83,16 @@ class IndependentPrior:
     scale: np.ndarray
     dof: float
     n_vars: int = field(default=0)
+    cov_inv: np.ndarray = field(init=False, repr=False, compare=False)
+    cov_inv_mean: np.ndarray = field(init=False, repr=False, compare=False)
+    logdet_cov: float = field(init=False, repr=False, compare=False)
+    scale_inv: np.ndarray = field(init=False, repr=False, compare=False)
+    logdet_scale: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         b = np.asarray(self.mean_b, dtype=float).reshape(-1)
-        spd_cholesky(self.cov, "cov")
-        spd_cholesky(self.scale, "scale")
+        cov_inv, logdet_cov = spd_inverse(self.cov, "cov")
+        scale_inv, logdet_scale = spd_inverse(self.scale, "scale")
         m = np.asarray(self.scale).shape[0]
         n_vars = int(self.n_vars) or m
         if b.size % n_vars != 0:
@@ -93,12 +102,20 @@ class IndependentPrior:
         if self.dof <= m - 1:
             raise ValueError(f"dof must exceed M-1 = {m - 1}, got {self.dof}")
         object.__setattr__(self, "n_vars", n_vars)
-        for name in ("cov", "scale"):
-            a = np.asarray(getattr(self, name), dtype=float)
+        cached = {
+            "cov": self.cov,
+            "scale": self.scale,
+            "mean_b": b,
+            "cov_inv": cov_inv,
+            "cov_inv_mean": cov_inv @ b,
+            "scale_inv": scale_inv,
+        }
+        for name, value in cached.items():
+            a = np.asarray(value, dtype=float)
             a.setflags(write=False)
             object.__setattr__(self, name, a)
-        b.setflags(write=False)
-        object.__setattr__(self, "mean_b", b)
+        object.__setattr__(self, "logdet_cov", logdet_cov)
+        object.__setattr__(self, "logdet_scale", logdet_scale)
         object.__setattr__(self, "dof", float(self.dof))
 
     @property

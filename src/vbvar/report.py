@@ -142,11 +142,19 @@ def independent_report(
     gibbs_cfg: imc.GibbsConfig,
     vb_cfg: ivb.VbConfig | None = None,
     predict_seed: int | None = None,
+    vb: ivb.IndependentVbPosterior | None = None,
+    draws: imc.GibbsDraws | None = None,
 ) -> DiagnosticsReport:
     """Gibbs-vs-VB comparison for the independent prior; stochastic cells
-    carry Monte-Carlo standard errors."""
-    vb = ivb.fit_vb_independent(prior, data, vb_cfg)
-    draws = imc.gibbs_run(prior, data, gibbs_cfg)
+    carry Monte-Carlo standard errors.
+
+    ``vb`` and ``draws``, when given, must be the fits of ``prior`` and
+    ``data`` under ``vb_cfg`` and ``gibbs_cfg``; they are used instead of
+    fitting again."""
+    if vb is None:
+        vb = ivb.fit_vb_independent(prior, data, vb_cfg)
+    if draws is None:
+        draws = imc.gibbs_run(prior, data, gibbs_cfg)
     summary = imc.summarize_draws(draws)
     x = np.asarray(x_next, dtype=float).reshape(-1)
     m, p = vb.n_vars, vb.n_regressors

@@ -113,6 +113,23 @@ class TestFitCommand:
         assert all(b >= a - 1e-10 for a, b in zip(elbos, elbos[1:]))
         capsys.readouterr()
 
+    def test_exports_fit_once(self, data_csv, tmp_path, capsys, monkeypatch):
+        from vbvar import independent_mcmc, independent_vb
+
+        calls = []
+        for module, name in ((independent_mcmc, "gibbs_run"),
+                             (independent_vb, "fit_vb_independent")):
+            original = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *a, _f=original, _n=name, **k:
+                                calls.append(_n) or _f(*a, **k))
+        code = main(["fit", "--data", data_csv, "--prior", "independent",
+                     "--seed", "5", "--draws", "300", "--burn-in", "100",
+                     "--export-draws", str(tmp_path / "d.csv"),
+                     "--export-elbo-trace", str(tmp_path / "t.csv")])
+        assert code == 0
+        assert sorted(calls) == ["fit_vb_independent", "gibbs_run"]
+        capsys.readouterr()
+
     def test_method_prior_mismatch(self, data_csv, capsys):
         assert main(["fit", "--data", data_csv, "--prior", "independent",
                      "--method", "exact"]) == 1

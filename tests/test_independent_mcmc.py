@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
 
 from conftest import (
     grid_posterior_scalar,
@@ -11,13 +12,15 @@ from conftest import (
 )
 from vbvar.independent_mcmc import (
     GibbsConfig,
+    _log_joint_independent,
     gibbs_run,
     lnml_ris,
     predictive_gibbs,
     summarize_draws,
 )
 from vbvar.independent_vb import elbo_independent, fit_vb_independent
-from vbvar.priors import IndependentPrior
+from vbvar.mvdist import NotPositiveDefiniteError
+from vbvar.priors import IndependentPrior, MinnesotaConfig, minnesota_independent
 
 
 @pytest.fixture(scope="module")
@@ -80,6 +83,13 @@ class TestGibbsRun:
         tight = replace(base, cov=1e-12 * np.eye(6))
         draws = gibbs_run(tight, data, GibbsConfig(n_draws=800, burn_in=200, seed=3))
         assert np.abs(draws.beta_draws - base.mean_b).max() < 1e-4
+
+    def test_factor_failure_raises(self):
+        data = synthetic_design(2, 1, 40, seed=101)
+        prior = random_independent_prior(2, 3, seed=102)
+        cfg = GibbsConfig(n_draws=10, burn_in=0, seed=3, init_precision=-np.eye(2))
+        with pytest.raises(NotPositiveDefiniteError, match="iteration 0"):
+            gibbs_run(prior, data, cfg)
 
     def test_matches_quadrature(self, toy_draws, toy_grid):
         s = summarize_draws(toy_draws)
@@ -174,3 +184,33 @@ class TestLnmlRis:
         a = lnml_ris(toy_draws, vb, prior, data)
         b = lnml_ris(toy_draws, vb, prior, data)
         assert a == b
+
+    @pytest.mark.parametrize("n_vars", [1, 3])
+    @pytest.mark.parametrize("kind", ["dense", "minnesota"])
+    def test_batched_matches_per_draw(self, n_vars, kind):
+        data = synthetic_design(n_vars, 2, 80, seed=110 + n_vars)
+        if kind == "dense":
+            prior = random_independent_prior(n_vars, data.X.shape[1], seed=111)
+        else:
+            prior = minnesota_independent(data, MinnesotaConfig())
+        vb = fit_vb_independent(prior, data)
+        draws = gibbs_run(prior, data, GibbsConfig(n_draws=400, burn_in=100, seed=112))
+        out = lnml_ris(draws, vb, prior, data)
+
+        # per-draw reference: one density evaluation per draw
+        q_chol = cho_factor(vb.cov_b, lower=True)
+        q_logdet = 2.0 * np.sum(np.log(np.diag(q_chol[0])))
+        q_prec = vb.precision_density()
+        mp = vb.mean_b.size
+        log_w = np.empty(draws.n_kept)
+        for i, (beta, prec) in enumerate(zip(draws.beta_draws, draws.precision_draws)):
+            db = beta - vb.mean_b
+            lq_b = (-mp / 2.0 * np.log(2.0 * np.pi) - 0.5 * q_logdet
+                    - 0.5 * float(db @ cho_solve(q_chol, db)))
+            log_w[i] = (lq_b + q_prec.logpdf(prec) - _log_joint_independent(
+                prior, data, beta, prec, np.linalg.cholesky(prec)))
+        mx = log_w.max()
+        shifted = np.exp(log_w - mx)
+        want = -(mx + np.log(shifted.mean()))
+        assert out["estimate"] == pytest.approx(want, rel=1e-12)
+        assert out["ess"] == pytest.approx(shifted.sum() ** 2 / np.sum(shifted**2), rel=1e-9)

@@ -11,6 +11,7 @@ from conftest import (
     random_independent_prior,
     synthetic_design,
 )
+import vbvar.independent_vb as ivb
 from vbvar.independent_mcmc import _log_joint_independent
 from vbvar.independent_vb import (
     VbConfig,
@@ -21,7 +22,7 @@ from vbvar.independent_vb import (
     modes_vb_iterative,
     predictive_vb_independent,
 )
-from vbvar.mvdist import WishartDist
+from vbvar.mvdist import NotPositiveDefiniteError, WishartDist
 from vbvar.priors import IndependentPrior
 
 
@@ -96,6 +97,26 @@ class TestFitVb:
         prior = random_independent_prior(3, 13, seed=207)
         vb = fit_vb_independent(prior, data, VbConfig(max_iters=1))
         assert not vb.converged
+
+    def test_elbo_decrease_is_not_convergence(self, scalar_case, monkeypatch):
+        prior, data = scalar_case
+        values = iter([-10.0, -10.5, -11.0, -11.5])
+        monkeypatch.setattr(ivb, "_elbo_value", lambda *args: next(values))
+        vb = fit_vb_independent(prior, data, VbConfig(max_iters=4))
+        assert not vb.converged
+        assert vb.elbo_trace == (-10.0, -10.5)
+
+    def test_round_off_decrease_still_converges(self, scalar_case, monkeypatch):
+        prior, data = scalar_case
+        values = iter([-10.0, -10.0 - 1e-13])
+        monkeypatch.setattr(ivb, "_elbo_value", lambda *args: next(values))
+        assert fit_vb_independent(prior, data, VbConfig(max_iters=2)).converged
+
+    def test_factor_failure_raises(self):
+        data = synthetic_design(2, 1, 40, seed=205)
+        prior = random_independent_prior(2, 3, seed=204)
+        with pytest.raises(NotPositiveDefiniteError, match="VB update"):
+            fit_vb_independent(prior, data, VbConfig(init_precision=-np.eye(2)))
 
 
 class TestElbo:

@@ -107,6 +107,17 @@ class TestWishart:
             ref = stats.wishart.logpdf(x, df=m + 3.5, scale=s)
             assert w.logpdf(x) == pytest.approx(ref, abs=1e-10)
 
+    def test_logpdf_stack_matches_single(self):
+        rng = np.random.default_rng(1)
+        for m in (1, 3):
+            w = WishartDist(_rand_spd(rng, m), m + 2.5)
+            xs = np.stack([_rand_spd(rng, m) for _ in range(5)])
+            np.testing.assert_allclose(w.logpdf(xs), [w.logpdf(x) for x in xs],
+                                       rtol=1e-13)
+        bad = np.stack([np.eye(2), np.array([[1.0, 2.0], [2.0, 1.0]])])
+        with pytest.raises(NotPositiveDefiniteError, match="positive definite"):
+            WishartDist(np.eye(2), 4.0).logpdf(bad)
+
     def test_entropy_matches_scipy(self):
         rng = np.random.default_rng(1)
         for m in (1, 3):

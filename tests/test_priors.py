@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import synthetic_design
 from vbvar.conjugate_exact import fit_exact
@@ -137,3 +139,41 @@ class TestPriorTypes:
             IndependentPrior(np.zeros(5), np.eye(5), np.eye(2), 4.0, n_vars=2)
         prior = IndependentPrior(np.zeros(6), np.eye(6), np.eye(2), 4.0, n_vars=2)
         assert prior.n_regressors == 3
+
+
+class TestIndependentPriorCache:
+    @given(
+        n_vars=st.integers(min_value=1, max_value=3),
+        n_regressors=st.integers(min_value=1, max_value=5),
+        diagonal=st.booleans(),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_cached_inverses_and_logdets(self, n_vars, n_regressors, diagonal, seed):
+        rng = np.random.default_rng(seed)
+        mp = n_vars * n_regressors
+
+        def spd(n):
+            if diagonal:
+                return np.diag(np.exp(rng.uniform(-6.0, 6.0, n)))
+            a = rng.standard_normal((n, n))
+            return a @ a.T / n + 0.1 * np.eye(n)
+
+        cov, scale = spd(mp), spd(n_vars)
+        prior = IndependentPrior(rng.standard_normal(mp), cov, scale,
+                                 n_vars + 2.0, n_vars=n_vars)
+        for inv, logdet, a in ((prior.cov_inv, prior.logdet_cov, cov),
+                               (prior.scale_inv, prior.logdet_scale, scale)):
+            want = np.linalg.inv(a)
+            np.testing.assert_allclose(inv, want, rtol=1e-9,
+                                       atol=1e-12 * np.abs(want).max())
+            sign, want_logdet = np.linalg.slogdet(a)
+            assert sign == 1.0
+            assert logdet == pytest.approx(want_logdet, abs=1e-10 * max(1.0, abs(want_logdet)))
+        np.testing.assert_allclose(prior.cov_inv_mean, prior.cov_inv @ prior.mean_b)
+        assert not prior.cov_inv.flags.writeable
+        assert not prior.scale_inv.flags.writeable
+
+    def test_diagonal_rejects_nonpositive(self):
+        with pytest.raises(ValueError, match="positive definite"):
+            IndependentPrior(np.zeros(2), np.diag([1.0, 0.0]), np.eye(1), 3.0)
