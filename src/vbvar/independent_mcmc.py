@@ -17,7 +17,14 @@ from typing import TYPE_CHECKING
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
-from .mvdist import NotPositiveDefiniteError, WishartDist, chol_logdet, kron_add
+from .mvdist import (
+    NotPositiveDefiniteError,
+    WishartDist,
+    chol_inverse,
+    chol_logdet,
+    kron_add,
+    spd_cholesky,
+)
 from .priors import IndependentPrior
 from .vardata import DesignData
 
@@ -91,13 +98,7 @@ def gibbs_run(prior: IndependentPrior, data: DesignData, cfg: GibbsConfig) -> Gi
     xtx = x.T @ x
     xty = x.T @ y
 
-    if isinstance(cfg.init_precision, str):
-        if cfg.init_precision != "prior-mean":
-            raise ValueError(f"unknown init_precision {cfg.init_precision!r}")
-        prec = prior.dof * prior.scale_inv
-    else:
-        prec = np.asarray(cfg.init_precision, dtype=float)
-
+    prec = prior.initial_precision(cfg.init_precision)
     nub = t + prior.dof
     n_kept = cfg.n_draws - cfg.burn_in
     beta_draws = np.empty((n_kept, m * p))
@@ -113,9 +114,8 @@ def gibbs_run(prior: IndependentPrior, data: DesignData, cfg: GibbsConfig) -> Gi
                                              lower=True, trans="T", check_finite=False)
             resid = y - x @ beta.reshape((p, m), order="F")
             scale = prior.scale + resid.T @ resid
-            lw = np.linalg.cholesky(scale)
-            scale_inv = cho_solve((lw, True), np.eye(m))
-            prec = WishartDist((scale_inv + scale_inv.T) / 2.0, nub).sample(rng)
+            scale_inv = chol_inverse(np.linalg.cholesky(scale))
+            prec = WishartDist(scale_inv, nub).sample(rng)
         except np.linalg.LinAlgError as exc:
             raise NotPositiveDefiniteError(
                 f"Cholesky failure in Gibbs conditional at iteration {it}"
@@ -226,7 +226,8 @@ def lnml_ris(
     lq = cho_factor(np.asarray(vb_post.cov_b), lower=True)[0]
     z = solve_triangular(lq, (beta - vb_post.mean_b).T, lower=True)
     lq_b = -mp / 2.0 * log_2pi - 0.5 * chol_logdet(lq) - 0.5 * np.sum(z * z, axis=0)
-    lq_w = vb_post.precision_density().logpdf(precs)
+    lw = spd_cholesky(precs, "precision draw")
+    lq_w = vb_post.precision_density().logpdf_chol(lw)
 
     # ln p(y | beta, Sigma^-1)
     q, r = np.linalg.qr(x)
@@ -234,16 +235,14 @@ def lnml_ris(
     e = y - q @ qty
     d_t = qty.T - (beta.reshape(n * m, p) @ r.T).reshape(n, m, p)  # D_i', stacked
     ss = e.T @ e + d_t @ d_t.transpose(0, 2, 1)
-    lw = np.linalg.cholesky(precs)
-    logdet_prec = 2.0 * np.sum(np.log(np.diagonal(lw, axis1=1, axis2=2)), axis=1)
-    lp_y = (-m * t / 2.0 * log_2pi + t / 2.0 * logdet_prec
+    lp_y = (-m * t / 2.0 * log_2pi + t / 2.0 * chol_logdet(lw)
             - 0.5 * np.sum(precs * ss, axis=(1, 2)))
 
     # ln p(beta) + ln p(Sigma^-1)
     db = beta - prior.mean_b
     quad = np.sum((db @ prior.cov_inv) * db, axis=1)
     lp_b = -mp / 2.0 * log_2pi - 0.5 * prior.logdet_cov - 0.5 * quad
-    lp_w = WishartDist(prior.scale_inv, prior.dof).logpdf(precs)
+    lp_w = WishartDist(prior.scale_inv, prior.dof).logpdf_chol(lw)
 
     log_w = lq_b + lq_w - (lp_y + lp_b + lp_w)
     # lnML = -ln mean(exp(log_w))

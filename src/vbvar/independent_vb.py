@@ -25,6 +25,7 @@ from .mvdist import (
     chol_logdet,
     kron_add,
     mv_log_gamma,
+    spd_inverse,
 )
 from .priors import IndependentPrior
 from .vardata import DesignData
@@ -84,14 +85,10 @@ class IndependentVbPosterior:
         return self.mean_b.size // self.n_vars
 
     def expected_precision(self) -> np.ndarray:
-        l = cho_factor(self.scale_q, lower=True)
-        inv = cho_solve(l, np.eye(self.n_vars))
-        return self.dof * (inv + inv.T) / 2.0
+        return self.dof * spd_inverse(self.scale_q, "scale_q")[0]
 
     def precision_density(self) -> WishartDist:
-        l = cho_factor(self.scale_q, lower=True)
-        inv = cho_solve(l, np.eye(self.n_vars))
-        return WishartDist((inv + inv.T) / 2.0, self.dof)
+        return WishartDist(spd_inverse(self.scale_q, "scale_q")[0], self.dof)
 
     def coef_matrix(self) -> np.ndarray:
         """mean_b reshaped to the p x M coefficient layout."""
@@ -147,20 +144,6 @@ def _prior_quadratic(prior, db, cov_b):
             float(np.einsum("ij,ij->", v0_inv, cov_b)))
 
 
-def _sym_inv(a: np.ndarray) -> np.ndarray:
-    l = cho_factor(a, lower=True)
-    inv = cho_solve(l, np.eye(a.shape[0]))
-    return (inv + inv.T) / 2.0
-
-
-def _initial_precision(prior: IndependentPrior, init) -> np.ndarray:
-    if isinstance(init, str):
-        if init != "prior-mean":
-            raise ValueError(f"unknown init_precision {init!r}")
-        return prior.dof * prior.scale_inv
-    return np.asarray(init, dtype=float)
-
-
 def fit_vb_independent(
     prior: IndependentPrior, data: DesignData, cfg: VbConfig | None = None
 ) -> IndependentVbPosterior:
@@ -177,7 +160,7 @@ def fit_vb_independent(
     nub = t + prior.dof
     xtx = x.T @ x
     xty = x.T @ y
-    e_prec = _initial_precision(prior, cfg.init_precision)
+    e_prec = prior.initial_precision(cfg.init_precision)
 
     trace = []
     converged = False
@@ -194,8 +177,8 @@ def fit_vb_independent(
             omega = _omega(cov_b, xtx, m, p)
             scale_q = prior.scale + resid.T @ resid + omega
             scale_q = (scale_q + scale_q.T) / 2.0
-            q_prec = WishartDist(_sym_inv(scale_q), nub)
-        except np.linalg.LinAlgError as exc:
+            q_prec = WishartDist(spd_inverse(scale_q, "scale_q")[0], nub)
+        except (np.linalg.LinAlgError, NotPositiveDefiniteError) as exc:
             raise NotPositiveDefiniteError("Cholesky failure in VB update") from exc
         e_prec = q_prec.mean()
         elbo = _elbo_value(prior, data, mean_b, cov_b, -chol_logdet(lq[0]), omega, q_prec)
@@ -317,7 +300,7 @@ def _iterate_modes(prior, data, tol, max_iters, vb_corrected):
     lam = 1.0 + (m + 1.0) / dof_factor if vb_corrected else 1.0
     xtx = x.T @ x
     xty = x.T @ y
-    prec = _initial_precision(prior, "prior-mean")
+    prec = prior.initial_precision()
     beta = np.asarray(prior.mean_b, dtype=float).copy()
     converged = False
     post_prec = np.empty((m * p, m * p))
@@ -331,7 +314,7 @@ def _iterate_modes(prior, data, tol, max_iters, vb_corrected):
         scale = prior.scale + resid.T @ resid
         if vb_corrected:
             scale = scale + _omega(chol_inverse(lq[0]), xtx, m, p)
-        prec_new = dof_factor * _sym_inv((scale + scale.T) / 2.0)
+        prec_new = dof_factor * spd_inverse((scale + scale.T) / 2.0, "scale")[0]
         delta = max(
             float(np.max(np.abs(beta_new - beta))) / max(float(np.max(np.abs(beta_new))), 1e-12),
             float(np.max(np.abs(prec_new - prec))) / max(float(np.max(np.abs(prec_new))), 1e-12),

@@ -52,26 +52,28 @@ def _as_matrix(x, name):
 
 
 def spd_cholesky(a, name="matrix"):
-    """Lower Cholesky factor of a symmetric positive-definite matrix.
+    """Lower Cholesky factor of a symmetric positive-definite matrix, or of
+    each matrix of a (..., M, M) stack.
 
-    Symmetry is checked to relative tolerance 1e-12; factorization failure
-    raises :class:`NotPositiveDefiniteError`.
+    Symmetry is checked per matrix to relative tolerance 1e-12;
+    factorization failure raises :class:`NotPositiveDefiniteError`.
     """
-    a = _as_matrix(a, name)
-    if a.shape[0] != a.shape[1]:
+    a = np.atleast_2d(np.asarray(a, dtype=float))
+    if a.shape[-1] != a.shape[-2]:
         raise NotPositiveDefiniteError(f"{name} must be square, got {a.shape}")
-    scale = max(np.abs(a).max(), 1.0)
-    if np.abs(a - a.T).max() > _SYM_RTOL * scale:
+    scale = np.maximum(np.abs(a).max(axis=(-2, -1)), 1.0)
+    if np.any(np.abs(a - np.swapaxes(a, -2, -1)).max(axis=(-2, -1)) > _SYM_RTOL * scale):
         raise NotPositiveDefiniteError(f"{name} is not symmetric")
     try:
-        return cholesky(a, lower=True)
+        return cholesky(a, lower=True) if a.ndim == 2 else np.linalg.cholesky(a)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefiniteError(f"{name} is not positive definite") from exc
 
 
 def chol_logdet(lower):
-    """ln |A| from the lower Cholesky factor of A."""
-    return 2.0 * np.sum(np.log(np.diag(lower)))
+    """ln |A| from the lower Cholesky factor of A; an array of them for a
+    (..., M, M) stack of factors."""
+    return 2.0 * np.sum(np.log(np.diagonal(lower, axis1=-2, axis2=-1)), axis=-1)
 
 
 def chol_inverse(lower):
@@ -88,6 +90,13 @@ def chol_inverse(lower):
     return inv.T
 
 
+def spd_inverse(a, name="matrix"):
+    """(A^-1, ln |A|) for a symmetric positive-definite A, validated and
+    factored by :func:`spd_cholesky`."""
+    lower = spd_cholesky(a, name)
+    return chol_inverse(lower), chol_logdet(lower)
+
+
 def kron_add(out, base, a, b):
     """out = base + kron(a, b), written in place into the preallocated
     (Mp x Mp) ``out`` for square a (M x M) and b (p x p); the products equal
@@ -96,19 +105,6 @@ def kron_add(out, base, a, b):
     np.multiply(a[:, None, :, None], b[None, :, None, :], out=out.reshape(m, p, m, p))
     out += base
     return out
-
-
-def spd_inverse(a, name="matrix"):
-    """(A^-1, ln |A|) for a symmetric positive-definite A, validated as by
-    :func:`spd_cholesky`.  A diagonal A, such as a Minnesota covariance, is
-    inverted elementwise without a factorisation."""
-    a = _as_matrix(a, name)
-    d = np.diag(a)
-    if (a.shape[0] == a.shape[1] and np.all(np.isfinite(d) & (d > 0))
-            and np.array_equal(a, np.diag(d))):
-        return np.diag(1.0 / d), float(np.sum(np.log(d)))
-    lower = spd_cholesky(a, name)
-    return chol_inverse(lower), chol_logdet(lower)
 
 
 def _freeze(a):
@@ -250,34 +246,29 @@ class WishartDist:
     def logpdf(self, w):
         """Log density at one M x M matrix (a float), or at each matrix of
         an (n, M, M) stack (an array of n values)."""
-        w = np.asarray(w, dtype=float)
-        single = w.ndim < 3
-        ws = _as_matrix(w, "w")[None] if single else w
+        w = np.atleast_2d(np.asarray(w, dtype=float))
         m = self.dim
-        if ws.ndim != 3 or ws.shape[1:] != (m, m):
+        if w.shape[-2:] != (m, m) or w.ndim > 3:
             raise ValueError(f"w must be {m} x {m} or a stack of such, got {w.shape}")
-        asym = np.abs(ws - ws.transpose(0, 2, 1)).max(axis=(1, 2))
-        if np.any(asym > _SYM_RTOL * np.maximum(np.abs(ws).max(axis=(1, 2)), 1.0)):
-            raise NotPositiveDefiniteError("w is not symmetric")
-        try:
-            lw = np.linalg.cholesky(ws)
-        except np.linalg.LinAlgError as exc:
-            raise NotPositiveDefiniteError("w is not positive definite") from exc
-        n = ws.shape[0]
+        out = self.logpdf_chol(spd_cholesky(w.reshape(-1, m, m), "w"))
+        return float(out[0]) if w.ndim < 3 else out
+
+    def logpdf_chol(self, lw) -> np.ndarray:
+        """Log density at each W_i = L_i L_i' of an (n, M, M) stack of lower
+        Cholesky factors, for callers that already hold them."""
+        n, m = lw.shape[0], self.dim
         nu = self.dof
         # tr(scale^-1 W_i) = ||L_S^-1 L_Wi||_F^2, one solve for the whole stack
         a = solve_triangular(self._chol, lw.transpose(1, 0, 2).reshape(m, n * m),
                              lower=True)
         tr = np.sum((a * a).reshape(m, n, m), axis=(0, 2))
-        logdet_w = 2.0 * np.sum(np.log(np.diagonal(lw, axis1=1, axis2=2)), axis=1)
-        out = (
-            (nu - m - 1) / 2.0 * logdet_w
+        return (
+            (nu - m - 1) / 2.0 * chol_logdet(lw)
             - 0.5 * tr
             - nu * m / 2.0 * np.log(2.0)
             - nu / 2.0 * chol_logdet(self._chol)
             - mv_log_gamma(m, nu / 2.0)
         )
-        return float(out[0]) if single else out
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         """One SPD draw via the Bartlett decomposition."""

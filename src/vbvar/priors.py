@@ -122,6 +122,15 @@ class IndependentPrior:
     def n_regressors(self) -> int:
         return self.mean_b.size // self.n_vars
 
+    def initial_precision(self, init="prior-mean") -> np.ndarray:
+        """Starting Sigma^-1 of an iterative fit: "prior-mean" (dof * S0^-1,
+        the prior mean of Sigma^-1) or an explicit M x M array."""
+        if isinstance(init, str):
+            if init != "prior-mean":
+                raise ValueError(f"unknown init_precision {init!r}")
+            return self.dof * self.scale_inv
+        return np.asarray(init, dtype=float)
+
 
 @dataclass(frozen=True)
 class MinnesotaConfig:

@@ -150,11 +150,18 @@ def independent_report(
 
     ``vb`` and ``draws``, when given, must be the fits of ``prior`` and
     ``data`` under ``vb_cfg`` and ``gibbs_cfg``; they are used instead of
-    fitting again."""
+    fitting again.  Their dimensions and the chain's seed, burn-in and
+    draw count are checked against the prior and ``gibbs_cfg``."""
     if vb is None:
         vb = ivb.fit_vb_independent(prior, data, vb_cfg)
+    elif (vb.n_vars, vb.n_regressors) != (prior.n_vars, prior.n_regressors):
+        raise ValueError("vb is not a fit of this prior's dimensions")
     if draws is None:
         draws = imc.gibbs_run(prior, data, gibbs_cfg)
+    elif ((draws.seed, draws.burn_in, draws.n_kept)
+          != (gibbs_cfg.seed, gibbs_cfg.burn_in, gibbs_cfg.n_draws - gibbs_cfg.burn_in)
+          or draws.n_vars != prior.n_vars or draws.beta_draws.shape[1] != prior.mean_b.size):
+        raise ValueError("draws do not match gibbs_cfg or the prior's dimensions")
     summary = imc.summarize_draws(draws)
     x = np.asarray(x_next, dtype=float).reshape(-1)
     m, p = vb.n_vars, vb.n_regressors

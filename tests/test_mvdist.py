@@ -77,6 +77,19 @@ class TestSpdCholesky:
         with pytest.raises(NotPositiveDefiniteError):
             spd_cholesky(np.ones((2, 3)))
 
+    def test_stack_matches_single(self):
+        rng = np.random.default_rng(2)
+        xs = np.stack([_rand_spd(rng, 3) for _ in range(4)])
+        np.testing.assert_allclose(spd_cholesky(xs), [spd_cholesky(x) for x in xs],
+                                   rtol=1e-13, atol=1e-15)
+        asym = xs.copy()
+        asym[2, 0, 1] += 1e-3
+        with pytest.raises(NotPositiveDefiniteError, match="symmetric"):
+            spd_cholesky(asym)
+        bad = np.stack([np.eye(2), np.array([[1.0, 2.0], [2.0, 1.0]])])
+        with pytest.raises(NotPositiveDefiniteError, match="positive definite"):
+            spd_cholesky(bad)
+
 
 class TestWishart:
     def test_mean_var_scalar(self):

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from conftest import random_independent_prior, synthetic_design
-from vbvar.independent_mcmc import GibbsConfig
+from vbvar.independent_mcmc import GibbsConfig, gibbs_run
+from vbvar.independent_vb import fit_vb_independent
 from vbvar.priors import MinnesotaConfig, minnesota_conjugate, minnesota_independent
 from vbvar.report import conjugate_report, independent_report
 
@@ -103,3 +104,26 @@ class TestIndependentReport:
         prior, data, x, cfg, rep = indep_report
         again = independent_report(prior, data, x, cfg)
         assert again.to_json() == rep.to_json()
+
+    def test_given_fits_are_checked(self):
+        data = synthetic_design(2, 1, 60, seed=310)
+        prior = minnesota_independent(data, MinnesotaConfig())
+        x = np.concatenate([[1.0], data.Y[-1]])
+        cfg = GibbsConfig(n_draws=300, burn_in=100, seed=311)
+        vb = fit_vb_independent(prior, data)
+        draws = gibbs_run(prior, data, cfg)
+        given = independent_report(prior, data, x, cfg, vb=vb, draws=draws)
+        assert given.to_json() == independent_report(prior, data, x, cfg).to_json()
+        for other in (GibbsConfig(n_draws=300, burn_in=100, seed=312),
+                      GibbsConfig(n_draws=300, burn_in=50, seed=311),
+                      GibbsConfig(n_draws=400, burn_in=100, seed=311)):
+            with pytest.raises(ValueError, match="draws do not match"):
+                independent_report(prior, data, x, other, vb=vb, draws=draws)
+        wide = synthetic_design(3, 1, 60, seed=313)
+        wide_prior = minnesota_independent(wide, MinnesotaConfig())
+        with pytest.raises(ValueError, match="vb is not a fit"):
+            independent_report(prior, data, x, cfg,
+                               vb=fit_vb_independent(wide_prior, wide), draws=draws)
+        with pytest.raises(ValueError, match="draws do not match"):
+            independent_report(prior, data, x, cfg, vb=vb,
+                               draws=gibbs_run(wide_prior, wide, cfg))
