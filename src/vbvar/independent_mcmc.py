@@ -15,11 +15,12 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
+from scipy.linalg import cho_factor, cho_solve, cholesky, solve_triangular
 
 from .mvdist import (
     NotPositiveDefiniteError,
     WishartDist,
+    bartlett_draw,
     chol_inverse,
     chol_logdet,
     kron_add,
@@ -100,6 +101,8 @@ def gibbs_run(prior: IndependentPrior, data: DesignData, cfg: GibbsConfig) -> Gi
 
     prec = prior.initial_precision(cfg.init_precision)
     nub = t + prior.dof
+    if nub <= m - 1:
+        raise ValueError(f"posterior dof {nub} must exceed M-1 = {m - 1}")
     n_kept = cfg.n_draws - cfg.burn_in
     beta_draws = np.empty((n_kept, m * p))
     prec_draws = np.empty((n_kept, m, m))
@@ -115,7 +118,8 @@ def gibbs_run(prior: IndependentPrior, data: DesignData, cfg: GibbsConfig) -> Gi
             resid = y - x @ beta.reshape((p, m), order="F")
             scale = prior.scale + resid.T @ resid
             scale_inv = chol_inverse(np.linalg.cholesky(scale))
-            prec = WishartDist(scale_inv, nub).sample(rng)
+            prec = bartlett_draw(cholesky(scale_inv, lower=True, check_finite=False),
+                                 nub, rng)
         except np.linalg.LinAlgError as exc:
             raise NotPositiveDefiniteError(
                 f"Cholesky failure in Gibbs conditional at iteration {it}"
@@ -159,15 +163,14 @@ def predictive_gibbs(draws: GibbsDraws, x_next, rng: np.random.Generator) -> dic
         raise ValueError("need at least 100 kept draws for prediction")
     x = np.asarray(x_next, dtype=float).reshape(-1)
     m = draws.n_vars
-    p = x.size
     n = draws.n_kept
-    ys = np.empty((n, m))
-    for i in range(n):
-        coef = draws.beta_draws[i].reshape((p, m), order="F")
-        lw = np.linalg.cholesky(draws.precision_draws[i])
-        # eps = L^-T z has covariance (L L')^-1 = Sigma
-        eps = solve_triangular(lw, rng.standard_normal(m), lower=True, trans="T")
-        ys[i] = x @ coef + eps
+    # row j of draw i is column j of Gamma_i = beta_i.reshape((p, M), order="F")
+    means = draws.beta_draws.reshape(n, m, x.size) @ x
+    lw = np.linalg.cholesky(draws.precision_draws)
+    # eps_i = L_i^-T z_i has covariance (L_i L_i')^-1 = Sigma_i; one call
+    # draws the same stream as n calls of standard_normal(M)
+    z = rng.standard_normal((n, m))
+    ys = means + np.linalg.solve(lw.transpose(0, 2, 1), z[..., None])[..., 0]
     return {
         "mean": ys.mean(axis=0),
         "variance": np.cov(ys.T).reshape(m, m),
@@ -207,16 +210,12 @@ def lnml_ris(
     sample size of the weights.  A degenerate-weights warning flag is set
     when ESS falls below 5% of the draws.
 
-    All draws are handled together.  The residual cross-products come from
-    one QR of X = QR: with E = Y - Q Q'Y and D_i = Q'Y - R C_i,
-    (Y - X C_i)'(Y - X C_i) = E'E + D_i'D_i, which needs O(n p M) memory
-    instead of a stack of n residual matrices.
+    All draws are handled together; the residual cross-products come from
+    :meth:`DesignData.residual_crossprod`.
     """
     n = draws.n_kept
     m = draws.n_vars
-    x, y = data.X, data.Y
-    t = y.shape[0]
-    p = x.shape[1]
+    t, p = data.effective_T, data.n_regressors
     mp = vb_post.mean_b.size
     beta = draws.beta_draws
     precs = draws.precision_draws
@@ -229,12 +228,8 @@ def lnml_ris(
     lw = spd_cholesky(precs, "precision draw")
     lq_w = vb_post.precision_density().logpdf_chol(lw)
 
-    # ln p(y | beta, Sigma^-1)
-    q, r = np.linalg.qr(x)
-    qty = q.T @ y
-    e = y - q @ qty
-    d_t = qty.T - (beta.reshape(n * m, p) @ r.T).reshape(n, m, p)  # D_i', stacked
-    ss = e.T @ e + d_t @ d_t.transpose(0, 2, 1)
+    # ln p(y | beta, Sigma^-1); Gamma_i = beta_i.reshape((p, M), order="F")
+    ss = data.residual_crossprod(beta.reshape(n, m, p).transpose(0, 2, 1))
     lp_y = (-m * t / 2.0 * log_2pi + t / 2.0 * chol_logdet(lw)
             - 0.5 * np.sum(precs * ss, axis=(1, 2)))
 

@@ -11,6 +11,7 @@ regularizing.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,12 +26,6 @@ __all__ = [
     "MatricT",
     "MultivariateT",
     "mv_log_gamma",
-    "wishart_stats",
-    "wishart_sample",
-    "matnorm_sample",
-    "matnorm_logpdf",
-    "matric_t_stats",
-    "mvt_stats",
 ]
 
 _SYM_RTOL = 1e-12
@@ -168,23 +163,29 @@ class MatricNormal:
         z = rng.standard_normal((p, m))
         return self.mean + self._chol_row @ z @ self._chol_col.T
 
-    def logpdf(self, x) -> float:
-        """Log density at x, computed without the Mp x Mp Kronecker covariance."""
-        x = _as_matrix(x, "x")
+    def logpdf(self, x):
+        """Log density at one p x M matrix (a float), or at each matrix of an
+        (n, p, M) stack (an array of n values), computed without the
+        Mp x Mp Kronecker covariance."""
+        x = np.atleast_2d(np.asarray(x, dtype=float))
         p, m = self.mean.shape
-        if x.shape != (p, m):
-            raise ValueError(f"x has shape {x.shape}, expected {(p, m)}")
-        d = x - self.mean
-        # tr(Sigma^-1 D' V^-1 D) via triangular solves
-        a = solve_triangular(self._chol_row, d, lower=True)
-        b = solve_triangular(self._chol_col, a.T, lower=True)
-        quad = float(np.sum(b * b))
-        return (
+        if x.shape[-2:] != (p, m) or x.ndim > 3:
+            raise ValueError(f"x has shape {x.shape}, expected {(p, m)} or a stack of such")
+        d = (x - self.mean).reshape(-1, p, m)
+        n = d.shape[0]
+        # tr(Sigma^-1 D_i' V^-1 D_i) = ||L_Sigma^-1 (L_V^-1 D_i)'||_F^2, two
+        # triangular solves for the whole stack
+        a = solve_triangular(self._chol_row, d.transpose(1, 0, 2).reshape(p, n * m),
+                             lower=True)
+        b = solve_triangular(self._chol_col, a.reshape(p * n, m).T, lower=True)
+        quad = np.sum((b * b).reshape(m, p, n), axis=(0, 1))
+        out = (
             -0.5 * m * p * np.log(2.0 * np.pi)
             - 0.5 * m * chol_logdet(self._chol_row)
             - 0.5 * p * chol_logdet(self._chol_col)
             - 0.5 * quad
         )
+        return float(out[0]) if x.ndim < 3 else out
 
 
 @dataclass(frozen=True)
@@ -272,14 +273,37 @@ class WishartDist:
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         """One SPD draw via the Bartlett decomposition."""
-        m = self.dim
-        a = np.zeros((m, m))
-        df = self.dof - np.arange(m)
-        a[np.diag_indices(m)] = np.sqrt(rng.chisquare(df))
-        if m > 1:
-            a[np.tril_indices(m, -1)] = rng.standard_normal(m * (m - 1) // 2)
-        la = self._chol @ a
-        return la @ la.T
+        return bartlett_draw(self._chol, self.dof, rng)
+
+
+@functools.lru_cache(maxsize=None)
+def _bartlett_slots(m: int):
+    """Offsets 0..m-1 and the flat indices of the diagonal and the strict
+    lower triangle of an m x m matrix, built once per dimension."""
+    rows, cols = np.tril_indices(m, -1)
+    offsets = np.arange(m)
+    slots = (offsets, offsets * (m + 1), rows * m + cols)
+    for a in slots:
+        a.setflags(write=False)  # shared by every caller
+    return slots
+
+
+def bartlett_draw(lower, dof: float, rng: np.random.Generator) -> np.ndarray:
+    """One Wishart W(L L', dof) draw from the lower factor L of the scale,
+    by the Bartlett decomposition W = (L A)(L A)'.
+
+    A is lower triangular with sqrt(chi2(dof - j)) on the diagonal and
+    standard normals below it, drawn in that order.  The caller checks
+    dof > M - 1.
+    """
+    m = lower.shape[0]
+    offsets, diag, strict = _bartlett_slots(m)
+    a = np.zeros(m * m)
+    a[diag] = np.sqrt(rng.chisquare(dof - offsets))
+    if m > 1:
+        a[strict] = rng.standard_normal(strict.size)
+    la = lower @ a.reshape(m, m)
+    return la @ la.T
 
 
 @dataclass(frozen=True)
@@ -371,34 +395,3 @@ class MultivariateT:
         g = rng.chisquare(self.dof, size=n) / self.dof
         out = self.mean + z / np.sqrt(g)[:, None]
         return out[0] if size is None else out
-
-
-# Operation-style wrappers used by the fitting and report layers.
-
-def wishart_stats(w: WishartDist) -> dict:
-    """Mean, mode (None when undefined), elementwise variance and entropy."""
-    try:
-        mode = w.mode()
-    except UndefinedMomentError:
-        mode = None
-    return {"mean": w.mean(), "mode": mode, "var": w.var(), "entropy": w.entropy()}
-
-
-def wishart_sample(w: WishartDist, rng: np.random.Generator) -> np.ndarray:
-    return w.sample(rng)
-
-
-def matnorm_sample(d: MatricNormal, rng: np.random.Generator) -> np.ndarray:
-    return d.sample(rng)
-
-
-def matnorm_logpdf(d: MatricNormal, x) -> float:
-    return d.logpdf(x)
-
-
-def matric_t_stats(d: MatricT) -> dict:
-    return {"mean": np.asarray(d.mean), "vec_variance": d.vec_variance()}
-
-
-def mvt_stats(d: MultivariateT) -> dict:
-    return {"mean": np.asarray(d.mean), "variance": d.variance()}

@@ -89,6 +89,13 @@ class DiagnosticsReport:
                     lines.append(f"  {key:<28}{_fmt(val['value'])}{tail}")
                 else:
                     lines.append(f"  {key:<28}{_fmt(val)}")
+        prov = self.provenance
+        if prov.get("ris_degenerate_weights"):
+            lines.append(
+                f"warning: degenerate RIS weights (ESS {prov['ris_ess']:.1f} of "
+                f"{prov['n_draws'] - prov['burn_in']} kept draws); lnml_ris and kl "
+                "rest on a few draws"
+            )
         return "\n".join(lines)
 
 
@@ -221,5 +228,6 @@ def independent_report(
             "vb_iterations": vb.iterations,
             "vb_converged": vb.converged,
             "ris_ess": ris["ess"],
+            "ris_degenerate_weights": ris["degenerate_weights"],
         },
     )

@@ -106,6 +106,20 @@ class DesignData:
     def n_regressors(self) -> int:
         return self.X.shape[1]
 
+    def residual_crossprod(self, coefs) -> np.ndarray:
+        """(Y - X C_i)'(Y - X C_i) for each C_i of an (n, p, M) coefficient
+        stack, as an (n, M, M) stack.
+
+        One QR of X = QR gives E = Y - Q Q'Y and D_i = Q'Y - R C_i, and the
+        cross-product is E'E + D_i'D_i: O(n p M) memory instead of a stack
+        of n residual matrices.
+        """
+        q, r = np.linalg.qr(self.X)
+        qty = q.T @ self.Y
+        e = self.Y - q @ qty
+        d = qty - r @ coefs
+        return e.T @ e + d.transpose(0, 2, 1) @ d
+
 
 def load_csv(path, has_timestamps: bool = False) -> RawSeries:
     """Read a UTF-8 comma-delimited file with a header row into a RawSeries.

@@ -7,6 +7,8 @@ from scipy import optimize
 from conftest import intercept_only_design, random_conjugate_prior, synthetic_design
 from vbvar.conjugate_exact import fit_exact, joint_mode, log_marginal_likelihood
 from vbvar.conjugate_vb import (
+    _log_joint_conjugate,
+    _mc_elbo_values,
     elbo_conjugate,
     fit_vb_conjugate,
     kl_exact,
@@ -17,7 +19,7 @@ from vbvar.conjugate_vb import (
     vb_modes,
 )
 from vbvar.mvdist import UndefinedMomentError
-from vbvar.priors import ConjugatePrior
+from vbvar.priors import ConjugatePrior, MinnesotaConfig, minnesota_conjugate
 from vbvar.vardata import DesignData
 
 
@@ -178,6 +180,34 @@ class TestElbo:
         small = mc_elbo_estimate(prior, vb, data, 2000, np.random.default_rng(23))
         big = mc_elbo_estimate(prior, vb, data, 32000, np.random.default_rng(24))
         assert big["std_error"] == pytest.approx(small["std_error"] / 4.0, rel=0.2)
+
+    @pytest.mark.parametrize("n_vars", [1, 3])
+    @pytest.mark.parametrize("kind", ["random", "minnesota"])
+    def test_mc_batched_matches_per_draw(self, n_vars, kind):
+        data = synthetic_design(n_vars, 2, 60, seed=40 + n_vars)
+        if kind == "random":
+            prior = random_conjugate_prior(n_vars, data.X.shape[1], seed=41)
+        else:
+            prior = minnesota_conjugate(data, MinnesotaConfig())
+        vb = fit_vb_conjugate(prior, data)
+        out = mc_elbo_estimate(prior, vb, data, 1000, np.random.default_rng(42))
+
+        # per-draw reference with the same stream: one density per draw
+        rng = np.random.default_rng(42)
+        q_coef, q_prec = vb.coef_density(), vb.precision_density()
+        coefs = np.empty((1000, data.X.shape[1], n_vars))
+        precs = np.empty((1000, n_vars, n_vars))
+        want = np.empty(1000)
+        for i in range(1000):
+            coefs[i] = q_coef.sample(rng)
+            precs[i] = q_prec.sample(rng)
+            want[i] = (_log_joint_conjugate(prior, data, coefs[i], precs[i],
+                                            np.linalg.cholesky(precs[i]))
+                       - q_coef.logpdf(coefs[i]) - q_prec.logpdf(precs[i]))
+        got = _mc_elbo_values(prior, data, q_coef, q_prec, coefs, precs)
+        np.testing.assert_allclose(got, want, rtol=1e-12)
+        assert out["estimate"] == pytest.approx(want.mean(), rel=1e-12)
+        assert out["std_error"] == pytest.approx(want.std(ddof=1) / np.sqrt(1000), rel=1e-12)
 
     def test_mc_min_draws(self):
         data = synthetic_design(1, 1, 20, seed=25)

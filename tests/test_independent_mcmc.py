@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
 from conftest import (
     grid_posterior_scalar,
@@ -155,6 +155,26 @@ class TestPredictiveGibbs:
         cond_vars = 1.0 / toy_draws.precision_draws[:, 0, 0]
         want = cond_means.var(ddof=1) + cond_vars.mean()
         assert pred["variance"][0, 0] == pytest.approx(want, rel=0.05)
+
+    @pytest.mark.parametrize("n_vars", [1, 3])
+    def test_batched_matches_per_draw(self, n_vars):
+        data = synthetic_design(n_vars, 2, 80, seed=120 + n_vars)
+        prior = minnesota_independent(data, MinnesotaConfig())
+        draws = gibbs_run(prior, data, GibbsConfig(n_draws=400, burn_in=100, seed=121))
+        x = np.concatenate([[1.0], data.Y[-2:][::-1].reshape(-1)])
+        pred = predictive_gibbs(draws, x, np.random.default_rng(122))
+
+        # per-draw reference: y_i = (x Gamma_i)' + L_i^-T z_i, one z_i per draw
+        rng = np.random.default_rng(122)
+        p = x.size
+        want = np.empty((draws.n_kept, n_vars))
+        for i in range(draws.n_kept):
+            coef = draws.beta_draws[i].reshape((p, n_vars), order="F")
+            lw = np.linalg.cholesky(draws.precision_draws[i])
+            want[i] = x @ coef + solve_triangular(lw, rng.standard_normal(n_vars),
+                                                  lower=True, trans="T")
+        np.testing.assert_allclose(pred["draws"], want, rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(pred["mean"], want.mean(axis=0), rtol=1e-12)
 
     def test_needs_enough_draws(self, toy):
         prior, data = toy

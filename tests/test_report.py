@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import random_independent_prior, synthetic_design
+from vbvar import independent_mcmc as imc
 from vbvar.independent_mcmc import GibbsConfig, gibbs_run
 from vbvar.independent_vb import fit_vb_independent
 from vbvar.priors import MinnesotaConfig, minnesota_conjugate, minnesota_independent
@@ -99,6 +100,24 @@ class TestIndependentReport:
         assert prov["seed"] == cfg.seed
         assert prov["vb_converged"]
         assert prov["ris_ess"] > 100
+        assert prov["ris_degenerate_weights"] is False
+        assert "warning" not in rep.to_text()
+
+    def test_degenerate_weights_warn(self, monkeypatch):
+        data = synthetic_design(2, 1, 60, seed=320)
+        prior = minnesota_independent(data, MinnesotaConfig())
+        x = np.concatenate([[1.0], data.Y[-1]])
+        cfg = GibbsConfig(n_draws=300, burn_in=100, seed=321)
+        ris = imc.lnml_ris
+
+        def degenerate(*args):
+            return dict(ris(*args), ess=3.3, degenerate_weights=True)
+
+        monkeypatch.setattr(imc, "lnml_ris", degenerate)
+        rep = independent_report(prior, data, x, cfg)
+        assert rep.provenance["ris_degenerate_weights"] is True
+        assert json.loads(rep.to_json())["provenance"]["ris_degenerate_weights"] is True
+        assert "warning: degenerate RIS weights (ESS 3.3 of 200 kept draws)" in rep.to_text()
 
     def test_deterministic(self, indep_report):
         prior, data, x, cfg, rep = indep_report
