@@ -2,21 +2,21 @@
 
 Usage:
     python3 scripts/bench_pairs.py --parent DIR --change DIR --out BENCH_<n>.json
-        [--workloads W ...] [--seeds 901-910] [--trace-seeds 911]
-        [--seconds 20] [--claim WORKLOAD:METRIC] [--claim-ratio 0.6]
+        [--seeds 901-910] [--trace-seeds 911] [--claim WORKLOAD:METRIC:RATIO]
 
 For each workload and seed, perfbench/run.py runs once in each checkout,
 one after the other; the parent goes first on the 1st, 3rd, ... seed and
 the change on the others, so a slow phase of the machine does not always
-fall on the same side.  Each run's result JSON (its last output line) is
-read, and the output file gets, per workload and end-to-end metric, the
-runs, median and quartiles of each side, how many pairs the change won
-(a tie counts for neither side), the median ratio change/parent and the
-parent's interquartile range.  Runs with --trace 1 on the trace seeds give
+fall on the same side.  Workloads and run length are the `workloads` and
+`run_seconds` of the change's BENCHMARK.json.  Each run's result JSON (its
+last output line) is read, and the output file gets, per workload and
+end-to-end metric, the runs, median and quartiles of each side, how many
+pairs the change won (a tie counts for neither side), the median ratio
+change/parent and the parent's interquartile range.  Runs with --trace 1 on the trace seeds give
 per-layer medians for each side.  With --claim, the output states whether
 the change won at least 9 in 10 pairs on that metric, with a median at
-most --claim-ratio times the parent's and a median gap wider than the
-parent's IQR.
+most RATIO times the parent's and a median gap wider than the parent's
+IQR.
 
 The file is rewritten after every pair, so an interrupted session keeps
 what it measured.  Plain standard library: no numpy is imported here.
@@ -115,23 +115,20 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", type=Path, required=True)
     parser.add_argument("--change", type=Path, required=True)
     parser.add_argument("--out", type=Path, required=True)
-    parser.add_argument("--workloads", nargs="+",
-                        default=["fit-small-export", "compare-large", "vb-sweep"])
     parser.add_argument("--seeds", type=parse_seeds, default=parse_seeds("901-910"))
     parser.add_argument("--trace-seeds", type=parse_seeds, default=[])
-    parser.add_argument("--seconds", type=float, default=20.0)
-    parser.add_argument("--claim", default=None, help="WORKLOAD:METRIC")
-    parser.add_argument("--claim-ratio", type=float, default=0.6)
+    parser.add_argument("--claim", default=None, help="WORKLOAD:METRIC:RATIO")
     args = parser.parse_args(argv)
 
     spec = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
     better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
+    seconds = spec["run_seconds"]
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     doc = {
         "parent_commit": git_head(sides["parent"]),
         "change_commit": git_head(sides["change"]),
         "environment": None,
-        "method": (f"python3 perfbench/run.py --workload W --seed S --seconds {args.seconds:g}"
+        "method": (f"python3 perfbench/run.py --workload W --seed S --seconds {seconds:g}"
                    " in the parent and the change checkout. End to end (--trace 0): seeds "
                    f"{args.seeds[0]}-{args.seeds[-1]}, one pair per seed, the parent first "
                    "on the 1st, 3rd, ... seed. A pair is won when the change's value is "
@@ -140,12 +137,12 @@ def main(argv=None) -> int:
         "end_to_end": {},
         "per_layer_traced": {},
     }
-    for workload in args.workloads:
+    for workload in (w["name"] for w in spec["workloads"]):
         runs = {"parent": [], "change": []}
         for i, seed in enumerate(args.seeds):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in order:
-                out = run_bench(sides[side], workload, seed, args.seconds, 0)
+                out = run_bench(sides[side], workload, seed, seconds, 0)
                 doc["environment"] = doc["environment"] or out["env"]
                 runs[side].append(out["result"])
                 print(f"{workload} seed {seed} {side}: "
@@ -162,9 +159,9 @@ def main(argv=None) -> int:
                 "metrics": metrics,
             }
             if args.claim:
-                cw, cm = args.claim.split(":")
+                cw, cm, ratio = args.claim.split(":")
                 if cw in doc["end_to_end"]:
-                    doc["claim"] = claim_summary(doc, cw, cm, args.claim_ratio)
+                    doc["claim"] = claim_summary(doc, cw, cm, float(ratio))
             write(doc, args.out)
 
         if not args.trace_seeds:
@@ -174,7 +171,7 @@ def main(argv=None) -> int:
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in order:
                 traced[side].append(
-                    run_bench(sides[side], workload, seed, args.seconds, 1)["result"])
+                    run_bench(sides[side], workload, seed, seconds, 1)["result"])
         layer = {"seeds": args.trace_seeds}
         for name in traced["parent"][0]["metrics"]:
             layer[name] = {s: statistics.median(r["metrics"][name]["value"]

@@ -84,23 +84,8 @@ class TestKlExact:
         post = fit_exact(prior, data)
         vb = fit_vb_conjugate(prior, data)
         lnml = log_marginal_likelihood(prior, post)
-
-        from vbvar.conjugate_vb import _log_joint_conjugate
-
-        q_coef = vb.coef_density()
-        q_prec = vb.precision_density()
-        n = 40_000
-        vals = np.empty(n)
-        for i in range(n):
-            coef = q_coef.sample(rng)
-            prec = q_prec.sample(rng)
-            lc = np.linalg.cholesky(prec)
-            vals[i] = (
-                q_coef.logpdf(coef) + q_prec.logpdf(prec)
-                - _log_joint_conjugate(prior, data, coef, prec, lc) + lnml
-            )
-        se = vals.std(ddof=1) / np.sqrt(n)
-        assert abs(vals.mean() - kl_exact(1, 1, 3, 1.0)) < 4 * se
+        mc = mc_elbo_estimate(prior, vb, data, 40_000, rng)
+        assert abs(lnml - mc["estimate"] - kl_exact(1, 1, 3, 1.0)) < 4 * mc["std_error"]
 
     def test_positive_and_data_free(self):
         for m, p, t, nu0 in [(1, 1, 5, 1.0), (2, 3, 30, 4.0), (4, 9, 120, 6.0)]:
