@@ -18,6 +18,8 @@ from vbvar import (
     MinnesotaConfig,
     build_design,
     conjugate_report,
+    fit_vb_independent,
+    gibbs_run,
     independent_report,
     minnesota_conjugate,
     minnesota_independent,
@@ -64,15 +66,13 @@ def main():
     data = build_design(simulate(args.n_vars, args.lags, args.t, rng),
                         args.lags)
     mn = MinnesotaConfig()
-    x_next = np.concatenate(
-        ([1.0], data.Y[-args.lags:][::-1].reshape(-1)))
+    x_next = data.next_regressors()
 
     conj = conjugate_report(minnesota_conjugate(data, mn), data, x_next)
-    indep = independent_report(
-        minnesota_independent(data, mn), data, x_next,
-        GibbsConfig(n_draws=args.draws, burn_in=args.burn_in,
-                    seed=args.seed + 1),
-    )
+    prior = minnesota_independent(data, mn)
+    draws = gibbs_run(prior, data, GibbsConfig(n_draws=args.draws, burn_in=args.burn_in,
+                                               seed=args.seed + 1))
+    indep = independent_report(prior, data, x_next, fit_vb_independent(prior, data), draws)
 
     print(conj.to_text())
     print()

@@ -12,8 +12,6 @@ import csv
 import json
 import sys
 
-import numpy as np
-
 from . import conjugate_vb as cvb
 from . import independent_mcmc as imc
 from . import independent_vb as ivb
@@ -22,7 +20,7 @@ from .report import conjugate_report, independent_report
 from .vardata import build_design, load_csv
 
 CONFIG_KEYS = (
-    "data", "lags", "prior", "method", "seed", "out", "draws", "burn_in",
+    "data", "lags", "prior", "seed", "out", "draws", "burn_in",
     "max_iters", "tol", "lambda1", "lambda2", "lambda3", "lambda4",
     "own_lag_mean", "dof_offset", "timestamps", "export_draws",
     "export_elbo_trace",
@@ -41,9 +39,7 @@ def _build_parser():
 
     fit = sub.add_parser("fit", help="fit one model and write a report")
     _add_common(fit)
-    fit.add_argument("--prior", choices=["conjugate", "independent"],
-                     default="conjugate")
-    fit.add_argument("--method", choices=["exact", "vb", "gibbs"], default="vb")
+    fit.add_argument("--prior", choices=["conjugate", "independent"])
 
     kl = sub.add_parser("kl", help="print exact and Stirling KL for (M, p, T, nu0)")
     kl.add_argument("--M", type=int, required=True)
@@ -77,7 +73,7 @@ def _add_common(sp):
 
 def _merge_config(args) -> dict:
     cfg = {
-        "lags": 1, "seed": None, "draws": 2000, "burn_in": 500,
+        "prior": "conjugate", "lags": 1, "seed": None, "draws": 2000, "burn_in": 500,
         "max_iters": 500, "tol": 1e-9, "lambda1": 0.2, "lambda2": 1.0,
         "lambda3": 1.0, "lambda4": 100.0, "own_lag_mean": 0.0,
         "dof_offset": 2, "timestamps": False, "out": None, "data": None,
@@ -91,7 +87,7 @@ def _merge_config(args) -> dict:
             raise CliError(f"cannot read config file {args.config}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise CliError(f"config file {args.config} is not valid JSON: {exc}") from exc
-        unknown = set(file_cfg) - set(CONFIG_KEYS) - {"prior", "method"}
+        unknown = set(file_cfg) - set(CONFIG_KEYS)
         if unknown:
             raise CliError(f"unknown config keys: {sorted(unknown)}")
         cfg.update(file_cfg)
@@ -99,9 +95,6 @@ def _merge_config(args) -> dict:
         flag = getattr(args, key, None)
         if flag is not None:
             cfg[key] = flag
-    for key in ("prior", "method"):
-        if getattr(args, key, None) is not None:
-            cfg[key] = getattr(args, key)
     return cfg
 
 
@@ -140,13 +133,16 @@ def _require_seed(cfg):
     return int(cfg["seed"])
 
 
-def _independent_configs(cfg):
-    """Gibbs and VB settings of the independent-prior fit; needs a seed."""
+def _fit_independent(data, mn, cfg):
+    """Minnesota independent prior with its VB fit and its Gibbs chain;
+    needs a seed."""
     gibbs_cfg = imc.GibbsConfig(n_draws=int(cfg["draws"]),
                                 burn_in=int(cfg["burn_in"]), seed=_require_seed(cfg))
     vb_cfg = ivb.VbConfig(max_iters=int(cfg["max_iters"]),
                           elbo_rel_tol=float(cfg["tol"]))
-    return gibbs_cfg, vb_cfg
+    prior = minnesota_independent(data, mn)
+    vb = ivb.fit_vb_independent(prior, data, vb_cfg)
+    return prior, vb, imc.gibbs_run(prior, data, gibbs_cfg)
 
 
 def _write_report(report, cfg):
@@ -179,31 +175,20 @@ def _export_elbo_trace(trace, path):
 
 def cmd_fit(args) -> int:
     cfg = _merge_config(args)
-    prior_type = cfg.get("prior", "conjugate")
-    method = cfg.get("method", "vb")
-    if method == "exact" and prior_type != "conjugate":
-        raise CliError("method 'exact' is only available with the conjugate prior")
-    if method == "gibbs" and prior_type != "independent":
-        raise CliError("method 'gibbs' is only available with the independent prior")
     data = _load_design(cfg)
     mn = _minnesota_config(cfg)
-    x_next = np.concatenate(([1.0], data.Y[-data.lag_order:][::-1].reshape(-1)))
+    x_next = data.next_regressors()
 
     status = 0
-    if prior_type == "conjugate":
-        prior = minnesota_conjugate(data, mn)
-        report = conjugate_report(prior, data, x_next)
+    if cfg["prior"] == "conjugate":
+        report = conjugate_report(minnesota_conjugate(data, mn), data, x_next)
     else:
-        prior = minnesota_independent(data, mn)
-        gibbs_cfg, vb_cfg = _independent_configs(cfg)
-        vb = ivb.fit_vb_independent(prior, data, vb_cfg)
+        prior, vb, draws = _fit_independent(data, mn, cfg)
+        report = independent_report(prior, data, x_next, vb, draws)
+        if not vb.converged:
+            status = 2
         if cfg.get("export_elbo_trace"):
             _export_elbo_trace(vb.elbo_trace, cfg["export_elbo_trace"])
-        draws = imc.gibbs_run(prior, data, gibbs_cfg)
-        report = independent_report(prior, data, x_next, gibbs_cfg, vb_cfg,
-                                    vb=vb, draws=draws)
-        if not report.provenance.get("vb_converged", True):
-            status = 2
         if cfg.get("export_draws"):
             _export_draws(draws, cfg["export_draws"])
     _write_report(report, cfg)
@@ -225,11 +210,10 @@ def cmd_compare(args) -> int:
     cfg = _merge_config(args)
     data = _load_design(cfg)
     mn = _minnesota_config(cfg)
-    gibbs_cfg, vb_cfg = _independent_configs(cfg)
-    x_next = np.concatenate(([1.0], data.Y[-data.lag_order:][::-1].reshape(-1)))
+    x_next = data.next_regressors()
     conj = conjugate_report(minnesota_conjugate(data, mn), data, x_next)
-    indep = independent_report(minnesota_independent(data, mn), data, x_next,
-                               gibbs_cfg, vb_cfg)
+    prior, vb, draws = _fit_independent(data, mn, cfg)
+    indep = independent_report(prior, data, x_next, vb, draws)
     combined = {
         "conjugate": json.loads(conj.to_json()),
         "independent": json.loads(indep.to_json()),
@@ -241,7 +225,7 @@ def cmd_compare(args) -> int:
     print(conj.to_text())
     print()
     print(indep.to_text())
-    return 2 if not indep.provenance.get("vb_converged", True) else 0
+    return 0 if vb.converged else 2
 
 
 def main(argv=None) -> int:

@@ -7,15 +7,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_solve
 
 from .mvdist import (
     MatricT,
     MultivariateT,
-    NotPositiveDefiniteError,
     UndefinedMomentError,
+    chol_inverse,
+    chol_logdet,
     mv_log_gamma,
     spd_cholesky,
+    spd_inverse,
 )
 from .priors import ConjugatePrior
 from .vardata import DesignData
@@ -56,35 +58,26 @@ class ConjugateExactPosterior:
         return self.mean_G.shape[0]
 
 
-def _symmetrize(a):
-    return (a + a.T) / 2.0
-
-
 def fit_exact(prior: ConjugatePrior, data: DesignData) -> ConjugateExactPosterior:
     """Closed-form normal-Wishart posterior update.
 
-    All inverses go through Cholesky solves; the prior precision is only
-    applied as a solve against the prior row-covariance factor.
+    Uses the prior's cached V0^-1; the posterior precision is factored once
+    and that factor gives both the mean (a solve) and the row covariance.
     """
     x, y = data.X, data.Y
     p, m = prior.mean_G.shape
     if x.shape[1] != p or y.shape[1] != m:
         raise ValueError("prior and data dimensions disagree")
-    l0 = cho_factor(prior.row_cov, lower=True)
-    v0_inv = cho_solve(l0, np.eye(p))
-    try:
-        post_prec = cho_factor(_symmetrize(v0_inv + x.T @ x), lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefiniteError("posterior normal equations are singular") from exc
-    mean_g = cho_solve(post_prec, v0_inv @ prior.mean_G + x.T @ y)
-    row_cov = _symmetrize(cho_solve(post_prec, np.eye(p)))
+    v0_inv = prior.row_cov_inv
+    lower = spd_cholesky(v0_inv + x.T @ x, "posterior precision")
+    mean_g = cho_solve((lower, True), v0_inv @ prior.mean_G + x.T @ y)
     resid = y - x @ mean_g
     dg = mean_g - prior.mean_G
-    scale = _symmetrize(resid.T @ resid + prior.scale + dg.T @ cho_solve(l0, dg))
+    scale = resid.T @ resid + prior.scale + dg.T @ (v0_inv @ dg)
     return ConjugateExactPosterior(
         mean_G=mean_g,
-        row_cov=row_cov,
-        scale=scale,
+        row_cov=chol_inverse(lower),
+        scale=(scale + scale.T) / 2.0,
         dof=data.effective_T + prior.dof,
         n_obs=data.effective_T,
         prior_dof=prior.dof,
@@ -100,12 +93,11 @@ def log_marginal_likelihood(prior: ConjugatePrior, post: ConjugateExactPosterior
     """Closed-form log marginal likelihood of the conjugate VAR."""
     m = post.n_vars
     t = post.n_obs
-    ld = lambda a: 2.0 * np.sum(np.log(np.diag(spd_cholesky(a))))
     return (
         -m * t / 2.0 * np.log(np.pi)
-        + m / 2.0 * (ld(post.row_cov) - ld(prior.row_cov))
-        - post.dof / 2.0 * ld(post.scale)
-        + prior.dof / 2.0 * ld(prior.scale)
+        + m / 2.0 * (chol_logdet(spd_cholesky(post.row_cov, "row_cov")) - prior.logdet_row_cov)
+        - post.dof / 2.0 * chol_logdet(spd_cholesky(post.scale, "scale"))
+        + prior.dof / 2.0 * prior.logdet_scale
         + mv_log_gamma(m, post.dof / 2.0)
         - mv_log_gamma(m, prior.dof / 2.0)
     )
@@ -118,10 +110,9 @@ def joint_mode(post: ConjugateExactPosterior) -> dict:
     factor = post.n_obs + p + post.prior_dof - m - 1
     if factor <= 0:
         raise UndefinedMomentError("joint mode needs T + p + prior dof > M + 1")
-    l = cho_factor(post.scale, lower=True)
     return {
         "coefficients": np.asarray(post.mean_G),
-        "precision": factor * _symmetrize(cho_solve(l, np.eye(m))),
+        "precision": factor * spd_inverse(post.scale, "scale")[0],
     }
 
 

@@ -69,10 +69,25 @@ class ConjugateVbPosterior:
     def n_regressors(self) -> int:
         return self.mean_G.shape[0]
 
+    @classmethod
+    def from_exact(cls, post: ConjugateExactPosterior) -> ConjugateVbPosterior:
+        """Closed-form VB posterior of a fitted exact posterior; no
+        iteration.  Shares mean_G, row_cov and scale with ``post``."""
+        dof_q = post.dof + post.n_regressors
+        return cls(
+            mean_G=post.mean_G,
+            row_cov=post.row_cov,
+            scale=post.scale,
+            scale_q=(dof_q / post.dof) * post.scale,
+            dof=post.dof,
+            dof_q=dof_q,
+            n_obs=post.n_obs,
+            prior_dof=post.prior_dof,
+        )
+
     def expected_precision(self) -> np.ndarray:
         """E_q(Sigma^-1) = dof_q * scale_q^-1 = dof * scale^-1."""
-        l = cho_factor(self.scale, lower=True)
-        return self.dof * cho_solve(l, np.eye(self.n_vars))
+        return self.dof * spd_inverse(self.scale, "scale")[0]
 
     def expected_precision_inv(self) -> np.ndarray:
         """Column covariance of q(Gamma): scale / dof."""
@@ -82,27 +97,13 @@ class ConjugateVbPosterior:
         return MatricNormal(self.mean_G, self.expected_precision_inv(), self.row_cov)
 
     def precision_density(self) -> WishartDist:
-        l = cho_factor(self.scale_q, lower=True)
-        inv = cho_solve(l, np.eye(self.n_vars))
-        return WishartDist((inv + inv.T) / 2.0, self.dof_q)
+        return WishartDist(spd_inverse(self.scale_q, "scale_q")[0], self.dof_q)
 
 
 def fit_vb_conjugate(prior: ConjugatePrior, data: DesignData) -> ConjugateVbPosterior:
-    """Closed-form VB posterior; no iteration.  Shares mean_G and row_cov
-    with the exact posterior."""
-    post = fit_exact(prior, data)
-    p = post.n_regressors
-    dof_q = post.dof + p
-    return ConjugateVbPosterior(
-        mean_G=post.mean_G,
-        row_cov=post.row_cov,
-        scale=post.scale,
-        scale_q=(dof_q / post.dof) * post.scale,
-        dof=post.dof,
-        dof_q=dof_q,
-        n_obs=post.n_obs,
-        prior_dof=post.prior_dof,
-    )
+    """Closed-form VB posterior: fits the exact posterior, then
+    :meth:`ConjugateVbPosterior.from_exact`."""
+    return ConjugateVbPosterior.from_exact(fit_exact(prior, data))
 
 
 def kl_exact(n_vars: int, n_regressors: int, n_obs: int, prior_dof: float) -> float:
@@ -150,12 +151,12 @@ def elbo_conjugate(prior: ConjugatePrior, vb_post: ConjugateVbPosterior) -> floa
     """
     m, p, t = vb_post.n_vars, vb_post.n_regressors, vb_post.n_obs
     nub, nuq, nu0 = vb_post.dof, vb_post.dof_q, vb_post.prior_dof
-    ld = lambda a: 2.0 * np.sum(np.log(np.diag(spd_cholesky(a))))
     return (
         -m * t / 2.0 * np.log(np.pi)
-        + m / 2.0 * (ld(vb_post.row_cov) - ld(prior.row_cov))
-        - nub / 2.0 * ld(vb_post.scale)
-        + nu0 / 2.0 * ld(prior.scale)
+        + m / 2.0 * (chol_logdet(spd_cholesky(vb_post.row_cov, "row_cov"))
+                     - prior.logdet_row_cov)
+        - nub / 2.0 * chol_logdet(spd_cholesky(vb_post.scale, "scale"))
+        + nu0 / 2.0 * prior.logdet_scale
         + m * p / 2.0 * (np.log(2.0) + 1.0)
         + m / 2.0 * (nub * np.log(nub) - nuq * np.log(nuq))
         + mv_log_gamma(m, nuq / 2.0)
@@ -187,8 +188,8 @@ def _mc_elbo_values(prior, data, q_coef, q_prec, coefs, precs) -> np.ndarray:
     """ln p(Y, theta_i) - ln q(theta_i) at each draw of an (n, p, M)
     coefficient stack and an (n, M, M) precision stack, all draws at once.
 
-    The precision draws are validated and factored once; the prior's row
-    covariance and scale are inverted once per call.
+    The precision draws are validated and factored once; the prior's
+    inverses and log-determinants are its cached ones.
     """
     p, m = coefs.shape[1:]
     t = data.effective_T
@@ -198,11 +199,11 @@ def _mc_elbo_values(prior, data, q_coef, q_prec, coefs, precs) -> np.ndarray:
     lp_y = (-m * t / 2.0 * log_2pi + t / 2.0 * logdet_w
             - 0.5 * np.sum(precs * data.residual_crossprod(coefs), axis=(1, 2)))
     # p(Gamma | Sigma) = MN(prior mean, Sigma, prior row_cov), ln|Sigma| = -ln|W|
-    v0_inv, logdet_v0 = spd_inverse(prior.row_cov, "row_cov")
     dg = coefs - prior.mean_G
-    quad = np.sum(precs * (dg.transpose(0, 2, 1) @ (v0_inv @ dg)), axis=(1, 2))
-    lp_g = -m * p / 2.0 * log_2pi - m / 2.0 * logdet_v0 + p / 2.0 * logdet_w - 0.5 * quad
-    lp_w = WishartDist(spd_inverse(prior.scale, "scale")[0], prior.dof).logpdf_chol(lw)
+    quad = np.sum(precs * (dg.transpose(0, 2, 1) @ (prior.row_cov_inv @ dg)), axis=(1, 2))
+    lp_g = (-m * p / 2.0 * log_2pi - m / 2.0 * prior.logdet_row_cov + p / 2.0 * logdet_w
+            - 0.5 * quad)
+    lp_w = WishartDist(prior.scale_inv, prior.dof).logpdf_chol(lw)
     return lp_y + lp_g + lp_w - q_coef.logpdf(coefs) - q_prec.logpdf_chol(lw)
 
 
@@ -284,11 +285,9 @@ def vb_modes(vb_post: ConjugateVbPosterior) -> dict:
     m = vb_post.n_vars
     if vb_post.dof_q <= m + 1:
         raise UndefinedMomentError("VB precision mode needs dof_q > M+1")
-    l = cho_factor(vb_post.scale_q, lower=True)
-    inv = cho_solve(l, np.eye(m))
     return {
         "coefficients": np.asarray(vb_post.mean_G),
-        "precision": (vb_post.dof_q - m - 1) * (inv + inv.T) / 2.0,
+        "precision": (vb_post.dof_q - m - 1) * spd_inverse(vb_post.scale_q, "scale_q")[0],
     }
 
 

@@ -11,7 +11,7 @@ are cached on the prior; none of them is refactored per draw.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -222,7 +222,7 @@ def lnml_ris(
     log_2pi = np.log(2.0 * np.pi)
 
     # ln q(beta): one triangular solve with n right-hand sides
-    lq = cho_factor(np.asarray(vb_post.cov_b), lower=True)[0]
+    lq = spd_cholesky(vb_post.cov_b, "cov_b")
     z = solve_triangular(lq, (beta - vb_post.mean_b).T, lower=True)
     lq_b = -mp / 2.0 * log_2pi - 0.5 * chol_logdet(lq) - 0.5 * np.sum(z * z, axis=0)
     lw = spd_cholesky(precs, "precision draw")

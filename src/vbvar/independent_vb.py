@@ -25,6 +25,7 @@ from .mvdist import (
     chol_logdet,
     kron_add,
     mv_log_gamma,
+    spd_cholesky,
     spd_inverse,
 )
 from .priors import IndependentPrior
@@ -205,27 +206,21 @@ def elbo_independent(
     prior: IndependentPrior,
     vb_post: IndependentVbPosterior,
     data: DesignData,
-    normal_constant: str = "mp_half",
 ) -> float:
     """Closed-form ELBO at the VB fixed point.
 
-    ``normal_constant`` selects the leading additive constant: "mp_half"
-    uses M*p/2 (the value a direct entropy accounting gives, confirmed by
-    the Monte-Carlo check), "p_half" uses p/2 as printed in the source
-    display.  The two coincide for M = 1.
+    The leading constant is M*p/2, which the Monte-Carlo check confirms;
+    the source display prints p/2, and the two coincide for M = 1.
     """
-    if normal_constant not in ("mp_half", "p_half"):
-        raise ValueError("normal_constant must be 'mp_half' or 'p_half'")
     x, y = data.X, data.Y
     t, m = y.shape
     p = x.shape[1]
     nub = vb_post.dof
-    lead = m * p / 2.0 if normal_constant == "mp_half" else p / 2.0
-    logdet_vq = chol_logdet(cho_factor(np.asarray(vb_post.cov_b), lower=True)[0])
-    logdet_sq = chol_logdet(cho_factor(np.asarray(vb_post.scale_q), lower=True)[0])
+    logdet_vq = chol_logdet(spd_cholesky(vb_post.cov_b, "cov_b"))
+    logdet_sq = chol_logdet(spd_cholesky(vb_post.scale_q, "scale_q"))
     tr_term = sum(_prior_quadratic(prior, vb_post.mean_b - prior.mean_b, vb_post.cov_b))
     return (
-        lead
+        m * p / 2.0
         - m * t / 2.0 * np.log(np.pi)
         + mv_log_gamma(m, nub / 2.0)
         - mv_log_gamma(m, prior.dof / 2.0)

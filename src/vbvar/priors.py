@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mvdist import spd_cholesky, spd_inverse
+from .mvdist import spd_inverse
 from .vardata import DesignData, InsufficientObservationsError
 
 __all__ = [
@@ -32,30 +32,47 @@ __all__ = [
 ]
 
 
+def _set_fields(obj, **values):
+    """Set the fields of a frozen dataclass; arrays are stored as read-only
+    float arrays."""
+    for name, value in values.items():
+        if not np.isscalar(value):
+            value = np.asarray(value, dtype=float)
+            value.setflags(write=False)
+        object.__setattr__(obj, name, value)
+
+
 @dataclass(frozen=True)
 class ConjugatePrior:
     """Normal-Wishart conjugate prior: Gamma | Sigma ~ MN(mean_G, Sigma, row_cov),
-    Sigma^-1 ~ W(scale^-1, dof)."""
+    Sigma^-1 ~ W(scale^-1, dof).
+
+    Construction validates both SPD blocks and caches, read-only,
+    ``row_cov_inv`` (V0^-1), ``logdet_row_cov``, ``scale_inv`` (S0^-1) and
+    ``logdet_scale``.
+    """
 
     mean_G: np.ndarray
     row_cov: np.ndarray
     scale: np.ndarray
     dof: float
+    row_cov_inv: np.ndarray = field(init=False, repr=False, compare=False)
+    logdet_row_cov: float = field(init=False, repr=False, compare=False)
+    scale_inv: np.ndarray = field(init=False, repr=False, compare=False)
+    logdet_scale: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         g = np.asarray(self.mean_G, dtype=float)
-        spd_cholesky(self.row_cov, "row_cov")
-        spd_cholesky(self.scale, "scale")
+        row_cov_inv, logdet_row_cov = spd_inverse(self.row_cov, "row_cov")
+        scale_inv, logdet_scale = spd_inverse(self.scale, "scale")
         p, m = g.shape
         if np.asarray(self.row_cov).shape != (p, p) or np.asarray(self.scale).shape != (m, m):
             raise ValueError("prior block shapes are inconsistent with mean_G")
         if self.dof <= m - 1:
             raise ValueError(f"dof must exceed M-1 = {m - 1}, got {self.dof}")
-        for name in ("mean_G", "row_cov", "scale"):
-            a = np.asarray(getattr(self, name), dtype=float)
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
-        object.__setattr__(self, "dof", float(self.dof))
+        _set_fields(self, mean_G=g, row_cov=self.row_cov, scale=self.scale,
+                    row_cov_inv=row_cov_inv, logdet_row_cov=logdet_row_cov,
+                    scale_inv=scale_inv, logdet_scale=logdet_scale, dof=float(self.dof))
 
     @property
     def n_vars(self) -> int:
@@ -101,22 +118,9 @@ class IndependentPrior:
             raise ValueError("cov shape inconsistent with mean_b")
         if self.dof <= m - 1:
             raise ValueError(f"dof must exceed M-1 = {m - 1}, got {self.dof}")
-        object.__setattr__(self, "n_vars", n_vars)
-        cached = {
-            "cov": self.cov,
-            "scale": self.scale,
-            "mean_b": b,
-            "cov_inv": cov_inv,
-            "cov_inv_mean": cov_inv @ b,
-            "scale_inv": scale_inv,
-        }
-        for name, value in cached.items():
-            a = np.asarray(value, dtype=float)
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
-        object.__setattr__(self, "logdet_cov", logdet_cov)
-        object.__setattr__(self, "logdet_scale", logdet_scale)
-        object.__setattr__(self, "dof", float(self.dof))
+        _set_fields(self, n_vars=n_vars, mean_b=b, cov=self.cov, scale=self.scale,
+                    cov_inv=cov_inv, cov_inv_mean=cov_inv @ b, logdet_cov=logdet_cov,
+                    scale_inv=scale_inv, logdet_scale=logdet_scale, dof=float(self.dof))
 
     @property
     def n_regressors(self) -> int:

@@ -111,7 +111,7 @@ def _fmt(v):
 def conjugate_report(prior: ConjugatePrior, data: DesignData, x_next) -> DiagnosticsReport:
     """Exact-vs-VB comparison for the conjugate prior; fully analytic."""
     post = cex.fit_exact(prior, data)
-    vb = cvb.fit_vb_conjugate(prior, data)
+    vb = cvb.ConjugateVbPosterior.from_exact(post)
     m, p, t = post.n_vars, post.n_regressors, post.n_obs
     x = np.asarray(x_next, dtype=float).reshape(-1)
     c = float(x @ post.row_cov @ x)
@@ -146,29 +146,19 @@ def independent_report(
     prior: IndependentPrior,
     data: DesignData,
     x_next,
-    gibbs_cfg: imc.GibbsConfig,
-    vb_cfg: ivb.VbConfig | None = None,
-    predict_seed: int | None = None,
-    vb: ivb.IndependentVbPosterior | None = None,
-    draws: imc.GibbsDraws | None = None,
+    vb: ivb.IndependentVbPosterior,
+    draws: imc.GibbsDraws,
 ) -> DiagnosticsReport:
-    """Gibbs-vs-VB comparison for the independent prior; stochastic cells
-    carry Monte-Carlo standard errors.
+    """Gibbs-vs-VB comparison for the independent prior from the VB fit
+    ``vb`` and the Gibbs chain ``draws`` of ``prior`` and ``data``;
+    stochastic cells carry Monte-Carlo standard errors.
 
-    ``vb`` and ``draws``, when given, must be the fits of ``prior`` and
-    ``data`` under ``vb_cfg`` and ``gibbs_cfg``; they are used instead of
-    fitting again.  Their dimensions and the chain's seed, burn-in and
-    draw count are checked against the prior and ``gibbs_cfg``."""
-    if vb is None:
-        vb = ivb.fit_vb_independent(prior, data, vb_cfg)
-    elif (vb.n_vars, vb.n_regressors) != (prior.n_vars, prior.n_regressors):
+    The seed, burn-in and draw count in the provenance are the chain's, and
+    the predictive simulation is seeded with the chain's seed + 1."""
+    if (vb.n_vars, vb.n_regressors) != (prior.n_vars, prior.n_regressors):
         raise ValueError("vb is not a fit of this prior's dimensions")
-    if draws is None:
-        draws = imc.gibbs_run(prior, data, gibbs_cfg)
-    elif ((draws.seed, draws.burn_in, draws.n_kept)
-          != (gibbs_cfg.seed, gibbs_cfg.burn_in, gibbs_cfg.n_draws - gibbs_cfg.burn_in)
-          or draws.n_vars != prior.n_vars or draws.beta_draws.shape[1] != prior.mean_b.size):
-        raise ValueError("draws do not match gibbs_cfg or the prior's dimensions")
+    if draws.n_vars != prior.n_vars or draws.beta_draws.shape[1] != prior.mean_b.size:
+        raise ValueError("draws are not a chain of this prior's dimensions")
     summary = imc.summarize_draws(draws)
     x = np.asarray(x_next, dtype=float).reshape(-1)
     m, p = vb.n_vars, vb.n_regressors
@@ -181,9 +171,7 @@ def independent_report(
     prec_mean_ratio = np.diag(vb_prec_mean) / np.diag(summary["precision_mean"])
     prec_var_ratio = np.diag(vb_prec_var) / summary["precision_var"][diag, diag]
 
-    pred_rng = np.random.default_rng(gibbs_cfg.seed + 1 if predict_seed is None
-                                     else predict_seed)
-    pred_mc = imc.predictive_gibbs(draws, x, pred_rng)
+    pred_mc = imc.predictive_gibbs(draws, x, np.random.default_rng(draws.seed + 1))
     pred_vb = ivb.predictive_vb_independent(vb, x)
     elbo = ivb.elbo_independent(prior, vb, data)
     ris = imc.lnml_ris(draws, vb, prior, data)
@@ -222,9 +210,9 @@ def independent_report(
         },
         provenance={
             "stochastic": True,
-            "seed": gibbs_cfg.seed,
-            "n_draws": gibbs_cfg.n_draws,
-            "burn_in": gibbs_cfg.burn_in,
+            "seed": draws.seed,
+            "n_draws": draws.burn_in + draws.n_kept,
+            "burn_in": draws.burn_in,
             "vb_iterations": vb.iterations,
             "vb_converged": vb.converged,
             "ris_ess": ris["ess"],

@@ -106,6 +106,13 @@ class DesignData:
     def n_regressors(self) -> int:
         return self.X.shape[1]
 
+    def next_regressors(self) -> np.ndarray:
+        """Regressor row x_{T+1} = (1, y_T', ..., y_{T-d+1}') of the one-step
+        forecast: the last row of Y, then the first d-1 lag blocks of the
+        last row of X."""
+        lags = self.X[-1, 1:1 + self.n_vars * (self.lag_order - 1)]
+        return np.concatenate(([1.0], self.Y[-1], lags))
+
     def residual_crossprod(self, coefs) -> np.ndarray:
         """(Y - X C_i)'(Y - X C_i) for each C_i of an (n, p, M) coefficient
         stack, as an (n, M, M) stack.

@@ -130,11 +130,6 @@ class TestFitCommand:
         assert sorted(calls) == ["fit_vb_independent", "gibbs_run"]
         capsys.readouterr()
 
-    def test_method_prior_mismatch(self, data_csv, capsys):
-        assert main(["fit", "--data", data_csv, "--prior", "independent",
-                     "--method", "exact"]) == 1
-        capsys.readouterr()
-
 
 class TestConfigFile:
     def test_merge_and_flag_override(self, data_csv, tmp_path, capsys):
@@ -143,6 +138,18 @@ class TestConfigFile:
                                    "lambda1": 0.3}))
         out = tmp_path / "from_cfg.json"
         assert main(["fit", "--config", str(cfg), "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["meta"]["prior_type"] == "conjugate"
+        capsys.readouterr()
+
+    def test_prior_from_config(self, data_csv, tmp_path, capsys):
+        cfg = tmp_path / "indep.json"
+        cfg.write_text(json.dumps({"data": data_csv, "prior": "independent", "seed": 5,
+                                   "draws": 300, "burn_in": 100}))
+        out = tmp_path / "indep_cfg.json"
+        assert main(["fit", "--config", str(cfg), "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["meta"]["prior_type"] == "independent"
+        assert main(["fit", "--config", str(cfg), "--prior", "conjugate",
+                     "--out", str(out)]) == 0
         assert json.loads(out.read_text())["meta"]["prior_type"] == "conjugate"
         capsys.readouterr()
 

@@ -155,27 +155,6 @@ class TestElbo:
         se = vals.std(ddof=1) / np.sqrt(n)
         assert abs(vals.mean() - elbo_independent(prior, vb, data)) < 4 * se
 
-    def test_constant_conventions(self):
-        data = synthetic_design(2, 1, 40, seed=213)
-        prior = random_independent_prior(2, 3, seed=214)
-        vb = fit_vb_independent(prior, data)
-        a = elbo_independent(prior, vb, data, normal_constant="mp_half")
-        b = elbo_independent(prior, vb, data, normal_constant="p_half")
-        assert a != b
-
-    def test_constant_conventions_coincide_scalar(self, scalar_case):
-        prior, data = scalar_case
-        vb = fit_vb_independent(prior, data)
-        assert elbo_independent(prior, vb, data, normal_constant="mp_half") == \
-            pytest.approx(elbo_independent(prior, vb, data,
-                                           normal_constant="p_half"), rel=1e-12)
-
-    def test_unknown_convention(self, scalar_case):
-        prior, data = scalar_case
-        vb = fit_vb_independent(prior, data)
-        with pytest.raises(ValueError):
-            elbo_independent(prior, vb, data, normal_constant="bogus")
-
 
 class TestPredictive:
     def test_mean_and_variance_formulas(self):

@@ -159,11 +159,16 @@ class TestIndependentPriorCache:
             a = rng.standard_normal((n, n))
             return a @ a.T / n + 0.1 * np.eye(n)
 
-        cov, scale = spd(mp), spd(n_vars)
+        cov, scale, row_cov = spd(mp), spd(n_vars), spd(n_regressors)
         prior = IndependentPrior(rng.standard_normal(mp), cov, scale,
                                  n_vars + 2.0, n_vars=n_vars)
+        conj = ConjugatePrior(rng.standard_normal((n_regressors, n_vars)), row_cov, scale,
+                              n_vars + 2.0)
         for inv, logdet, a in ((prior.cov_inv, prior.logdet_cov, cov),
-                               (prior.scale_inv, prior.logdet_scale, scale)):
+                               (prior.scale_inv, prior.logdet_scale, scale),
+                               (conj.row_cov_inv, conj.logdet_row_cov, row_cov),
+                               (conj.scale_inv, conj.logdet_scale, scale)):
+            assert not inv.flags.writeable
             want = np.linalg.inv(a)
             np.testing.assert_allclose(inv, want, rtol=1e-9,
                                        atol=1e-12 * np.abs(want).max())
@@ -171,8 +176,6 @@ class TestIndependentPriorCache:
             assert sign == 1.0
             assert logdet == pytest.approx(want_logdet, abs=1e-10 * max(1.0, abs(want_logdet)))
         np.testing.assert_allclose(prior.cov_inv_mean, prior.cov_inv @ prior.mean_b)
-        assert not prior.cov_inv.flags.writeable
-        assert not prior.scale_inv.flags.writeable
 
     def test_diagonal_rejects_nonpositive(self):
         with pytest.raises(ValueError, match="positive definite"):

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import random_independent_prior, synthetic_design
+from conftest import synthetic_design
 from vbvar import independent_mcmc as imc
 from vbvar.independent_mcmc import GibbsConfig, gibbs_run
 from vbvar.independent_vb import fit_vb_independent
@@ -51,11 +51,27 @@ class TestConjugateReport:
         assert set(parsed) == {"meta", "kl_section", "ratio_section",
                                "provenance", "traceability"}
 
+    def test_fits_exact_once(self, medium_design, monkeypatch):
+        from vbvar import conjugate_exact, conjugate_vb
+
+        calls = []
+        original = conjugate_exact.fit_exact
+        for module in (conjugate_exact, conjugate_vb):
+            monkeypatch.setattr(module, "fit_exact",
+                                lambda *a, **k: calls.append(1) or original(*a, **k))
+        prior = minnesota_conjugate(medium_design, MinnesotaConfig())
+        conjugate_report(prior, medium_design, medium_design.next_regressors())
+        assert len(calls) == 1
+
     def test_text_renders(self, conj_report):
         text = conj_report.to_text()
         assert "conjugate VAR" in text
         assert "kl_stirling" in text
         assert "coef_var_ratio" in text
+
+
+def _fits(prior, data, cfg):
+    return fit_vb_independent(prior, data), gibbs_run(prior, data, cfg)
 
 
 @pytest.fixture(scope="module")
@@ -64,7 +80,7 @@ def indep_report():
     prior = minnesota_independent(data, MinnesotaConfig())
     x = np.concatenate([[1.0], data.Y[-1]])
     cfg = GibbsConfig(n_draws=12_000, burn_in=2_000, seed=301)
-    return prior, data, x, cfg, independent_report(prior, data, x, cfg)
+    return prior, data, x, cfg, independent_report(prior, data, x, *_fits(prior, data, cfg))
 
 
 class TestIndependentReport:
@@ -97,7 +113,8 @@ class TestIndependentReport:
         _, _, _, cfg, rep = indep_report
         prov = rep.provenance
         assert prov["stochastic"] is True
-        assert prov["seed"] == cfg.seed
+        assert (prov["seed"], prov["n_draws"], prov["burn_in"]) == \
+            (cfg.seed, cfg.n_draws, cfg.burn_in)
         assert prov["vb_converged"]
         assert prov["ris_ess"] > 100
         assert prov["ris_degenerate_weights"] is False
@@ -114,14 +131,14 @@ class TestIndependentReport:
             return dict(ris(*args), ess=3.3, degenerate_weights=True)
 
         monkeypatch.setattr(imc, "lnml_ris", degenerate)
-        rep = independent_report(prior, data, x, cfg)
+        rep = independent_report(prior, data, x, *_fits(prior, data, cfg))
         assert rep.provenance["ris_degenerate_weights"] is True
         assert json.loads(rep.to_json())["provenance"]["ris_degenerate_weights"] is True
         assert "warning: degenerate RIS weights (ESS 3.3 of 200 kept draws)" in rep.to_text()
 
     def test_deterministic(self, indep_report):
         prior, data, x, cfg, rep = indep_report
-        again = independent_report(prior, data, x, cfg)
+        again = independent_report(prior, data, x, *_fits(prior, data, cfg))
         assert again.to_json() == rep.to_json()
 
     def test_given_fits_are_checked(self):
@@ -129,20 +146,10 @@ class TestIndependentReport:
         prior = minnesota_independent(data, MinnesotaConfig())
         x = np.concatenate([[1.0], data.Y[-1]])
         cfg = GibbsConfig(n_draws=300, burn_in=100, seed=311)
-        vb = fit_vb_independent(prior, data)
-        draws = gibbs_run(prior, data, cfg)
-        given = independent_report(prior, data, x, cfg, vb=vb, draws=draws)
-        assert given.to_json() == independent_report(prior, data, x, cfg).to_json()
-        for other in (GibbsConfig(n_draws=300, burn_in=100, seed=312),
-                      GibbsConfig(n_draws=300, burn_in=50, seed=311),
-                      GibbsConfig(n_draws=400, burn_in=100, seed=311)):
-            with pytest.raises(ValueError, match="draws do not match"):
-                independent_report(prior, data, x, other, vb=vb, draws=draws)
+        vb, draws = _fits(prior, data, cfg)
         wide = synthetic_design(3, 1, 60, seed=313)
         wide_prior = minnesota_independent(wide, MinnesotaConfig())
         with pytest.raises(ValueError, match="vb is not a fit"):
-            independent_report(prior, data, x, cfg,
-                               vb=fit_vb_independent(wide_prior, wide), draws=draws)
-        with pytest.raises(ValueError, match="draws do not match"):
-            independent_report(prior, data, x, cfg, vb=vb,
-                               draws=gibbs_run(wide_prior, wide, cfg))
+            independent_report(prior, data, x, fit_vb_independent(wide_prior, wide), draws)
+        with pytest.raises(ValueError, match="draws are not a chain"):
+            independent_report(prior, data, x, vb, gibbs_run(wide_prior, wide, cfg))

@@ -167,3 +167,12 @@ class TestDesignData:
             DesignData(Y=np.ones((4, 2)), X=np.ones((4, 4)), lag_order=1)
         with pytest.raises(ValueError):
             DesignData(Y=np.ones((4, 2)), X=np.ones((3, 5)), lag_order=2)
+
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("extra", [1, 30])
+    def test_next_regressors_is_next_design_row(self, d, extra):
+        # effective T = extra: 1 is the shortest sample with a design at all
+        raw = np.random.default_rng(d).standard_normal((d + extra + 1, 2))
+        design = build_design(RawSeries(raw[:-1], ("a", "b")), d)
+        extended = build_design(RawSeries(raw, ("a", "b")), d)
+        np.testing.assert_array_equal(design.next_regressors(), extended.X[-1])
