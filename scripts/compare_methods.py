@@ -11,8 +11,6 @@ Usage:
 import argparse
 import json
 
-import numpy as np
-
 from vbvar import (
     GibbsConfig,
     MinnesotaConfig,
@@ -24,31 +22,7 @@ from vbvar import (
     minnesota_conjugate,
     minnesota_independent,
 )
-from vbvar.vardata import RawSeries
-
-
-def simulate(n_vars, lags, t_raw, rng):
-    """Stationary VAR draw: random companion matrix scaled inside the unit
-    circle, correlated innovations, 50-step warmup."""
-    p_lag = n_vars * lags
-    companion = np.zeros((p_lag, p_lag))
-    companion[:n_vars] = rng.normal(0.0, 0.3, size=(n_vars, p_lag))
-    if lags > 1:
-        companion[n_vars:, :-n_vars] = np.eye(p_lag - n_vars)
-    rho = np.max(np.abs(np.linalg.eigvals(companion)))
-    if rho >= 0.95:
-        companion[:n_vars] *= 0.9 / rho
-    chol = np.linalg.cholesky(0.5 * np.eye(n_vars) + 0.5)
-    state = np.zeros(p_lag)
-    out = np.empty((t_raw, n_vars))
-    for t in range(-50, t_raw):
-        shock = chol @ rng.standard_normal(n_vars)
-        state = companion @ state
-        state[:n_vars] += 0.1 + shock
-        if t >= 0:
-            out[t] = state[:n_vars]
-    names = tuple(f"y{i}" for i in range(n_vars))
-    return RawSeries(values=out, names=names, timestamps=None)
+from vbvar.vardata import simulate_var
 
 
 def main():
@@ -62,9 +36,7 @@ def main():
     parser.add_argument("--out", help="write both reports as JSON")
     args = parser.parse_args()
 
-    rng = np.random.default_rng(args.seed)
-    data = build_design(simulate(args.n_vars, args.lags, args.t, rng),
-                        args.lags)
+    data = build_design(simulate_var(args.n_vars, args.lags, args.t, args.seed), args.lags)
     mn = MinnesotaConfig()
     x_next = data.next_regressors()
 

@@ -19,12 +19,14 @@ from .priors import MinnesotaConfig, minnesota_conjugate, minnesota_independent
 from .report import conjugate_report, independent_report
 from .vardata import build_design, load_csv
 
-CONFIG_KEYS = (
-    "data", "lags", "prior", "seed", "out", "draws", "burn_in",
-    "max_iters", "tol", "lambda1", "lambda2", "lambda3", "lambda4",
-    "own_lag_mean", "dof_offset", "timestamps", "export_draws",
-    "export_elbo_trace",
-)
+# every config-file key, with its default; flags override both
+DEFAULTS = {
+    "prior": "conjugate", "lags": 1, "seed": None, "draws": 2000, "burn_in": 500,
+    "max_iters": 500, "tol": 1e-9, "lambda1": 0.2, "lambda2": 1.0,
+    "lambda3": 1.0, "lambda4": 100.0, "own_lag_mean": 0.0,
+    "dof_offset": 2, "timestamps": False, "out": None, "data": None,
+    "export_draws": None, "export_elbo_trace": None,
+}
 
 
 class CliError(Exception):
@@ -72,13 +74,7 @@ def _add_common(sp):
 
 
 def _merge_config(args) -> dict:
-    cfg = {
-        "prior": "conjugate", "lags": 1, "seed": None, "draws": 2000, "burn_in": 500,
-        "max_iters": 500, "tol": 1e-9, "lambda1": 0.2, "lambda2": 1.0,
-        "lambda3": 1.0, "lambda4": 100.0, "own_lag_mean": 0.0,
-        "dof_offset": 2, "timestamps": False, "out": None, "data": None,
-        "export_draws": None, "export_elbo_trace": None,
-    }
+    cfg = dict(DEFAULTS)
     if getattr(args, "config", None):
         try:
             with open(args.config, encoding="utf-8") as fh:
@@ -87,7 +83,7 @@ def _merge_config(args) -> dict:
             raise CliError(f"cannot read config file {args.config}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise CliError(f"config file {args.config} is not valid JSON: {exc}") from exc
-        unknown = set(file_cfg) - set(CONFIG_KEYS)
+        unknown = set(file_cfg) - set(DEFAULTS)
         if unknown:
             raise CliError(f"unknown config keys: {sorted(unknown)}")
         cfg.update(file_cfg)
@@ -153,24 +149,24 @@ def _write_report(report, cfg):
     print(report.to_text())
 
 
-def _export_draws(draws, path):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        m = draws.n_vars
-        mp = draws.beta_draws.shape[1]
-        header = [f"beta_{i}" for i in range(mp)]
-        header += [f"prec_{i}_{j}" for i in range(m) for j in range(m)]
-        writer.writerow(header)
-        for b, w in zip(draws.beta_draws, draws.precision_draws):
-            writer.writerow(list(b) + list(w.reshape(-1)))
-
-
-def _export_elbo_trace(trace, path):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iteration", "elbo"])
-        for i, value in enumerate(trace):
-            writer.writerow([i, repr(float(value))])
+def _write_exports(cfg, vb, draws):
+    """Write the VB ELBO trace and the Gibbs draws where the config asks."""
+    if cfg.get("export_elbo_trace"):
+        with open(cfg["export_elbo_trace"], "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["iteration", "elbo"])
+            for i, value in enumerate(vb.elbo_trace):
+                writer.writerow([i, repr(float(value))])
+    if cfg.get("export_draws"):
+        with open(cfg["export_draws"], "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            m = draws.n_vars
+            mp = draws.beta_draws.shape[1]
+            header = [f"beta_{i}" for i in range(mp)]
+            header += [f"prec_{i}_{j}" for i in range(m) for j in range(m)]
+            writer.writerow(header)
+            for b, w in zip(draws.beta_draws, draws.precision_draws):
+                writer.writerow(list(b) + list(w.reshape(-1)))
 
 
 def cmd_fit(args) -> int:
@@ -187,10 +183,7 @@ def cmd_fit(args) -> int:
         report = independent_report(prior, data, x_next, vb, draws)
         if not vb.converged:
             status = 2
-        if cfg.get("export_elbo_trace"):
-            _export_elbo_trace(vb.elbo_trace, cfg["export_elbo_trace"])
-        if cfg.get("export_draws"):
-            _export_draws(draws, cfg["export_draws"])
+        _write_exports(cfg, vb, draws)
     _write_report(report, cfg)
     return status
 
@@ -214,6 +207,7 @@ def cmd_compare(args) -> int:
     conj = conjugate_report(minnesota_conjugate(data, mn), data, x_next)
     prior, vb, draws = _fit_independent(data, mn, cfg)
     indep = independent_report(prior, data, x_next, vb, draws)
+    _write_exports(cfg, vb, draws)
     combined = {
         "conjugate": json.loads(conj.to_json()),
         "independent": json.loads(indep.to_json()),

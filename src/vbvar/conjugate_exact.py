@@ -16,6 +16,7 @@ from .mvdist import (
     chol_inverse,
     chol_logdet,
     mv_log_gamma,
+    set_fields,
     spd_cholesky,
     spd_inverse,
 )
@@ -44,10 +45,7 @@ class ConjugateExactPosterior:
     prior_dof: float
 
     def __post_init__(self):
-        for name in ("mean_G", "row_cov", "scale"):
-            a = np.asarray(getattr(self, name), dtype=float)
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
+        set_fields(self, mean_G=self.mean_G, row_cov=self.row_cov, scale=self.scale)
 
     @property
     def n_vars(self) -> int:

@@ -21,6 +21,7 @@ from .mvdist import (
     WishartDist,
     chol_logdet,
     mv_log_gamma,
+    set_fields,
     spd_cholesky,
     spd_inverse,
 )
@@ -56,10 +57,8 @@ class ConjugateVbPosterior:
     prior_dof: float
 
     def __post_init__(self):
-        for name in ("mean_G", "row_cov", "scale", "scale_q"):
-            a = np.asarray(getattr(self, name), dtype=float)
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
+        set_fields(self, mean_G=self.mean_G, row_cov=self.row_cov, scale=self.scale,
+                   scale_q=self.scale_q)
 
     @property
     def n_vars(self) -> int:

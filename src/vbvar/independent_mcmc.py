@@ -4,33 +4,32 @@ log-marginal-likelihood estimator.
 
 The stacked regression uses Z_t = I_M kron x_t, so the conditional
 precision of beta is V0^-1 + Sigma^-1 kron X'X and the cross term is
-vec(X' Y Sigma^-1); both are assembled from X'X and X'Y directly instead of
-looping over the block-diagonal Z_t.  The prior's inverse and determinants
-are cached on the prior; none of them is refactored per draw.
+vec(X' Y Sigma^-1); the coefficient step shared with VB
+(``independent_vb._CoefficientStep``) assembles both from X'X and X'Y
+directly instead of looping over the block-diagonal Z_t.  The prior's
+inverse and determinants are cached on the prior; none of them is
+refactored per draw.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, cholesky, solve_triangular
+from scipy.linalg import cholesky, solve_triangular
 
+from .independent_vb import IndependentVbPosterior, _CoefficientStep
 from .mvdist import (
     NotPositiveDefiniteError,
     WishartDist,
     bartlett_draw,
     chol_inverse,
     chol_logdet,
-    kron_add,
+    set_fields,
     spd_cholesky,
 )
 from .priors import IndependentPrior
 from .vardata import DesignData
-
-if TYPE_CHECKING:
-    from .independent_vb import IndependentVbPosterior
 
 __all__ = [
     "GibbsConfig",
@@ -49,7 +48,6 @@ class GibbsConfig:
     n_draws: int
     burn_in: int
     seed: int
-    init_precision: np.ndarray | str = "prior-mean"
 
     def __post_init__(self):
         if self.n_draws < 1:
@@ -74,10 +72,7 @@ class GibbsDraws:
         w = np.asarray(self.precision_draws, dtype=float)
         if b.ndim != 2 or w.ndim != 3 or b.shape[0] != w.shape[0]:
             raise ValueError("draw arrays have inconsistent shapes")
-        b.setflags(write=False)
-        w.setflags(write=False)
-        object.__setattr__(self, "beta_draws", b)
-        object.__setattr__(self, "precision_draws", w)
+        set_fields(self, beta_draws=b, precision_draws=w)
 
     @property
     def n_kept(self) -> int:
@@ -90,29 +85,22 @@ class GibbsDraws:
 
 def gibbs_run(prior: IndependentPrior, data: DesignData, cfg: GibbsConfig) -> GibbsDraws:
     """Alternate beta | Sigma^-1 and Sigma^-1 | beta draws; deterministic given seed."""
+    beta_step = _CoefficientStep(prior, data)
     x, y = data.X, data.Y
     t, m = y.shape
     p = x.shape[1]
-    if prior.n_vars != m or prior.n_regressors != p:
-        raise ValueError("prior and data dimensions disagree")
     rng = np.random.default_rng(cfg.seed)
-    xtx = x.T @ x
-    xty = x.T @ y
 
-    prec = prior.initial_precision(cfg.init_precision)
+    prec = prior.precision_mean
     nub = t + prior.dof
     if nub <= m - 1:
         raise ValueError(f"posterior dof {nub} must exceed M-1 = {m - 1}")
     n_kept = cfg.n_draws - cfg.burn_in
     beta_draws = np.empty((n_kept, m * p))
     prec_draws = np.empty((n_kept, m, m))
-    post_prec = np.empty((m * p, m * p))
     for it in range(cfg.n_draws):
         try:
-            kron_add(post_prec, prior.cov_inv, prec, xtx)
-            lb = cho_factor(post_prec, lower=True, overwrite_a=True, check_finite=False)
-            rhs = prior.cov_inv_mean + (xty @ prec).flatten(order="F")
-            mean_b = cho_solve(lb, rhs, check_finite=False)
+            lb, mean_b = beta_step(prec)
             beta = mean_b + solve_triangular(lb[0], rng.standard_normal(m * p),
                                              lower=True, trans="T", check_finite=False)
             resid = y - x @ beta.reshape((p, m), order="F")
@@ -199,7 +187,7 @@ def _log_joint_independent(prior, data, beta, prec, lw) -> float:
 
 def lnml_ris(
     draws: GibbsDraws,
-    vb_post: "IndependentVbPosterior",
+    vb_post: IndependentVbPosterior,
     prior: IndependentPrior,
     data: DesignData,
 ) -> dict:

@@ -7,6 +7,11 @@ precision is V0^-1 + E[Sigma^-1] kron X'X and the scale-update correction
 Omega has entries tr(Vq[m,n block] X'X).  The prior's V0^-1, S0^-1 and
 log-determinants are cached on the prior; each iteration factors the
 coefficient precision once and inverts that factor once.
+
+Gibbs, coordinate-ascent VB and both mode iterations share one coefficient
+step, :class:`_CoefficientStep`: the Gaussian conditional of beta given
+Sigma^-1 = P, at a drawn P, at E_q[Sigma^-1] or at lambda * Sigma-hat^-1.
+Each starts at the prior mean of Sigma^-1.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from .mvdist import (
     chol_logdet,
     kron_add,
     mv_log_gamma,
+    set_fields,
     spd_cholesky,
     spd_inverse,
 )
@@ -49,7 +55,6 @@ class VbConfig:
 
     max_iters: int = 500
     elbo_rel_tol: float = 1e-9
-    init_precision: np.ndarray | str = "prior-mean"
 
     def __post_init__(self):
         if self.max_iters < 1:
@@ -71,11 +76,8 @@ class IndependentVbPosterior:
     converged: bool
 
     def __post_init__(self):
-        for name in ("mean_b", "cov_b", "scale_q"):
-            a = np.asarray(getattr(self, name), dtype=float)
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
-        object.__setattr__(self, "elbo_trace", tuple(self.elbo_trace))
+        set_fields(self, mean_b=self.mean_b, cov_b=self.cov_b, scale_q=self.scale_q,
+                   elbo_trace=tuple(self.elbo_trace))
 
     @property
     def iterations(self) -> int:
@@ -94,6 +96,30 @@ class IndependentVbPosterior:
     def coef_matrix(self) -> np.ndarray:
         """mean_b reshaped to the p x M coefficient layout."""
         return self.mean_b.reshape((self.n_regressors, self.n_vars), order="F")
+
+
+class _CoefficientStep:
+    """beta | Sigma^-1 = P, Y ~ N(mean, (V0^-1 + P kron X'X)^-1) for one
+    prior and data set: X'X and X'Y are formed once and the Mp x Mp
+    precision is assembled in one reused buffer."""
+
+    def __init__(self, prior: IndependentPrior, data: DesignData):
+        x, y = data.X, data.Y
+        m, p = y.shape[1], x.shape[1]
+        if prior.n_vars != m or prior.n_regressors != p:
+            raise ValueError("prior and data dimensions disagree")
+        self.prior = prior
+        self.xtx = x.T @ x
+        self.xty = x.T @ y
+        self._prec = np.empty((m * p, m * p))
+
+    def __call__(self, prec):
+        """(cho_factor of the conditional precision, conditional mean) at P;
+        the factor overwrites the buffer, so it lasts until the next call."""
+        kron_add(self._prec, self.prior.cov_inv, prec, self.xtx)
+        factor = cho_factor(self._prec, lower=True, overwrite_a=True, check_finite=False)
+        rhs = self.prior.cov_inv_mean + (self.xty @ prec).flatten(order="F")
+        return factor, cho_solve(factor, rhs, check_finite=False)
 
 
 def _omega(cov_b: np.ndarray, xtx: np.ndarray, m: int, p: int) -> np.ndarray:
@@ -153,29 +179,22 @@ def fit_vb_independent(
 
     An ELBO decrease beyond round-off stops the iteration unconverged."""
     cfg = cfg or VbConfig()
+    beta_step = _CoefficientStep(prior, data)
     x, y = data.X, data.Y
     t, m = y.shape
     p = x.shape[1]
-    if prior.n_vars != m or prior.n_regressors != p:
-        raise ValueError("prior and data dimensions disagree")
     nub = t + prior.dof
-    xtx = x.T @ x
-    xty = x.T @ y
-    e_prec = prior.initial_precision(cfg.init_precision)
+    e_prec = prior.precision_mean
 
     trace = []
     converged = False
     mean_b = cov_b = scale_q = None
-    post_prec = np.empty((m * p, m * p))
     for _ in range(cfg.max_iters):
         try:
-            kron_add(post_prec, prior.cov_inv, e_prec, xtx)
-            lq = cho_factor(post_prec, lower=True, overwrite_a=True, check_finite=False)
+            lq, mean_b = beta_step(e_prec)
             cov_b = chol_inverse(lq[0])
-            mean_b = cho_solve(lq, prior.cov_inv_mean + (xty @ e_prec).flatten(order="F"),
-                               check_finite=False)
             resid = y - x @ mean_b.reshape((p, m), order="F")
-            omega = _omega(cov_b, xtx, m, p)
+            omega = _omega(cov_b, beta_step.xtx, m, p)
             scale_q = prior.scale + resid.T @ resid + omega
             scale_q = (scale_q + scale_q.T) / 2.0
             q_prec = WishartDist(spd_inverse(scale_q, "scale_q")[0], nub)
@@ -286,6 +305,7 @@ def log_posterior_independent(prior: IndependentPrior, data: DesignData,
 
 
 def _iterate_modes(prior, data, tol, max_iters, vb_corrected):
+    beta_step = _CoefficientStep(prior, data)
     x, y = data.X, data.Y
     t, m = y.shape
     p = x.shape[1]
@@ -293,22 +313,15 @@ def _iterate_modes(prior, data, tol, max_iters, vb_corrected):
     if dof_factor <= 0:
         raise UndefinedMomentError("mode iteration needs T + prior dof > M + 1")
     lam = 1.0 + (m + 1.0) / dof_factor if vb_corrected else 1.0
-    xtx = x.T @ x
-    xty = x.T @ y
-    prec = prior.initial_precision()
+    prec = prior.precision_mean
     beta = np.asarray(prior.mean_b, dtype=float).copy()
     converged = False
-    post_prec = np.empty((m * p, m * p))
     for _ in range(max_iters):
-        eff_prec = lam * prec
-        kron_add(post_prec, prior.cov_inv, eff_prec, xtx)
-        lq = cho_factor(post_prec, lower=True, overwrite_a=True, check_finite=False)
-        beta_new = cho_solve(lq, prior.cov_inv_mean + (xty @ eff_prec).flatten(order="F"),
-                             check_finite=False)
+        lq, beta_new = beta_step(lam * prec)
         resid = y - x @ beta_new.reshape((p, m), order="F")
         scale = prior.scale + resid.T @ resid
         if vb_corrected:
-            scale = scale + _omega(chol_inverse(lq[0]), xtx, m, p)
+            scale = scale + _omega(chol_inverse(lq[0]), beta_step.xtx, m, p)
         prec_new = dof_factor * spd_inverse((scale + scale.T) / 2.0, "scale")[0]
         delta = max(
             float(np.max(np.abs(beta_new - beta))) / max(float(np.max(np.abs(beta_new))), 1e-12),

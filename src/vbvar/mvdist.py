@@ -12,7 +12,7 @@ regularizing.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy.linalg import cholesky, lapack, solve_triangular
@@ -102,10 +102,15 @@ def kron_add(out, base, a, b):
     return out
 
 
-def _freeze(a):
-    a = np.asarray(a, dtype=float)
-    a.setflags(write=False)
-    return a
+def set_fields(obj, **values):
+    """Set fields of a frozen dataclass instance; a field annotated
+    ``np.ndarray`` is stored as a read-only float array, any other as given."""
+    types = {f.name: f.type for f in fields(obj)}
+    for name, value in values.items():
+        if types[name] in ("np.ndarray", np.ndarray):
+            value = np.asarray(value, dtype=float)
+            value.setflags(write=False)
+        object.__setattr__(obj, name, value)
 
 
 def mv_log_gamma(dim: int, a: float) -> float:
@@ -147,11 +152,8 @@ class MatricNormal:
             raise ValueError(
                 f"shape mismatch: mean {mean.shape}, col_cov {lc.shape}, row_cov {lr.shape}"
             )
-        object.__setattr__(self, "mean", _freeze(mean))
-        object.__setattr__(self, "col_cov", _freeze(_as_matrix(self.col_cov, "col_cov")))
-        object.__setattr__(self, "row_cov", _freeze(_as_matrix(self.row_cov, "row_cov")))
-        object.__setattr__(self, "_chol_col", _freeze(lc))
-        object.__setattr__(self, "_chol_row", _freeze(lr))
+        set_fields(self, mean=mean, col_cov=_as_matrix(self.col_cov, "col_cov"),
+                   row_cov=_as_matrix(self.row_cov, "row_cov"), _chol_col=lc, _chol_row=lr)
 
     @property
     def shape(self):
@@ -201,9 +203,7 @@ class WishartDist:
         m = l.shape[0]
         if self.dof <= m - 1:
             raise ValueError(f"dof must exceed M-1 = {m - 1}, got {self.dof}")
-        object.__setattr__(self, "scale", _freeze(_as_matrix(self.scale, "scale")))
-        object.__setattr__(self, "dof", float(self.dof))
-        object.__setattr__(self, "_chol", _freeze(l))
+        set_fields(self, scale=_as_matrix(self.scale, "scale"), dof=float(self.dof), _chol=l)
 
     @property
     def dim(self) -> int:
@@ -327,10 +327,8 @@ class MatricT:
         p, q = mean.shape
         if lc.shape[0] != q or lr.shape[0] != p:
             raise ValueError("shape mismatch between mean, col_scale, row_scale")
-        object.__setattr__(self, "mean", _freeze(mean))
-        object.__setattr__(self, "col_scale", _freeze(_as_matrix(self.col_scale, "col_scale")))
-        object.__setattr__(self, "row_scale", _freeze(_as_matrix(self.row_scale, "row_scale")))
-        object.__setattr__(self, "dof", float(self.dof))
+        set_fields(self, mean=mean, col_scale=_as_matrix(self.col_scale, "col_scale"),
+                   row_scale=_as_matrix(self.row_scale, "row_scale"), dof=float(self.dof))
 
     def vec_variance(self) -> np.ndarray:
         q = self.mean.shape[1]
@@ -360,10 +358,8 @@ class MultivariateT:
             raise ValueError("mean and scale dimensions disagree")
         if self.dof <= 0:
             raise ValueError(f"dof must be positive, got {self.dof}")
-        object.__setattr__(self, "mean", _freeze(mean))
-        object.__setattr__(self, "scale", _freeze(_as_matrix(self.scale, "scale")))
-        object.__setattr__(self, "dof", float(self.dof))
-        object.__setattr__(self, "_chol", _freeze(l))
+        set_fields(self, mean=mean, scale=_as_matrix(self.scale, "scale"),
+                   dof=float(self.dof), _chol=l)
 
     @property
     def dim(self) -> int:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mvdist import spd_inverse
+from .mvdist import set_fields, spd_inverse
 from .vardata import DesignData, InsufficientObservationsError
 
 __all__ = [
@@ -30,16 +30,6 @@ __all__ = [
     "minnesota_conjugate",
     "minnesota_independent",
 ]
-
-
-def _set_fields(obj, **values):
-    """Set the fields of a frozen dataclass; arrays are stored as read-only
-    float arrays."""
-    for name, value in values.items():
-        if not np.isscalar(value):
-            value = np.asarray(value, dtype=float)
-            value.setflags(write=False)
-        object.__setattr__(obj, name, value)
 
 
 @dataclass(frozen=True)
@@ -70,9 +60,9 @@ class ConjugatePrior:
             raise ValueError("prior block shapes are inconsistent with mean_G")
         if self.dof <= m - 1:
             raise ValueError(f"dof must exceed M-1 = {m - 1}, got {self.dof}")
-        _set_fields(self, mean_G=g, row_cov=self.row_cov, scale=self.scale,
-                    row_cov_inv=row_cov_inv, logdet_row_cov=logdet_row_cov,
-                    scale_inv=scale_inv, logdet_scale=logdet_scale, dof=float(self.dof))
+        set_fields(self, mean_G=g, row_cov=self.row_cov, scale=self.scale,
+                   row_cov_inv=row_cov_inv, logdet_row_cov=logdet_row_cov,
+                   scale_inv=scale_inv, logdet_scale=logdet_scale, dof=float(self.dof))
 
     @property
     def n_vars(self) -> int:
@@ -118,22 +108,19 @@ class IndependentPrior:
             raise ValueError("cov shape inconsistent with mean_b")
         if self.dof <= m - 1:
             raise ValueError(f"dof must exceed M-1 = {m - 1}, got {self.dof}")
-        _set_fields(self, n_vars=n_vars, mean_b=b, cov=self.cov, scale=self.scale,
-                    cov_inv=cov_inv, cov_inv_mean=cov_inv @ b, logdet_cov=logdet_cov,
-                    scale_inv=scale_inv, logdet_scale=logdet_scale, dof=float(self.dof))
+        set_fields(self, n_vars=n_vars, mean_b=b, cov=self.cov, scale=self.scale,
+                   cov_inv=cov_inv, cov_inv_mean=cov_inv @ b, logdet_cov=logdet_cov,
+                   scale_inv=scale_inv, logdet_scale=logdet_scale, dof=float(self.dof))
 
     @property
     def n_regressors(self) -> int:
         return self.mean_b.size // self.n_vars
 
-    def initial_precision(self, init="prior-mean") -> np.ndarray:
-        """Starting Sigma^-1 of an iterative fit: "prior-mean" (dof * S0^-1,
-        the prior mean of Sigma^-1) or an explicit M x M array."""
-        if isinstance(init, str):
-            if init != "prior-mean":
-                raise ValueError(f"unknown init_precision {init!r}")
-            return self.dof * self.scale_inv
-        return np.asarray(init, dtype=float)
+    @property
+    def precision_mean(self) -> np.ndarray:
+        """Prior mean of Sigma^-1, dof * S0^-1: where Gibbs, VB and the mode
+        iterations start."""
+        return self.dof * self.scale_inv
 
 
 @dataclass(frozen=True)

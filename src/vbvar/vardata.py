@@ -2,15 +2,18 @@
 
 Builds the effective-sample response matrix Y (T x M) and regressor matrix
 X (T x p), p = M*d + 1, with rows x_t = (1, y'_{t-1}, ..., y'_{t-d});
-also the stacked block form Z_t used by the independent-prior machinery.
+also the stacked block form Z_t used by the independent-prior machinery,
+and a seeded simulator of stable VAR(d) series for tests and demos.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+
+from .mvdist import set_fields
 
 __all__ = [
     "CsvFormatError",
@@ -20,6 +23,7 @@ __all__ = [
     "DesignData",
     "load_csv",
     "build_design",
+    "simulate_var",
     "z_block",
 ]
 
@@ -54,11 +58,8 @@ class RawSeries:
             raise MissingValueError("values contain non-finite entries")
         if len(self.names) != v.shape[1]:
             raise ValueError("names length must equal number of columns")
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
-        object.__setattr__(self, "names", tuple(self.names))
-        if self.timestamps is not None:
-            object.__setattr__(self, "timestamps", tuple(self.timestamps))
+        set_fields(self, values=v, names=tuple(self.names),
+                   timestamps=None if self.timestamps is None else tuple(self.timestamps))
 
     @property
     def n_obs(self) -> int:
@@ -76,7 +77,6 @@ class DesignData:
     Y: np.ndarray
     X: np.ndarray
     lag_order: int
-    names: tuple = field(default=())
 
     def __post_init__(self):
         y = np.asarray(self.Y, dtype=float)
@@ -88,11 +88,7 @@ class DesignData:
             raise ValueError(
                 f"X has {x.shape[1]} columns, expected p = M*d+1 = {m * self.lag_order + 1}"
             )
-        y.setflags(write=False)
-        x.setflags(write=False)
-        object.__setattr__(self, "Y", y)
-        object.__setattr__(self, "X", x)
-        object.__setattr__(self, "names", tuple(self.names))
+        set_fields(self, Y=y, X=x)
 
     @property
     def effective_T(self) -> int:
@@ -193,7 +189,7 @@ def build_design(series: RawSeries, lag_order: int) -> DesignData:
     x[:, 0] = 1.0
     for lag in range(1, d + 1):
         x[:, 1 + (lag - 1) * m: 1 + lag * m] = series.values[d - lag: t_raw - lag]
-    return DesignData(Y=y, X=x, lag_order=d, names=series.names)
+    return DesignData(Y=y, X=x, lag_order=d)
 
 
 def z_block(x_row, n_vars: int) -> np.ndarray:
@@ -204,3 +200,35 @@ def z_block(x_row, n_vars: int) -> np.ndarray:
     """
     x = np.asarray(x_row, dtype=float).reshape(-1)
     return np.kron(np.eye(int(n_vars)), x)
+
+
+def simulate_var(n_vars: int, lag_order: int, t_raw: int, seed: int) -> RawSeries:
+    """Simulate a stable VAR(d) series with mildly correlated innovations,
+    after a 50-step warm-up; deterministic given seed."""
+    rng = np.random.default_rng(seed)
+    m, d = n_vars, lag_order
+    coefs = []
+    for lag in range(d):
+        a = rng.standard_normal((m, m)) / np.sqrt(m)
+        coefs.append(0.5 * a / (lag + 1) ** 2)
+    # scale the lag matrices so the companion spectral radius is at most 0.9
+    comp = np.zeros((m * d, m * d))
+    for lag, a in enumerate(coefs):
+        comp[:m, lag * m:(lag + 1) * m] = a
+    if d > 1:
+        comp[m:, :-m] = np.eye(m * (d - 1))
+    rho = np.max(np.abs(np.linalg.eigvals(comp)))
+    if rho > 0.9:
+        coefs = [a * 0.9 / rho for a in coefs]
+    intercept = 0.1 * rng.standard_normal(m)
+    corr = 0.3 * rng.standard_normal((m, m))
+    chol = np.linalg.cholesky(np.eye(m) + corr @ corr.T / m)
+    warmup = 50
+    values = np.zeros((t_raw + warmup, m))
+    values[:d] = rng.standard_normal((d, m))
+    for t in range(d, t_raw + warmup):
+        mean = intercept.copy()
+        for lag, a in enumerate(coefs):
+            mean = mean + a @ values[t - lag - 1]
+        values[t] = mean + chol @ rng.standard_normal(m)
+    return RawSeries(values=values[warmup:], names=tuple(f"y{j}" for j in range(m)))

@@ -1,44 +1,11 @@
-"""Shared fixtures and helpers: synthetic VAR simulation and a dense grid
-quadrature oracle for the scalar (M=1) model."""
+"""Shared fixtures and helpers: synthetic VAR designs and random priors, and
+a dense grid quadrature oracle for the scalar (M=1) model."""
 
 import numpy as np
 import pytest
 
 from vbvar.priors import ConjugatePrior, IndependentPrior
-from vbvar.vardata import DesignData, RawSeries, build_design
-
-
-def simulate_var(n_vars, lag_order, t_raw, seed, noise_sd=1.0):
-    """Simulate a stable VAR(d) series with mildly correlated innovations."""
-    rng = np.random.default_rng(seed)
-    m, d = n_vars, lag_order
-    coefs = []
-    for lag in range(d):
-        a = rng.standard_normal((m, m)) / np.sqrt(m)
-        coefs.append(0.5 * a / (lag + 1) ** 2)
-    # shrink until the companion matrix is comfortably stable
-    comp = np.zeros((m * d, m * d))
-    for lag, a in enumerate(coefs):
-        comp[:m, lag * m:(lag + 1) * m] = a
-    if d > 1:
-        comp[m:, :-m] = np.eye(m * (d - 1))
-    rho = np.max(np.abs(np.linalg.eigvals(comp)))
-    if rho > 0.9:
-        coefs = [a * 0.9 / rho for a in coefs]
-    intercept = 0.1 * rng.standard_normal(m)
-    corr = 0.3 * rng.standard_normal((m, m))
-    cov = noise_sd**2 * (np.eye(m) + corr @ corr.T / m)
-    chol = np.linalg.cholesky(cov)
-    warmup = 50
-    values = np.zeros((t_raw + warmup, m))
-    values[:d] = rng.standard_normal((d, m))
-    for t in range(d, t_raw + warmup):
-        mean = intercept.copy()
-        for lag, a in enumerate(coefs):
-            mean = mean + a @ values[t - lag - 1]
-        values[t] = mean + chol @ rng.standard_normal(m)
-    names = tuple(f"y{j}" for j in range(m))
-    return RawSeries(values=values[warmup:], names=names)
+from vbvar.vardata import DesignData, build_design, simulate_var
 
 
 def synthetic_design(n_vars, lag_order, t_raw, seed):

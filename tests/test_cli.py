@@ -6,8 +6,8 @@ import json
 import numpy as np
 import pytest
 
-from conftest import simulate_var
 from vbvar.cli import main
+from vbvar.vardata import simulate_var
 
 
 @pytest.fixture(scope="module")
@@ -177,4 +177,21 @@ class TestCompareCommand:
         assert out_a.read_bytes() == out_b.read_bytes()
         payload = json.loads(out_a.read_text())
         assert set(payload) == {"conjugate", "independent"}
+        capsys.readouterr()
+
+    def test_exports_match_fit(self, data_csv, tmp_path, capsys):
+        common = ["--data", data_csv, "--seed", "5", "--draws", "300", "--burn-in", "100"]
+        shapes = {}
+        for command in (["fit", "--prior", "independent"], ["compare"]):
+            draws_csv = tmp_path / f"{command[0]}_draws.csv"
+            trace_csv = tmp_path / f"{command[0]}_trace.csv"
+            assert main(command + common + ["--export-draws", str(draws_csv),
+                                            "--export-elbo-trace", str(trace_csv)]) == 0
+            shapes[command[0]] = []
+            for path in (draws_csv, trace_csv):
+                with open(path) as fh:
+                    rows = list(csv.reader(fh))
+                shapes[command[0]].append((rows[0], len(rows)))
+        assert shapes["compare"] == shapes["fit"]
+        assert shapes["fit"][0][1] == 201  # header + kept draws
         capsys.readouterr()

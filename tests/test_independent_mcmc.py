@@ -84,12 +84,12 @@ class TestGibbsRun:
         draws = gibbs_run(tight, data, GibbsConfig(n_draws=800, burn_in=200, seed=3))
         assert np.abs(draws.beta_draws - base.mean_b).max() < 1e-4
 
-    def test_factor_failure_raises(self):
+    def test_factor_failure_raises(self, monkeypatch):
         data = synthetic_design(2, 1, 40, seed=101)
         prior = random_independent_prior(2, 3, seed=102)
-        cfg = GibbsConfig(n_draws=10, burn_in=0, seed=3, init_precision=-np.eye(2))
+        monkeypatch.setattr(IndependentPrior, "precision_mean", property(lambda _: -np.eye(2)))
         with pytest.raises(NotPositiveDefiniteError, match="iteration 0"):
-            gibbs_run(prior, data, cfg)
+            gibbs_run(prior, data, GibbsConfig(n_draws=10, burn_in=0, seed=3))
 
     def test_matches_quadrature(self, toy_draws, toy_grid):
         s = summarize_draws(toy_draws)

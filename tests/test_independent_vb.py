@@ -112,11 +112,12 @@ class TestFitVb:
         monkeypatch.setattr(ivb, "_elbo_value", lambda *args: next(values))
         assert fit_vb_independent(prior, data, VbConfig(max_iters=2)).converged
 
-    def test_factor_failure_raises(self):
+    def test_factor_failure_raises(self, monkeypatch):
         data = synthetic_design(2, 1, 40, seed=205)
         prior = random_independent_prior(2, 3, seed=204)
+        monkeypatch.setattr(IndependentPrior, "precision_mean", property(lambda _: -np.eye(2)))
         with pytest.raises(NotPositiveDefiniteError, match="VB update"):
-            fit_vb_independent(prior, data, VbConfig(init_precision=-np.eye(2)))
+            fit_vb_independent(prior, data)
 
 
 class TestElbo:
@@ -273,6 +274,12 @@ class TestModes:
         rel = np.abs(vb["precision"] - exact["precision"]).max() / \
             np.abs(exact["precision"]).max()
         assert rel < 1e-2
+
+    @pytest.mark.parametrize("modes", [modes_exact_iterative, modes_vb_iterative])
+    def test_dimension_mismatch(self, modes):
+        data = synthetic_design(2, 1, 40, seed=205)
+        with pytest.raises(ValueError, match="dimensions disagree"):
+            modes(random_independent_prior(3, 4, seed=0), data)
 
     def test_vb_mode_below_exact_precision(self, scalar_case):
         # the VB precision mode shrinks toward zero relative to the exact one
