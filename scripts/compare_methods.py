@@ -1,6 +1,8 @@
-"""End-to-end demo on simulated data: fit the conjugate model exactly and
-with closed-form VB, fit the independent model with coordinate-ascent VB
-and Gibbs sampling, and print both diagnostics reports.
+"""End-to-end demo on simulated data: write a simulated VAR series to a
+temporary CSV and run `vbvar compare` on it, which fits the conjugate model
+exactly and with closed-form VB, fits the independent model with
+coordinate-ascent VB and Gibbs sampling (seed + 1), and prints both
+diagnostics reports.
 
 Usage:
     python3 scripts/compare_methods.py [--n-vars 3] [--lags 2] [--t 200]
@@ -9,19 +11,13 @@ Usage:
 """
 
 import argparse
-import json
+import os
+import sys
+import tempfile
 
-from vbvar import (
-    GibbsConfig,
-    MinnesotaConfig,
-    build_design,
-    conjugate_report,
-    fit_vb_independent,
-    gibbs_run,
-    independent_report,
-    minnesota_conjugate,
-    minnesota_independent,
-)
+import numpy as np
+
+from vbvar import cli
 from vbvar.vardata import simulate_var
 
 
@@ -36,27 +32,21 @@ def main():
     parser.add_argument("--out", help="write both reports as JSON")
     args = parser.parse_args()
 
-    data = build_design(simulate_var(args.n_vars, args.lags, args.t, args.seed), args.lags)
-    mn = MinnesotaConfig()
-    x_next = data.next_regressors()
-
-    conj = conjugate_report(minnesota_conjugate(data, mn), data, x_next)
-    prior = minnesota_independent(data, mn)
-    draws = gibbs_run(prior, data, GibbsConfig(n_draws=args.draws, burn_in=args.burn_in,
-                                               seed=args.seed + 1))
-    indep = independent_report(prior, data, x_next, fit_vb_independent(prior, data), draws)
-
-    print(conj.to_text())
-    print()
-    print(indep.to_text())
-
+    series = simulate_var(args.n_vars, args.lags, args.t, args.seed)
+    argv = ["compare", "--lags", args.lags, "--seed", args.seed + 1,
+            "--draws", args.draws, "--burn-in", args.burn_in]
     if args.out:
-        combined = {"conjugate": json.loads(conj.to_json()),
-                    "independent": json.loads(indep.to_json())}
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(combined, indent=2, sort_keys=True) + "\n")
+        argv += ["--out", args.out]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "series.csv")
+        # '%.18e' keeps 19 significant digits, so every value reads back exactly
+        np.savetxt(path, series.values, delimiter=",", header=",".join(series.names),
+                   comments="")
+        status = cli.main([str(a) for a in argv + ["--data", path]])
+    if args.out:
         print(f"\nwrote {args.out}")
+    return status
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

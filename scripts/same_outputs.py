@@ -1,0 +1,116 @@
+"""Check that a change leaves every vbvar output byte-identical to its parent.
+
+Usage:
+    python3 scripts/same_outputs.py --parent DIR --change DIR
+
+The three input series are written once, by perfbench's own simulator
+(perfbench/workloads.simulate_var with seeds model_seed(7, i)), the models
+of the vb-sweep workload.  Each command in COMMANDS then runs in both
+checkouts with PYTHONPATH=<checkout>/src, each run in its own empty working
+directory, so relative output paths land there.  Exit code, stdout, stderr
+and every file a run writes are compared byte for byte.  One line is
+printed per command; the exit status is 1 when any output differs.
+
+Plain standard library here; numpy is loaded only by perfbench, to write
+the inputs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# name -> (M, d, T_raw); the i-th model is simulated with model_seed(7, i)
+MODELS = {"m3": (3, 2, 200), "m7": (7, 4, 200), "m20": (20, 2, 300)}
+
+EXPORTS = ["--export-draws", "draws.csv", "--export-elbo-trace", "trace.csv"]
+
+# (label, argv); "vbvar" runs the CLI, "demo" scripts/compare_methods.py,
+# and {m3}, {m7}, {m20} stand for the input CSV paths
+COMMANDS = [
+    ("compare Mp=21", ["vbvar", "compare", "--data", "{m3}", "--lags", "2", "--seed", "7",
+                       "--out", "report.json"]),
+    ("compare Mp=820", ["vbvar", "compare", "--data", "{m20}", "--lags", "2", "--seed", "7",
+                        "--draws", "200", "--burn-in", "50", "--out", "report.json"]),
+    ("compare unconverged, exports", ["vbvar", "compare", "--data", "{m3}", "--lags", "2",
+                                      "--seed", "7", "--max-iters", "2",
+                                      "--out", "report.json", *EXPORTS]),
+    ("fit independent, exports", ["vbvar", "fit", "--prior", "independent", "--data", "{m3}",
+                                  "--lags", "2", "--seed", "7",
+                                  "--out", "report.json", *EXPORTS]),
+    ("fit conjugate M=7 d=4", ["vbvar", "fit", "--prior", "conjugate", "--data", "{m7}",
+                               "--lags", "4", "--out", "report.json"]),
+    ("kl", ["vbvar", "kl", "--M", "3", "--p", "13", "--T", "196", "--nu0", "5"]),
+    ("fit independent, no seed", ["vbvar", "fit", "--prior", "independent",
+                                  "--data", "{m3}", "--lags", "2"]),
+    ("demo script", ["demo", "--t", "120", "--draws", "1500", "--burn-in", "300",
+                     "--out", "report.json"]),
+]
+
+
+def write_inputs(directory: Path) -> dict:
+    """Simulate and write each model's series; name -> CSV path."""
+    sys.path[:0] = [str(ROOT), str(ROOT / "src")]
+    from perfbench.workloads import Model, model_seed, simulate_var, write_series_csv
+
+    paths = {}
+    for i, (name, dims) in enumerate(MODELS.items()):
+        paths[name] = directory / f"{name}.csv"
+        write_series_csv(simulate_var(Model(*dims), model_seed(7, i)), paths[name])
+    return paths
+
+
+def run(checkout: Path, argv: list, inputs: dict, workdir: Path) -> dict:
+    """One command in one checkout: exit code, stdout, stderr and the bytes
+    of every file written to ``workdir``."""
+    workdir.mkdir(parents=True)
+    head, *rest = argv
+    prefix = ([sys.executable, "-m", "vbvar.cli"] if head == "vbvar"
+              else [sys.executable, str(checkout / "scripts" / "compare_methods.py")])
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    proc = subprocess.run(prefix + [a.format(**inputs) for a in rest], cwd=workdir,
+                          env=env, capture_output=True, check=False)
+    files = {p.name: p.read_bytes() for p in sorted(workdir.iterdir())}
+    return {"exit code": proc.returncode, "stdout": proc.stdout, "stderr": proc.stderr,
+            "files": files}
+
+
+def differences(parent: dict, change: dict) -> list:
+    diffs = [key for key in ("exit code", "stdout", "stderr") if parent[key] != change[key]]
+    for name in sorted(set(parent["files"]) | set(change["files"])):
+        if parent["files"].get(name) != change["files"].get(name):
+            diffs.append(name)
+    return diffs
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", type=Path, required=True)
+    parser.add_argument("--change", type=Path, required=True)
+    args = parser.parse_args(argv)
+
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        inputs = {k: str(v) for k, v in write_inputs(work).items()}
+        differing = 0
+        for i, (label, command) in enumerate(COMMANDS):
+            out = {side: run(checkout.resolve(), command, inputs, work / side / str(i))
+                   for side, checkout in (("parent", args.parent), ("change", args.change))}
+            diffs = differences(out["parent"], out["change"])
+            differing += bool(diffs)
+            files = ", ".join(out["change"]["files"]) or "no files"
+            verdict = f"DIFFERENT ({', '.join(diffs)})" if diffs else "same"
+            print(f"{verdict:<10} exit {out['change']['exit code']}  {label}  [{files}]",
+                  flush=True)
+    print(f"{len(COMMANDS) - differing} of {len(COMMANDS)} commands byte-identical")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -28,8 +28,10 @@ DEFAULTS = {
     "export_draws": None, "export_elbo_trace": None,
 }
 
+PRIORS = ("conjugate", "independent")
 
-class CliError(Exception):
+
+class CliError(ValueError):
     """Input error reported with exit status 1."""
 
 
@@ -41,7 +43,7 @@ def _build_parser():
 
     fit = sub.add_parser("fit", help="fit one model and write a report")
     _add_common(fit)
-    fit.add_argument("--prior", choices=["conjugate", "independent"])
+    fit.add_argument("--prior", choices=PRIORS)
 
     kl = sub.add_parser("kl", help="print exact and Stirling KL for (M, p, T, nu0)")
     kl.add_argument("--M", type=int, required=True)
@@ -101,52 +103,18 @@ def _load_design(cfg):
         series = load_csv(cfg["data"], has_timestamps=bool(cfg["timestamps"]))
     except OSError as exc:
         raise CliError(f"cannot read data file {cfg['data']}: {exc}") from exc
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
-    try:
-        return build_design(series, cfg["lags"])
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    return build_design(series, cfg["lags"])
 
 
 def _minnesota_config(cfg) -> MinnesotaConfig:
-    try:
-        return MinnesotaConfig(
-            overall_tightness=float(cfg["lambda1"]),
-            cross_tightness=float(cfg["lambda2"]),
-            lag_decay=float(cfg["lambda3"]),
-            intercept_scale=float(cfg["lambda4"]),
-            own_lag_mean=float(cfg["own_lag_mean"]),
-            dof_offset=int(cfg["dof_offset"]),
-        )
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
-
-
-def _require_seed(cfg):
-    if cfg.get("seed") is None:
-        raise CliError("a --seed is required for stochastic methods")
-    return int(cfg["seed"])
-
-
-def _fit_independent(data, mn, cfg):
-    """Minnesota independent prior with its VB fit and its Gibbs chain;
-    needs a seed."""
-    gibbs_cfg = imc.GibbsConfig(n_draws=int(cfg["draws"]),
-                                burn_in=int(cfg["burn_in"]), seed=_require_seed(cfg))
-    vb_cfg = ivb.VbConfig(max_iters=int(cfg["max_iters"]),
-                          elbo_rel_tol=float(cfg["tol"]))
-    prior = minnesota_independent(data, mn)
-    vb = ivb.fit_vb_independent(prior, data, vb_cfg)
-    return prior, vb, imc.gibbs_run(prior, data, gibbs_cfg)
-
-
-def _write_report(report, cfg):
-    text = report.to_json()
-    if cfg.get("out"):
-        with open(cfg["out"], "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    print(report.to_text())
+    return MinnesotaConfig(
+        overall_tightness=float(cfg["lambda1"]),
+        cross_tightness=float(cfg["lambda2"]),
+        lag_decay=float(cfg["lambda3"]),
+        intercept_scale=float(cfg["lambda4"]),
+        own_lag_mean=float(cfg["own_lag_mean"]),
+        dof_offset=int(cfg["dof_offset"]),
+    )
 
 
 def _write_exports(cfg, vb, draws):
@@ -169,57 +137,70 @@ def _write_exports(cfg, vb, draws):
                 writer.writerow(list(b) + list(w.reshape(-1)))
 
 
-def cmd_fit(args) -> int:
-    cfg = _merge_config(args)
+def _run(cfg, priors) -> int:
+    """Load the design once and build one report per prior in ``priors``.
+
+    The independent prior fits VB and a Gibbs chain (it needs a seed) and
+    writes the exports.  One report goes to ``--out`` as is, several as one
+    JSON object keyed by prior; the text reports are printed one blank line
+    apart.  Returns 2 when VB did not converge, else 0."""
+    for name in priors:
+        if name not in PRIORS:
+            raise CliError(f"unknown prior {name!r}: choose 'conjugate' or 'independent'")
+    if "independent" not in priors:
+        for key in ("export_draws", "export_elbo_trace"):
+            if cfg.get(key):
+                raise CliError(f"--{key.replace('_', '-')} needs the independent prior")
     data = _load_design(cfg)
     mn = _minnesota_config(cfg)
     x_next = data.next_regressors()
-
+    reports = {}
     status = 0
-    if cfg["prior"] == "conjugate":
-        report = conjugate_report(minnesota_conjugate(data, mn), data, x_next)
-    else:
-        prior, vb, draws = _fit_independent(data, mn, cfg)
-        report = independent_report(prior, data, x_next, vb, draws)
-        if not vb.converged:
-            status = 2
+    for name in priors:
+        if name == "conjugate":
+            reports[name] = conjugate_report(minnesota_conjugate(data, mn), data, x_next)
+            continue
+        if cfg.get("seed") is None:
+            raise CliError("a --seed is required for stochastic methods")
+        gibbs_cfg = imc.GibbsConfig(n_draws=int(cfg["draws"]),
+                                    burn_in=int(cfg["burn_in"]), seed=int(cfg["seed"]))
+        vb_cfg = ivb.VbConfig(max_iters=int(cfg["max_iters"]),
+                              elbo_rel_tol=float(cfg["tol"]))
+        prior = minnesota_independent(data, mn)
+        # through the module attributes, so a substituted fit is the one run
+        vb = ivb.fit_vb_independent(prior, data, vb_cfg)
+        draws = imc.gibbs_run(prior, data, gibbs_cfg)
+        reports[name] = independent_report(prior, data, x_next, vb, draws)
         _write_exports(cfg, vb, draws)
-    _write_report(report, cfg)
+        status = 0 if vb.converged else 2
+
+    if len(reports) == 1:
+        text = next(iter(reports.values())).to_json()
+    else:
+        text = json.dumps({name: json.loads(r.to_json()) for name, r in reports.items()},
+                          indent=2, sort_keys=True)
+    if cfg.get("out"):
+        with open(cfg["out"], "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
+    print("\n\n".join(r.to_text() for r in reports.values()))
     return status
 
 
+def cmd_fit(args) -> int:
+    cfg = _merge_config(args)
+    return _run(cfg, [cfg["prior"]])
+
+
 def cmd_kl(args) -> int:
-    try:
-        exact = cvb.kl_exact(args.M, args.p, args.T, args.nu0)
-        stirling = cvb.kl_stirling(args.M, args.p, args.T, args.nu0)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    exact = cvb.kl_exact(args.M, args.p, args.T, args.nu0)
+    stirling = cvb.kl_stirling(args.M, args.p, args.T, args.nu0)
     print(f"kl_exact    {exact:.6f}")
     print(f"kl_stirling {stirling:.6f}")
     return 0
 
 
 def cmd_compare(args) -> int:
-    cfg = _merge_config(args)
-    data = _load_design(cfg)
-    mn = _minnesota_config(cfg)
-    x_next = data.next_regressors()
-    conj = conjugate_report(minnesota_conjugate(data, mn), data, x_next)
-    prior, vb, draws = _fit_independent(data, mn, cfg)
-    indep = independent_report(prior, data, x_next, vb, draws)
-    _write_exports(cfg, vb, draws)
-    combined = {
-        "conjugate": json.loads(conj.to_json()),
-        "independent": json.loads(indep.to_json()),
-    }
-    text = json.dumps(combined, indent=2, sort_keys=True)
-    if cfg.get("out"):
-        with open(cfg["out"], "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    print(conj.to_text())
-    print()
-    print(indep.to_text())
-    return 0 if vb.converged else 2
+    return _run(_merge_config(args), PRIORS)
 
 
 def main(argv=None) -> int:
@@ -228,9 +209,6 @@ def main(argv=None) -> int:
     handlers = {"fit": cmd_fit, "kl": cmd_kl, "compare": cmd_compare}
     try:
         return handlers[args.command](args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -105,18 +105,24 @@ def fit_vb_conjugate(prior: ConjugatePrior, data: DesignData) -> ConjugateVbPost
     return ConjugateVbPosterior.from_exact(fit_exact(prior, data))
 
 
+def _kl_dofs(n_vars, n_regressors, n_obs, prior_dof):
+    """(M, p, T + prior dof, T + p + prior dof) for the KL formulas, after
+    checking that p and T are nonnegative and T + prior dof > M - 1."""
+    m, p, t, nu0 = int(n_vars), int(n_regressors), int(n_obs), float(prior_dof)
+    if p < 0 or t < 0:
+        raise ValueError("n_regressors and n_obs must be nonnegative")
+    nub = t + nu0
+    if nub <= m - 1:
+        raise ValueError(f"posterior dof T + prior_dof = {nub} must exceed M-1 = {m - 1}")
+    return m, p, nub, t + p + nu0
+
+
 def kl_exact(n_vars: int, n_regressors: int, n_obs: int, prior_dof: float) -> float:
     """Exact KL(q || p) for the conjugate VAR; data-independent.
 
     Computed entirely in log space (the dof powers are never exponentiated).
     """
-    m, p, t, nu0 = int(n_vars), int(n_regressors), int(n_obs), float(prior_dof)
-    if p < 0 or t < 0:
-        raise ValueError("n_regressors and n_obs must be nonnegative")
-    nub = t + nu0
-    nuq = t + p + nu0
-    if nub <= m - 1:
-        raise ValueError(f"posterior dof T + prior_dof = {nub} must exceed M-1 = {m - 1}")
+    m, p, nub, nuq = _kl_dofs(n_vars, n_regressors, n_obs, prior_dof)
     return (
         -m * p / 2.0 * (np.log(2.0) + 1.0)
         + m / 2.0 * (nuq * np.log(nuq) - nub * np.log(nub))
@@ -126,11 +132,7 @@ def kl_exact(n_vars: int, n_regressors: int, n_obs: int, prior_dof: float) -> fl
 
 def kl_stirling(n_vars: int, n_regressors: int, n_obs: int, prior_dof: float) -> float:
     """Stirling approximation to kl_exact."""
-    m, p, t, nu0 = int(n_vars), int(n_regressors), int(n_obs), float(prior_dof)
-    nub = t + nu0
-    nuq = t + p + nu0
-    if nub <= m - 1:
-        raise ValueError(f"posterior dof T + prior_dof = {nub} must exceed M-1 = {m - 1}")
+    m, _, nub, nuq = _kl_dofs(n_vars, n_regressors, n_obs, prior_dof)
     total = 0.0
     for j in range(1, m + 1):
         total += (

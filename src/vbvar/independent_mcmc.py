@@ -86,13 +86,11 @@ class GibbsDraws:
 def gibbs_run(prior: IndependentPrior, data: DesignData, cfg: GibbsConfig) -> GibbsDraws:
     """Alternate beta | Sigma^-1 and Sigma^-1 | beta draws; deterministic given seed."""
     beta_step = _CoefficientStep(prior, data)
-    x, y = data.X, data.Y
-    t, m = y.shape
-    p = x.shape[1]
+    m, p = data.n_vars, data.n_regressors
     rng = np.random.default_rng(cfg.seed)
 
     prec = prior.precision_mean
-    nub = t + prior.dof
+    nub = data.effective_T + prior.dof
     if nub <= m - 1:
         raise ValueError(f"posterior dof {nub} must exceed M-1 = {m - 1}")
     n_kept = cfg.n_draws - cfg.burn_in
@@ -103,7 +101,7 @@ def gibbs_run(prior: IndependentPrior, data: DesignData, cfg: GibbsConfig) -> Gi
             lb, mean_b = beta_step(prec)
             beta = mean_b + solve_triangular(lb[0], rng.standard_normal(m * p),
                                              lower=True, trans="T", check_finite=False)
-            resid = y - x @ beta.reshape((p, m), order="F")
+            resid = data.residuals(beta)
             scale = prior.scale + resid.T @ resid
             scale_inv = chol_inverse(np.linalg.cholesky(scale))
             prec = bartlett_draw(cholesky(scale_inv, lower=True, check_finite=False),
@@ -169,10 +167,8 @@ def predictive_gibbs(draws: GibbsDraws, x_next, rng: np.random.Generator) -> dic
 
 def _log_joint_independent(prior, data, beta, prec, lw) -> float:
     """ln p(y | beta, Sigma^-1) + ln p(beta) + ln p(Sigma^-1) at one draw."""
-    x, y = data.X, data.Y
-    t, m = y.shape
-    p = x.shape[1]
-    resid = y - x @ beta.reshape((p, m), order="F")
+    t, m, p = data.effective_T, data.n_vars, data.n_regressors
+    resid = data.residuals(beta)
     lp_y = (
         -m * t / 2.0 * np.log(2.0 * np.pi)
         + t / 2.0 * chol_logdet(lw)

@@ -104,13 +104,12 @@ class _CoefficientStep:
     precision is assembled in one reused buffer."""
 
     def __init__(self, prior: IndependentPrior, data: DesignData):
-        x, y = data.X, data.Y
-        m, p = y.shape[1], x.shape[1]
+        m, p = data.n_vars, data.n_regressors
         if prior.n_vars != m or prior.n_regressors != p:
             raise ValueError("prior and data dimensions disagree")
         self.prior = prior
-        self.xtx = x.T @ x
-        self.xty = x.T @ y
+        self.xtx = data.X.T @ data.X
+        self.xty = data.X.T @ data.Y
         self._prec = np.empty((m * p, m * p))
 
     def __call__(self, prec):
@@ -134,12 +133,10 @@ ELBO_FALL_TOL = 1e-11
 
 def _elbo_value(prior, data, mean_b, cov_b, logdet_cov_b, omega, q_prec) -> float:
     """ELBO E_q[ln p(y, theta)] + H[q], valid at any (q_beta, q_prec) pair."""
-    x, y = data.X, data.Y
-    t, m = y.shape
-    p = x.shape[1]
+    t, m, p = data.effective_T, data.n_vars, data.n_regressors
     e_prec = q_prec.mean()
     e_logdet = q_prec.expected_logdet()
-    resid = y - x @ mean_b.reshape((p, m), order="F")
+    resid = data.residuals(mean_b)
     lp_y = (
         -m * t / 2.0 * np.log(2.0 * np.pi)
         + t / 2.0 * e_logdet
@@ -180,10 +177,8 @@ def fit_vb_independent(
     An ELBO decrease beyond round-off stops the iteration unconverged."""
     cfg = cfg or VbConfig()
     beta_step = _CoefficientStep(prior, data)
-    x, y = data.X, data.Y
-    t, m = y.shape
-    p = x.shape[1]
-    nub = t + prior.dof
+    m, p = data.n_vars, data.n_regressors
+    nub = data.effective_T + prior.dof
     e_prec = prior.precision_mean
 
     trace = []
@@ -193,7 +188,7 @@ def fit_vb_independent(
         try:
             lq, mean_b = beta_step(e_prec)
             cov_b = chol_inverse(lq[0])
-            resid = y - x @ mean_b.reshape((p, m), order="F")
+            resid = data.residuals(mean_b)
             omega = _omega(cov_b, beta_step.xtx, m, p)
             scale_q = prior.scale + resid.T @ resid + omega
             scale_q = (scale_q + scale_q.T) / 2.0
@@ -231,9 +226,7 @@ def elbo_independent(
     The leading constant is M*p/2, which the Monte-Carlo check confirms;
     the source display prints p/2, and the two coincide for M = 1.
     """
-    x, y = data.X, data.Y
-    t, m = y.shape
-    p = x.shape[1]
+    t, m, p = data.effective_T, data.n_vars, data.n_regressors
     nub = vb_post.dof
     logdet_vq = chol_logdet(spd_cholesky(vb_post.cov_b, "cov_b"))
     logdet_sq = chol_logdet(spd_cholesky(vb_post.scale_q, "scale_q"))
@@ -288,11 +281,9 @@ def predictive_vb_independent(vb_post: IndependentVbPosterior, x_next) -> dict:
 def log_posterior_independent(prior: IndependentPrior, data: DesignData,
                               beta, precision) -> float:
     """Log posterior kernel (up to the data constant) at (beta, Sigma^-1)."""
-    x, y = data.X, data.Y
-    t, m = y.shape
-    p = x.shape[1]
+    t, m = data.effective_T, data.n_vars
     beta = np.asarray(beta, dtype=float).reshape(-1)
-    resid = y - x @ beta.reshape((p, m), order="F")
+    resid = data.residuals(beta)
     db = beta - prior.mean_b
     sign, logdet = np.linalg.slogdet(precision)
     if sign <= 0:
@@ -306,10 +297,8 @@ def log_posterior_independent(prior: IndependentPrior, data: DesignData,
 
 def _iterate_modes(prior, data, tol, max_iters, vb_corrected):
     beta_step = _CoefficientStep(prior, data)
-    x, y = data.X, data.Y
-    t, m = y.shape
-    p = x.shape[1]
-    dof_factor = t + prior.dof - m - 1
+    m, p = data.n_vars, data.n_regressors
+    dof_factor = data.effective_T + prior.dof - m - 1
     if dof_factor <= 0:
         raise UndefinedMomentError("mode iteration needs T + prior dof > M + 1")
     lam = 1.0 + (m + 1.0) / dof_factor if vb_corrected else 1.0
@@ -318,7 +307,7 @@ def _iterate_modes(prior, data, tol, max_iters, vb_corrected):
     converged = False
     for _ in range(max_iters):
         lq, beta_new = beta_step(lam * prec)
-        resid = y - x @ beta_new.reshape((p, m), order="F")
+        resid = data.residuals(beta_new)
         scale = prior.scale + resid.T @ resid
         if vb_corrected:
             scale = scale + _omega(chol_inverse(lq[0]), beta_step.xtx, m, p)

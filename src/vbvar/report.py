@@ -142,6 +142,12 @@ def conjugate_report(prior: ConjugatePrior, data: DesignData, x_next) -> Diagnos
     )
 
 
+def _ratio(vb, mcmc, **extra) -> dict:
+    """One Gibbs-vs-VB ratio cell: VB over Gibbs, both sides, and any
+    ``extra`` entries such as a Monte-Carlo standard error."""
+    return {"value": vb / mcmc, "vb": vb, "mcmc": mcmc, **extra}
+
+
 def independent_report(
     prior: IndependentPrior,
     data: DesignData,
@@ -165,12 +171,6 @@ def independent_report(
     t = data.effective_T
 
     q_prec = vb.precision_density()
-    vb_prec_mean = q_prec.mean()
-    vb_prec_var = q_prec.var()
-    diag = np.arange(m)
-    prec_mean_ratio = np.diag(vb_prec_mean) / np.diag(summary["precision_mean"])
-    prec_var_ratio = np.diag(vb_prec_var) / summary["precision_var"][diag, diag]
-
     pred_mc = imc.predictive_gibbs(draws, x, np.random.default_rng(draws.seed + 1))
     pred_vb = ivb.predictive_vb_independent(vb, x)
     elbo = ivb.elbo_independent(prior, vb, data)
@@ -185,28 +185,15 @@ def independent_report(
             "kl": {"value": ris["estimate"] - elbo, "se": ris["std_error"]},
         },
         ratio_section={
-            "precision_mean_ratio": {
-                "value": prec_mean_ratio,
-                "vb": np.diag(vb_prec_mean),
-                "mcmc": np.diag(summary["precision_mean"]),
-                "se": np.diag(summary["precision_mean_se"]),
-            },
-            "precision_var_ratio": {
-                "value": prec_var_ratio,
-                "vb": np.diag(vb_prec_var),
-                "mcmc": summary["precision_var"][diag, diag],
-            },
-            "pred_mean_ratio": {
-                "value": pred_vb["mean"] / pred_mc["mean"],
-                "vb": pred_vb["mean"],
-                "mcmc": pred_mc["mean"],
-                "se": pred_mc["mean_se"],
-            },
-            "pred_var_ratio": {
-                "value": np.diag(pred_vb["variance"]) / np.diag(pred_mc["variance"]),
-                "vb": np.diag(pred_vb["variance"]),
-                "mcmc": np.diag(pred_mc["variance"]),
-            },
+            "precision_mean_ratio": _ratio(np.diag(q_prec.mean()),
+                                           np.diag(summary["precision_mean"]),
+                                           se=np.diag(summary["precision_mean_se"])),
+            "precision_var_ratio": _ratio(np.diag(q_prec.var()),
+                                          np.diag(summary["precision_var"])),
+            "pred_mean_ratio": _ratio(pred_vb["mean"], pred_mc["mean"],
+                                      se=pred_mc["mean_se"]),
+            "pred_var_ratio": _ratio(np.diag(pred_vb["variance"]),
+                                     np.diag(pred_mc["variance"])),
         },
         provenance={
             "stochastic": True,

@@ -109,6 +109,11 @@ class DesignData:
         lags = self.X[-1, 1:1 + self.n_vars * (self.lag_order - 1)]
         return np.concatenate(([1.0], self.Y[-1], lags))
 
+    def residuals(self, beta) -> np.ndarray:
+        """Y - X Gamma for beta = vec(Gamma), the p x M coefficient matrix
+        stacked column by column (equation by equation)."""
+        return self.Y - self.X @ np.reshape(beta, (self.n_regressors, self.n_vars), order="F")
+
     def residual_crossprod(self, coefs) -> np.ndarray:
         """(Y - X C_i)'(Y - X C_i) for each C_i of an (n, p, M) coefficient
         stack, as an (n, M, M) stack.

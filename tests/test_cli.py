@@ -113,6 +113,14 @@ class TestFitCommand:
         assert all(b >= a - 1e-10 for a, b in zip(elbos, elbos[1:]))
         capsys.readouterr()
 
+    @pytest.mark.parametrize("flag", ["--export-draws", "--export-elbo-trace"])
+    def test_exports_need_independent_prior(self, data_csv, tmp_path, capsys, flag):
+        path = tmp_path / "export.csv"
+        assert main(["fit", "--data", data_csv, "--prior", "conjugate",
+                     flag, str(path)]) == 1
+        assert flag in capsys.readouterr().err
+        assert not path.exists()
+
     def test_exports_fit_once(self, data_csv, tmp_path, capsys, monkeypatch):
         from vbvar import independent_mcmc, independent_vb
 
@@ -152,6 +160,15 @@ class TestConfigFile:
                      "--out", str(out)]) == 0
         assert json.loads(out.read_text())["meta"]["prior_type"] == "conjugate"
         capsys.readouterr()
+
+    def test_unknown_prior_exit_1(self, data_csv, tmp_path, capsys):
+        cfg = tmp_path / "typo.json"
+        cfg.write_text(json.dumps({"data": data_csv, "prior": "indepndent", "seed": 5}))
+        out = tmp_path / "typo_report.json"
+        assert main(["fit", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "indepndent" in err and "conjugate" in err and "independent" in err
+        assert not out.exists()
 
     def test_unknown_key_exit_1(self, data_csv, tmp_path, capsys):
         cfg = tmp_path / "bad.json"

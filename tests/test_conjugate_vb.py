@@ -101,9 +101,12 @@ class TestKlExact:
         vals = [kl_exact(3, p, 196, 5) for p in (1, 5, 13, 25)]
         assert all(a < b for a, b in zip(vals, vals[1:]))
 
-    def test_domain_error(self):
+    @pytest.mark.parametrize("kl", [kl_exact, kl_stirling])
+    @pytest.mark.parametrize("args", [(5, 3, 0, 2.0), (3, -1, 100, 5), (3, 13, -1, 5)],
+                             ids=["dof", "negative_p", "negative_T"])
+    def test_domain_error(self, kl, args):
         with pytest.raises(ValueError):
-            kl_exact(5, 3, 0, 2.0)
+            kl(*args)
 
 
 class TestKlStirling:

@@ -135,6 +135,17 @@ class TestElbo:
         assert elbo_independent(prior, vb, data) == \
             pytest.approx(vb.elbo_trace[-1], rel=1e-8)
 
+    @pytest.mark.parametrize("max_iters", [1, 2, 3, 5, 50])
+    def test_closed_form_matches_trace_at_any_stop(self, max_iters):
+        # the closed form needs only the scale update, which ends every
+        # iteration, so it holds after an unconverged stop too
+        data = synthetic_design(3, 2, 120, seed=5)
+        prior = random_independent_prior(3, 7, seed=6)
+        vb = fit_vb_independent(prior, data, VbConfig(max_iters=max_iters))
+        assert vb.iterations <= max_iters
+        assert elbo_independent(prior, vb, data) == \
+            pytest.approx(vb.elbo_trace[-1], rel=1e-12)
+
     def test_mc_oracle(self):
         data = synthetic_design(2, 1, 25, seed=210)
         prior = random_independent_prior(2, 3, seed=211)

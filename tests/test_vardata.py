@@ -141,6 +141,15 @@ class TestZBlock:
         x = rng.standard_normal(p)
         np.testing.assert_allclose(z_block(x, m) @ beta, x @ gamma, atol=1e-12)
 
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_design_residuals(self, d):
+        # row t of DesignData.residuals(beta) is y_t - Z_t beta
+        rng = np.random.default_rng(10 + d)
+        dd = build_design(RawSeries(rng.standard_normal((20, 3)), ("a", "b", "c")), d)
+        beta = rng.standard_normal(dd.n_vars * dd.n_regressors)
+        expected = [y - z_block(x, dd.n_vars) @ beta for y, x in zip(dd.Y, dd.X)]
+        np.testing.assert_allclose(dd.residuals(beta), expected, rtol=1e-13, atol=1e-13)
+
     @given(
         m=st.integers(min_value=1, max_value=4),
         p=st.integers(min_value=1, max_value=4),
