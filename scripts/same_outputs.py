@@ -5,7 +5,8 @@ Usage:
 
 The three input series are written once, by perfbench's own simulator
 (perfbench/workloads.simulate_var with seeds model_seed(7, i)), the models
-of the vb-sweep workload.  Each command in COMMANDS then runs in both
+of the vb-sweep workload, together with one JSON config file (CONFIG) that
+points at the first series.  Each command in COMMANDS then runs in both
 checkouts with PYTHONPATH=<checkout>/src, each run in its own empty working
 directory, so relative output paths land there.  Exit code, stdout, stderr
 and every file a run writes are compared byte for byte.  One line is
@@ -18,6 +19,7 @@ the inputs.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import subprocess
 import sys
@@ -29,10 +31,14 @@ ROOT = Path(__file__).resolve().parents[1]
 # name -> (M, d, T_raw); the i-th model is simulated with model_seed(7, i)
 MODELS = {"m3": (3, 2, 200), "m7": (7, 4, 200), "m20": (20, 2, 300)}
 
+# config-file values that differ from the CLI defaults; "data" is added
+CONFIG = {"prior": "independent", "lags": 2, "seed": 7, "lambda1": 0.3,
+          "own_lag_mean": 0.5, "dof_offset": 3}
+
 EXPORTS = ["--export-draws", "draws.csv", "--export-elbo-trace", "trace.csv"]
 
 # (label, argv); "vbvar" runs the CLI, "demo" scripts/compare_methods.py,
-# and {m3}, {m7}, {m20} stand for the input CSV paths
+# {m3}, {m7}, {m20} stand for the input CSV paths and {cfg} for the config file
 COMMANDS = [
     ("compare Mp=21", ["vbvar", "compare", "--data", "{m3}", "--lags", "2", "--seed", "7",
                        "--out", "report.json"]),
@@ -49,13 +55,15 @@ COMMANDS = [
     ("kl", ["vbvar", "kl", "--M", "3", "--p", "13", "--T", "196", "--nu0", "5"]),
     ("fit independent, no seed", ["vbvar", "fit", "--prior", "independent",
                                   "--data", "{m3}", "--lags", "2"]),
+    ("compare --config", ["vbvar", "compare", "--config", "{cfg}", "--out", "report.json"]),
     ("demo script", ["demo", "--t", "120", "--draws", "1500", "--burn-in", "300",
                      "--out", "report.json"]),
 ]
 
 
 def write_inputs(directory: Path) -> dict:
-    """Simulate and write each model's series; name -> CSV path."""
+    """Simulate and write each model's series and the config file;
+    name -> path, with "cfg" for the config file."""
     sys.path[:0] = [str(ROOT), str(ROOT / "src")]
     from perfbench.workloads import Model, model_seed, simulate_var, write_series_csv
 
@@ -63,6 +71,8 @@ def write_inputs(directory: Path) -> dict:
     for i, (name, dims) in enumerate(MODELS.items()):
         paths[name] = directory / f"{name}.csv"
         write_series_csv(simulate_var(Model(*dims), model_seed(7, i)), paths[name])
+    paths["cfg"] = directory / "config.json"
+    paths["cfg"].write_text(json.dumps({**CONFIG, "data": str(paths["m3"])}), encoding="utf-8")
     return paths
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 
 from . import conjugate_vb as cvb
@@ -93,6 +94,8 @@ def _merge_config(args) -> dict:
         flag = getattr(args, key, None)
         if flag is not None:
             cfg[key] = flag
+    if cfg["prior"] not in PRIORS:
+        raise CliError(f"unknown prior {cfg['prior']!r}: choose 'conjugate' or 'independent'")
     return cfg
 
 
@@ -143,14 +146,18 @@ def _run(cfg, priors) -> int:
     The independent prior fits VB and a Gibbs chain (it needs a seed) and
     writes the exports.  One report goes to ``--out`` as is, several as one
     JSON object keyed by prior; the text reports are printed one blank line
-    apart.  Returns 2 when VB did not converge, else 0."""
-    for name in priors:
-        if name not in PRIORS:
-            raise CliError(f"unknown prior {name!r}: choose 'conjugate' or 'independent'")
+    apart.  Returns 2 when VB did not converge, else 0.
+
+    Every output path is checked before the data are loaded, so a missing
+    directory is found before any fitting."""
     if "independent" not in priors:
         for key in ("export_draws", "export_elbo_trace"):
             if cfg.get(key):
                 raise CliError(f"--{key.replace('_', '-')} needs the independent prior")
+    for key in ("out", "export_draws", "export_elbo_trace"):
+        directory = os.path.dirname(cfg.get(key) or "") or "."
+        if not os.path.isdir(directory):
+            raise CliError(f"--{key.replace('_', '-')}: no directory {directory!r}")
     data = _load_design(cfg)
     mn = _minnesota_config(cfg)
     x_next = data.next_regressors()
@@ -209,7 +216,7 @@ def main(argv=None) -> int:
     handlers = {"fit": cmd_fit, "kl": cmd_kl, "compare": cmd_compare}
     try:
         return handlers[args.command](args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -35,12 +35,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ConjugateExactPosterior:
-    """Gamma | Sigma, Y ~ MN(mean_G, Sigma, row_cov); Sigma^-1 | Y ~ W(scale^-1, dof)."""
+    """Gamma | Sigma, Y ~ MN(mean_G, Sigma, row_cov); Sigma^-1 | Y ~ W(scale^-1, dof)
+    with dof = n_obs + prior_dof."""
 
     mean_G: np.ndarray
     row_cov: np.ndarray
     scale: np.ndarray
-    dof: float
     n_obs: int
     prior_dof: float
 
@@ -54,6 +54,11 @@ class ConjugateExactPosterior:
     @property
     def n_regressors(self) -> int:
         return self.mean_G.shape[0]
+
+    @property
+    def dof(self) -> float:
+        """Posterior Wishart dof, T + prior dof."""
+        return self.n_obs + self.prior_dof
 
 
 def fit_exact(prior: ConjugatePrior, data: DesignData) -> ConjugateExactPosterior:
@@ -76,7 +81,6 @@ def fit_exact(prior: ConjugatePrior, data: DesignData) -> ConjugateExactPosterio
         mean_G=mean_g,
         row_cov=chol_inverse(lower),
         scale=(scale + scale.T) / 2.0,
-        dof=data.effective_T + prior.dof,
         n_obs=data.effective_T,
         prior_dof=prior.dof,
     )

@@ -21,7 +21,6 @@ from .mvdist import (
     WishartDist,
     chol_logdet,
     mv_log_gamma,
-    set_fields,
     spd_cholesky,
     spd_inverse,
 )
@@ -43,46 +42,26 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class ConjugateVbPosterior:
+class ConjugateVbPosterior(ConjugateExactPosterior):
     """q(Gamma) = MN(mean_G, expected_precision^-1, row_cov),
-    q(Sigma^-1) = W(scale_q^-1, dof_q), with scale_q = (dof_q/dof) * scale."""
-
-    mean_G: np.ndarray
-    row_cov: np.ndarray
-    scale: np.ndarray       # exact-posterior scale (shared)
-    scale_q: np.ndarray
-    dof: float              # T + prior dof
-    dof_q: float            # T + p + prior dof
-    n_obs: int
-    prior_dof: float
-
-    def __post_init__(self):
-        set_fields(self, mean_G=self.mean_G, row_cov=self.row_cov, scale=self.scale,
-                   scale_q=self.scale_q)
-
-    @property
-    def n_vars(self) -> int:
-        return self.mean_G.shape[1]
-
-    @property
-    def n_regressors(self) -> int:
-        return self.mean_G.shape[0]
+    q(Sigma^-1) = W(scale_q^-1, dof_q): the exact posterior's mean_G,
+    row_cov and scale, with the dof raised by p."""
 
     @classmethod
     def from_exact(cls, post: ConjugateExactPosterior) -> ConjugateVbPosterior:
         """Closed-form VB posterior of a fitted exact posterior; no
         iteration.  Shares mean_G, row_cov and scale with ``post``."""
-        dof_q = post.dof + post.n_regressors
-        return cls(
-            mean_G=post.mean_G,
-            row_cov=post.row_cov,
-            scale=post.scale,
-            scale_q=(dof_q / post.dof) * post.scale,
-            dof=post.dof,
-            dof_q=dof_q,
-            n_obs=post.n_obs,
-            prior_dof=post.prior_dof,
-        )
+        return cls(post.mean_G, post.row_cov, post.scale, post.n_obs, post.prior_dof)
+
+    @property
+    def dof_q(self) -> float:
+        """VB Wishart dof, T + p + prior dof."""
+        return self.dof + self.n_regressors
+
+    @property
+    def scale_q(self) -> np.ndarray:
+        """VB Wishart scale, (dof_q / dof) * scale."""
+        return (self.dof_q / self.dof) * self.scale
 
     def expected_precision(self) -> np.ndarray:
         """E_q(Sigma^-1) = dof_q * scale_q^-1 = dof * scale^-1."""

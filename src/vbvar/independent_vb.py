@@ -45,7 +45,6 @@ __all__ = [
     "predictive_vb_independent",
     "modes_exact_iterative",
     "modes_vb_iterative",
-    "log_posterior_independent",
 ]
 
 
@@ -71,7 +70,6 @@ class IndependentVbPosterior:
     cov_b: np.ndarray
     scale_q: np.ndarray
     dof: float
-    n_vars: int
     elbo_trace: tuple
     converged: bool
 
@@ -82,6 +80,10 @@ class IndependentVbPosterior:
     @property
     def iterations(self) -> int:
         return len(self.elbo_trace)
+
+    @property
+    def n_vars(self) -> int:
+        return self.scale_q.shape[0]
 
     @property
     def n_regressors(self) -> int:
@@ -210,7 +212,6 @@ def fit_vb_independent(
         cov_b=cov_b,
         scale_q=scale_q,
         dof=nub,
-        n_vars=m,
         elbo_trace=tuple(trace),
         converged=converged,
     )
@@ -244,8 +245,8 @@ def elbo_independent(
 
 def predictive_vb_independent(vb_post: IndependentVbPosterior, x_next) -> dict:
     """One-step VB predictive: mean Z beta_q, variance
-    Z Vq Z' + scale_q / (dof - 2); density queries via seeded simulation
-    from the normal + t sum."""
+    Z Vq Z' + scale_q / (dof - 2), and the normal (Z Vq Z') and t parts of
+    the predictive sum, the fields of :class:`conjugate_vb.VbPredictive`."""
     if vb_post.dof <= 2:
         raise UndefinedMomentError("VB predictive variance needs dof > 2")
     x = np.asarray(x_next, dtype=float).reshape(-1)
@@ -259,40 +260,12 @@ def predictive_vb_independent(vb_post: IndependentVbPosterior, x_next) -> dict:
         for b in range(a, m):
             blk = vb_post.cov_b[a * p:(a + 1) * p, b * p:(b + 1) * p]
             zvz[a, b] = zvz[b, a] = float(x @ blk @ x)
-    t_comp = MultivariateT(np.zeros(m), vb_post.scale_q / vb_post.dof, vb_post.dof)
-    variance = zvz + vb_post.scale_q / (vb_post.dof - 2.0)
-
-    def sample(rng: np.random.Generator, size: int) -> np.ndarray:
-        n = int(size)
-        lz = np.linalg.cholesky(zvz + 1e-12 * np.trace(zvz) / m * np.eye(m)) \
-            if np.abs(zvz).max() > 0 else np.zeros((m, m))
-        normal_part = rng.standard_normal((n, m)) @ lz.T
-        return mean + normal_part + t_comp.sample(rng, size=n)
-
     return {
         "mean": mean,
-        "variance": variance,
+        "variance": zvz + vb_post.scale_q / (vb_post.dof - 2.0),
         "normal_cov": zvz,
-        "t_component": t_comp,
-        "sample": sample,
+        "t_component": MultivariateT(np.zeros(m), vb_post.scale_q / vb_post.dof, vb_post.dof),
     }
-
-
-def log_posterior_independent(prior: IndependentPrior, data: DesignData,
-                              beta, precision) -> float:
-    """Log posterior kernel (up to the data constant) at (beta, Sigma^-1)."""
-    t, m = data.effective_T, data.n_vars
-    beta = np.asarray(beta, dtype=float).reshape(-1)
-    resid = data.residuals(beta)
-    db = beta - prior.mean_b
-    sign, logdet = np.linalg.slogdet(precision)
-    if sign <= 0:
-        return -np.inf
-    return (
-        0.5 * (t + prior.dof - m - 1) * logdet
-        - 0.5 * float(db @ prior.cov_inv @ db)
-        - 0.5 * float(np.sum(np.asarray(precision) * (prior.scale + resid.T @ resid)))
-    )
 
 
 def _iterate_modes(prior, data, tol, max_iters, vb_corrected):

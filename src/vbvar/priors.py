@@ -77,8 +77,7 @@ class ConjugatePrior:
 class IndependentPrior:
     """Independent prior: beta ~ N(mean_b, cov), Sigma^-1 ~ W(scale^-1, dof).
 
-    ``n_vars`` must be given because cov is a full Mp x Mp matrix and the
-    (M, p) split is not recoverable from shapes alone.
+    M is the order of ``scale`` and p = Mp / M.
 
     Construction validates both SPD blocks and caches, read-only, what every
     fitting routine needs of them: ``cov_inv`` (V0^-1), ``cov_inv_mean``
@@ -89,7 +88,6 @@ class IndependentPrior:
     cov: np.ndarray
     scale: np.ndarray
     dof: float
-    n_vars: int = field(default=0)
     cov_inv: np.ndarray = field(init=False, repr=False, compare=False)
     cov_inv_mean: np.ndarray = field(init=False, repr=False, compare=False)
     logdet_cov: float = field(init=False, repr=False, compare=False)
@@ -101,16 +99,19 @@ class IndependentPrior:
         cov_inv, logdet_cov = spd_inverse(self.cov, "cov")
         scale_inv, logdet_scale = spd_inverse(self.scale, "scale")
         m = np.asarray(self.scale).shape[0]
-        n_vars = int(self.n_vars) or m
-        if b.size % n_vars != 0:
-            raise ValueError(f"mean_b size {b.size} is not a multiple of M={n_vars}")
+        if b.size % m != 0:
+            raise ValueError(f"mean_b size {b.size} is not a multiple of M={m}")
         if np.asarray(self.cov).shape != (b.size, b.size):
             raise ValueError("cov shape inconsistent with mean_b")
         if self.dof <= m - 1:
             raise ValueError(f"dof must exceed M-1 = {m - 1}, got {self.dof}")
-        set_fields(self, n_vars=n_vars, mean_b=b, cov=self.cov, scale=self.scale,
+        set_fields(self, mean_b=b, cov=self.cov, scale=self.scale,
                    cov_inv=cov_inv, cov_inv_mean=cov_inv @ b, logdet_cov=logdet_cov,
                    scale_inv=scale_inv, logdet_scale=logdet_scale, dof=float(self.dof))
+
+    @property
+    def n_vars(self) -> int:
+        return self.scale.shape[0]
 
     @property
     def n_regressors(self) -> int:
@@ -245,5 +246,4 @@ def minnesota_independent(data: DesignData, cfg: MinnesotaConfig) -> Independent
         cov=blocks,
         scale=np.diag(s2),
         dof=m + cfg.dof_offset,
-        n_vars=m,
     )

@@ -8,7 +8,7 @@ yields identical JSON bytes.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,7 +59,6 @@ class DiagnosticsReport:
     kl_section: dict
     ratio_section: dict
     provenance: dict
-    traceability: dict = field(default_factory=lambda: dict(_TRACE))
 
     def to_json(self) -> str:
         payload = {
@@ -67,7 +66,7 @@ class DiagnosticsReport:
             "kl_section": _jsonable(self.kl_section),
             "ratio_section": _jsonable(self.ratio_section),
             "provenance": _jsonable(self.provenance),
-            "traceability": _jsonable(self.traceability),
+            "traceability": _TRACE,
         }
         return json.dumps(payload, indent=2, sort_keys=True)
 

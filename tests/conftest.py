@@ -38,7 +38,6 @@ def random_independent_prior(n_vars, n_regressors, seed, dof_offset=2):
         cov=cov,
         scale=scale,
         dof=n_vars + dof_offset,
-        n_vars=n_vars,
     )
 
 

@@ -160,7 +160,7 @@ def test_criterion_4_toy_oracle():
     y = 0.4 + 0.8 * rng.standard_normal(6)
     data = intercept_only_design(y)
     prior = IndependentPrior(np.array([0.1]), np.array([[2.0]]),
-                             np.array([[0.9]]), 3.0, 1)
+                             np.array([[0.9]]), 3.0)
     grid = grid_posterior_scalar(prior, data)  # 400 x 400 quadrature
     draws = gibbs_run(prior, data,
                       GibbsConfig(n_draws=50_000, burn_in=5_000, seed=44))
@@ -213,7 +213,6 @@ def test_criterion_5_independent_vb():
             cov=np.asarray(cp.row_cov) * s_bar / nu,
             scale=np.array([[scale0]]),
             dof=cp.dof + 3,
-            n_vars=1,
         )
         vbi = fit_vb_independent(ip, data,
                                  VbConfig(max_iters=5000, elbo_rel_tol=1e-16))

@@ -2,6 +2,10 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -138,6 +142,38 @@ class TestFitCommand:
         assert sorted(calls) == ["fit_vb_independent", "gibbs_run"]
         capsys.readouterr()
 
+    def test_missing_out_directory_no_traceback(self, data_csv, tmp_path):
+        out = tmp_path / "nodir" / "r.json"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+            str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "vbvar.cli", "fit", "--prior", "conjugate",
+             "--data", data_csv, "--out", str(out)],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error:") and "--out" in proc.stderr
+
+    @pytest.mark.parametrize("flag", ["--export-draws", "--export-elbo-trace"])
+    def test_missing_export_directory_found_before_gibbs(self, data_csv, tmp_path, capsys,
+                                                         monkeypatch, flag):
+        from vbvar import independent_mcmc
+
+        calls = []
+        monkeypatch.setattr(independent_mcmc, "gibbs_run", lambda *a, **k: calls.append(a))
+        assert main(["fit", "--data", data_csv, "--prior", "independent", "--seed", "5",
+                     flag, str(tmp_path / "nodir" / "export.csv")]) == 1
+        assert calls == []
+        assert flag in capsys.readouterr().err
+
+    def test_unwritable_out_exit_1(self, data_csv, tmp_path, capsys):
+        # the directory exists, but the path is a directory: open() fails
+        assert main(["fit", "--data", data_csv, "--prior", "conjugate",
+                     "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
 
 class TestConfigFile:
     def test_merge_and_flag_override(self, data_csv, tmp_path, capsys):
@@ -195,6 +231,16 @@ class TestCompareCommand:
         payload = json.loads(out_a.read_text())
         assert set(payload) == {"conjugate", "independent"}
         capsys.readouterr()
+
+    def test_unknown_config_prior_exit_1(self, data_csv, tmp_path, capsys):
+        cfg = tmp_path / "typo.json"
+        cfg.write_text(json.dumps({"data": data_csv, "prior": "indepndent", "seed": 5,
+                                   "draws": 300, "burn_in": 100}))
+        out = tmp_path / "typo_compare.json"
+        assert main(["compare", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "indepndent" in err and "conjugate" in err and "independent" in err
+        assert not out.exists()
 
     def test_exports_match_fit(self, data_csv, tmp_path, capsys):
         common = ["--data", data_csv, "--seed", "5", "--draws", "300", "--burn-in", "100"]

@@ -207,20 +207,20 @@ class TestJointMode:
     def test_homogeneity_in_scale(self):
         base = ConjugateExactPosterior(np.zeros((2, 2)), np.eye(2),
                                        np.array([[2.0, 0.3], [0.3, 1.0]]),
-                                       10.0, 6, 4.0)
+                                       6, 4.0)
         scaled = ConjugateExactPosterior(np.zeros((2, 2)), np.eye(2),
                                          3.0 * np.array([[2.0, 0.3], [0.3, 1.0]]),
-                                         10.0, 6, 4.0)
+                                         6, 4.0)
         np.testing.assert_allclose(joint_mode(scaled)["precision"],
                                    joint_mode(base)["precision"] / 3.0)
 
     def test_dof_bound(self):
         post = ConjugateExactPosterior(np.zeros((3, 1)), np.eye(3),
-                                       np.eye(1) * 2.0, 1.0, 0, 1.0)
+                                       np.eye(1) * 2.0, 0, 1.0)
         # factor = T + p + prior_dof - M - 1 = 0 + 3 + 1 - 1 - 1 = 2 > 0 is fine;
         # shrink until it is not
         bad = ConjugateExactPosterior(np.zeros((1, 1)), np.eye(1),
-                                      np.eye(1), 1.0, 0, 1.0)
+                                      np.eye(1), 0, 1.0)
         with pytest.raises(UndefinedMomentError):
             joint_mode(bad)
         joint_mode(post)
@@ -229,7 +229,7 @@ class TestJointMode:
 class TestPredictiveExact:
     def test_zero_location(self):
         post = ConjugateExactPosterior(np.zeros((3, 2)), np.eye(3),
-                                       np.eye(2), 8.0, 4, 4.0)
+                                       np.eye(2), 4, 4.0)
         pred = predictive_exact(post, np.array([1.0, 0.0, 0.0]))
         np.testing.assert_allclose(pred.mean, 0.0)
 
@@ -266,12 +266,12 @@ class TestPredictiveExact:
 
     def test_dof_bound(self):
         post = ConjugateExactPosterior(np.zeros((2, 1)), np.eye(2),
-                                       np.eye(1), 2.0, 0, 2.0)
+                                       np.eye(1), 0, 2.0)
         with pytest.raises(UndefinedMomentError):
             predictive_exact(post, np.array([1.0, 0.0]))
 
     def test_dimension_check(self):
         post = ConjugateExactPosterior(np.zeros((2, 1)), np.eye(2),
-                                       np.eye(1), 8.0, 4, 4.0)
+                                       np.eye(1), 4, 4.0)
         with pytest.raises(ValueError):
             predictive_exact(post, np.array([1.0, 0.0, 0.0]))

@@ -268,7 +268,7 @@ class TestVbModes:
         vb = fit_vb_conjugate(random_conjugate_prior(2, 3, seed=40), data)
         from dataclasses import replace
 
-        scaled = replace(vb, scale_q=2.5 * np.asarray(vb.scale_q))
+        scaled = replace(vb, scale=2.5 * np.asarray(vb.scale))
         np.testing.assert_allclose(vb_modes(scaled)["precision"],
                                    vb_modes(vb)["precision"] / 2.5)
 

@@ -33,7 +33,6 @@ def toy():
         cov=np.array([[2.0]]),
         scale=np.array([[0.8]]),
         dof=3.0,
-        n_vars=1,
     )
     return prior, data
 
@@ -128,7 +127,7 @@ class TestSummarize:
         rng = np.random.default_rng(103)
         data = intercept_only_design(rng.standard_normal(6))
         prior = IndependentPrior(np.array([0.0]), np.array([[1.0]]),
-                                 np.array([[1.0]]), 3.0, 1)
+                                 np.array([[1.0]]), 3.0)
         draws = gibbs_run(prior, data, GibbsConfig(n_draws=40_100, burn_in=100, seed=6))
         iid = rng.standard_normal(40_000)
         from dataclasses import replace

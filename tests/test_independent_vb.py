@@ -12,12 +12,12 @@ from conftest import (
     synthetic_design,
 )
 import vbvar.independent_vb as ivb
+from vbvar.conjugate_vb import VbPredictive
 from vbvar.independent_mcmc import _log_joint_independent
 from vbvar.independent_vb import (
     VbConfig,
     elbo_independent,
     fit_vb_independent,
-    log_posterior_independent,
     modes_exact_iterative,
     modes_vb_iterative,
     predictive_vb_independent,
@@ -32,8 +32,15 @@ def scalar_case():
     y = 0.5 + 0.9 * rng.standard_normal(12)
     data = intercept_only_design(y)
     prior = IndependentPrior(np.array([0.2]), np.array([[1.7]]),
-                             np.array([[1.1]]), 3.0, 1)
+                             np.array([[1.1]]), 3.0)
     return prior, data
+
+
+def log_posterior(prior, data, beta, precision) -> float:
+    """ln p(y, beta, Sigma^-1): the log posterior kernel up to the lnML."""
+    prec = np.asarray(precision, dtype=float)
+    return _log_joint_independent(prior, data, np.asarray(beta, dtype=float).reshape(-1),
+                                  prec, np.linalg.cholesky(prec))
 
 
 def scalar_vb_fixed_point(prior, data):
@@ -185,7 +192,7 @@ class TestPredictive:
         prior, data = scalar_case
         vb = fit_vb_independent(prior, data)
         pred = predictive_vb_independent(vb, np.array([1.0]))
-        draws = pred["sample"](np.random.default_rng(217), 400_000)
+        draws = VbPredictive(**pred).sample(np.random.default_rng(217), 400_000)
         se = draws.std(ddof=1) / np.sqrt(draws.shape[0])
         assert abs(draws.mean() - pred["mean"][0]) < 4 * se
         assert draws.var(ddof=1) == pytest.approx(pred["variance"][0, 0], rel=0.02)
@@ -211,8 +218,7 @@ class TestModes:
         assert mode["converged"]
 
         def neg(z):
-            return -log_posterior_independent(prior, data, [z[0]],
-                                              np.array([[np.exp(z[1])]]))
+            return -log_posterior(prior, data, [z[0]], np.array([[np.exp(z[1])]]))
 
         res = optimize.minimize(neg, [0.0, 0.0], method="Nelder-Mead",
                                 options={"xatol": 1e-10, "fatol": 1e-12,
@@ -243,9 +249,9 @@ class TestModes:
     def test_exact_mode_beats_neighbors(self, scalar_case):
         prior, data = scalar_case
         mode = modes_exact_iterative(prior, data)
-        lp = log_posterior_independent(prior, data, mode["beta"], mode["precision"])
+        lp = log_posterior(prior, data, mode["beta"], mode["precision"])
         for db, dh in [(1e-3, 0.0), (-1e-3, 0.0), (0.0, 1e-3), (0.0, -1e-3)]:
-            assert log_posterior_independent(
+            assert log_posterior(
                 prior, data, mode["beta"] + db, mode["precision"] + dh
             ) < lp
 

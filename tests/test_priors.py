@@ -134,10 +134,10 @@ class TestPriorTypes:
 
     def test_independent_validation(self):
         with pytest.raises(ValueError):
-            IndependentPrior(np.zeros(6), np.eye(5), np.eye(2), 4.0, n_vars=2)
+            IndependentPrior(np.zeros(6), np.eye(5), np.eye(2), 4.0)
         with pytest.raises(ValueError):
-            IndependentPrior(np.zeros(5), np.eye(5), np.eye(2), 4.0, n_vars=2)
-        prior = IndependentPrior(np.zeros(6), np.eye(6), np.eye(2), 4.0, n_vars=2)
+            IndependentPrior(np.zeros(5), np.eye(5), np.eye(2), 4.0)
+        prior = IndependentPrior(np.zeros(6), np.eye(6), np.eye(2), 4.0)
         assert prior.n_regressors == 3
 
 
@@ -161,7 +161,7 @@ class TestIndependentPriorCache:
 
         cov, scale, row_cov = spd(mp), spd(n_vars), spd(n_regressors)
         prior = IndependentPrior(rng.standard_normal(mp), cov, scale,
-                                 n_vars + 2.0, n_vars=n_vars)
+                                 n_vars + 2.0)
         conj = ConjugatePrior(rng.standard_normal((n_regressors, n_vars)), row_cov, scale,
                               n_vars + 2.0)
         for inv, logdet, a in ((prior.cov_inv, prior.logdet_cov, cov),
