@@ -10,7 +10,10 @@ points at the first series.  Each command in COMMANDS then runs in both
 checkouts with PYTHONPATH=<checkout>/src, each run in its own empty working
 directory, so relative output paths land there.  Exit code, stdout, stderr
 and every file a run writes are compared byte for byte.  One line is
-printed per command; the exit status is 1 when any output differs.
+printed per command; the exit status is 1 when any output differs.  A
+differing .json or .csv file whose two sides have the same shape and the
+same non-numeric cells is named with the largest relative difference over
+its numeric cells, e.g. "trace.csv: max rel 3.4e-16".
 
 Plain standard library here; numpy is loaded only by perfbench, to write
 the inputs.
@@ -19,7 +22,10 @@ the inputs.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -91,11 +97,68 @@ def run(checkout: Path, argv: list, inputs: dict, workdir: Path) -> dict:
             "files": files}
 
 
+def _cells(name: str, data: bytes) -> list:
+    """(position, value) for each cell of a .csv file (a float where the
+    cell parses as one) or each node of a .json file (a container's type
+    name, then its children)."""
+    text = data.decode("utf-8")
+    if name.endswith(".csv"):
+        rows = csv.reader(io.StringIO(text))
+        return [((i, j), _parse_float(cell))
+                for i, row in enumerate(rows) for j, cell in enumerate(row)]
+    cells = []
+
+    def walk(path, node):
+        children = (node.items() if isinstance(node, dict)
+                    else enumerate(node) if isinstance(node, list) else None)
+        cells.append((path, type(node).__name__ if children is not None else node))
+        for key, child in children or ():
+            walk(path + (key,), child)
+
+    walk((), json.loads(text))
+    return cells
+
+
+def _parse_float(cell: str):
+    try:
+        return float(cell)
+    except ValueError:
+        return cell
+
+
+def max_rel_diff(name: str, parent: bytes, change: bytes):
+    """Largest relative difference over the numeric cells of two versions
+    of a .json or .csv file, or None when the two differ in shape or in any
+    non-numeric or non-finite cell (or the file is of another kind)."""
+    if not name.endswith((".json", ".csv")):
+        return None
+    try:
+        cells = (_cells(name, parent), _cells(name, change))
+    except ValueError:  # undecodable bytes or invalid JSON
+        return None
+    if len(cells[0]) != len(cells[1]):
+        return None
+    worst = 0.0
+    for (pos_a, a), (pos_b, b) in zip(*cells):
+        if pos_a != pos_b:
+            return None
+        if a == b and type(a) is type(b):
+            continue
+        numbers = all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                      and math.isfinite(v) for v in (a, b))
+        if not numbers:
+            return None
+        worst = max(worst, abs(a - b) / max(abs(a), abs(b)))
+    return worst
+
+
 def differences(parent: dict, change: dict) -> list:
     diffs = [key for key in ("exit code", "stdout", "stderr") if parent[key] != change[key]]
     for name in sorted(set(parent["files"]) | set(change["files"])):
-        if parent["files"].get(name) != change["files"].get(name):
-            diffs.append(name)
+        a, b = parent["files"].get(name), change["files"].get(name)
+        if a != b:
+            rel = None if a is None or b is None else max_rel_diff(name, a, b)
+            diffs.append(name if rel is None else f"{name}: max rel {rel:.2g}")
     return diffs
 
 

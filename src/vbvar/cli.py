@@ -29,6 +29,16 @@ DEFAULTS = {
     "export_draws": None, "export_elbo_trace": None,
 }
 
+# the JSON type a config file must give each key: float admits integers,
+# no type admits booleans but bool, and null is allowed where the default is None
+TYPES = {
+    "prior": str, "lags": int, "seed": int, "draws": int, "burn_in": int, "max_iters": int,
+    "tol": float, "lambda1": float, "lambda2": float, "lambda3": float, "lambda4": float,
+    "own_lag_mean": float, "dof_offset": int, "timestamps": bool, "out": str, "data": str,
+    "export_draws": str, "export_elbo_trace": str,
+}
+_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string", bool: "true or false"}
+
 PRIORS = ("conjugate", "independent")
 
 
@@ -86,9 +96,13 @@ def _merge_config(args) -> dict:
             raise CliError(f"cannot read config file {args.config}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise CliError(f"config file {args.config} is not valid JSON: {exc}") from exc
+        if not isinstance(file_cfg, dict):
+            raise CliError(f"config file {args.config} must hold a JSON object")
         unknown = set(file_cfg) - set(DEFAULTS)
         if unknown:
             raise CliError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in file_cfg.items():
+            _check_type(key, value)
         cfg.update(file_cfg)
     for key in cfg:
         flag = getattr(args, key, None)
@@ -99,11 +113,20 @@ def _merge_config(args) -> dict:
     return cfg
 
 
+def _check_type(key, value):
+    kind = TYPES[key]
+    if value is None and DEFAULTS[key] is None:
+        return
+    if (isinstance(value, bool) != (kind is bool)
+            or not isinstance(value, (int, float) if kind is float else kind)):
+        raise CliError(f"config key {key!r} must be {_TYPE_NAMES[kind]}, got {json.dumps(value)}")
+
+
 def _load_design(cfg):
     if not cfg.get("data"):
         raise CliError("no data file given (--data or config 'data')")
     try:
-        series = load_csv(cfg["data"], has_timestamps=bool(cfg["timestamps"]))
+        series = load_csv(cfg["data"], has_timestamps=cfg["timestamps"])
     except OSError as exc:
         raise CliError(f"cannot read data file {cfg['data']}: {exc}") from exc
     return build_design(series, cfg["lags"])
@@ -111,12 +134,12 @@ def _load_design(cfg):
 
 def _minnesota_config(cfg) -> MinnesotaConfig:
     return MinnesotaConfig(
-        overall_tightness=float(cfg["lambda1"]),
-        cross_tightness=float(cfg["lambda2"]),
-        lag_decay=float(cfg["lambda3"]),
-        intercept_scale=float(cfg["lambda4"]),
-        own_lag_mean=float(cfg["own_lag_mean"]),
-        dof_offset=int(cfg["dof_offset"]),
+        overall_tightness=cfg["lambda1"],
+        cross_tightness=cfg["lambda2"],
+        lag_decay=cfg["lambda3"],
+        intercept_scale=cfg["lambda4"],
+        own_lag_mean=cfg["own_lag_mean"],
+        dof_offset=cfg["dof_offset"],
     )
 
 
@@ -169,10 +192,9 @@ def _run(cfg, priors) -> int:
             continue
         if cfg.get("seed") is None:
             raise CliError("a --seed is required for stochastic methods")
-        gibbs_cfg = imc.GibbsConfig(n_draws=int(cfg["draws"]),
-                                    burn_in=int(cfg["burn_in"]), seed=int(cfg["seed"]))
-        vb_cfg = ivb.VbConfig(max_iters=int(cfg["max_iters"]),
-                              elbo_rel_tol=float(cfg["tol"]))
+        gibbs_cfg = imc.GibbsConfig(n_draws=cfg["draws"], burn_in=cfg["burn_in"],
+                                    seed=cfg["seed"])
+        vb_cfg = ivb.VbConfig(max_iters=cfg["max_iters"], elbo_rel_tol=cfg["tol"])
         prior = minnesota_independent(data, mn)
         # through the module attributes, so a substituted fit is the one run
         vb = ivb.fit_vb_independent(prior, data, vb_cfg)

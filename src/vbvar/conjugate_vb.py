@@ -146,7 +146,7 @@ def elbo_conjugate(prior: ConjugatePrior, vb_post: ConjugateVbPosterior) -> floa
 
 def _log_joint_conjugate(prior, data, coef, precision, prec_chol):
     """ln p(Y, Gamma, Sigma^-1) for given parameter values; the per-draw
-    reference for :func:`_mc_elbo_values`."""
+    reference for :func:`_mc_elbo_terms`."""
     x, y = data.X, data.Y
     t, m = y.shape
     resid = y - x @ coef
@@ -164,7 +164,7 @@ def _log_joint_conjugate(prior, data, coef, precision, prec_chol):
     return lp_y + lp_g + lp_w
 
 
-def _mc_elbo_values(prior, data, q_coef, q_prec, coefs, precs) -> np.ndarray:
+def _mc_elbo_terms(prior, data, q_coef, q_prec, coefs, precs) -> np.ndarray:
     """ln p(Y, theta_i) - ln q(theta_i) at each draw of an (n, p, M)
     coefficient stack and an (n, M, M) precision stack, all draws at once.
 
@@ -209,7 +209,7 @@ def mc_elbo_estimate(
     for i in range(n_draws):
         coefs[i] = q_coef.sample(rng)
         precs[i] = q_prec.sample(rng)
-    vals = _mc_elbo_values(prior, data, q_coef, q_prec, coefs, precs)
+    vals = _mc_elbo_terms(prior, data, q_coef, q_prec, coefs, precs)
     return {
         "estimate": float(vals.mean()),
         "std_error": float(vals.std(ddof=1) / np.sqrt(n_draws)),

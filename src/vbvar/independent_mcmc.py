@@ -91,8 +91,6 @@ def gibbs_run(prior: IndependentPrior, data: DesignData, cfg: GibbsConfig) -> Gi
 
     prec = prior.precision_mean
     nub = data.effective_T + prior.dof
-    if nub <= m - 1:
-        raise ValueError(f"posterior dof {nub} must exceed M-1 = {m - 1}")
     n_kept = cfg.n_draws - cfg.burn_in
     beta_draws = np.empty((n_kept, m * p))
     prec_draws = np.empty((n_kept, m, m))

@@ -6,7 +6,7 @@ Per-observation sums exploit Z_t = I_M kron x_t: the coefficient-update
 precision is V0^-1 + E[Sigma^-1] kron X'X and the scale-update correction
 Omega has entries tr(Vq[m,n block] X'X).  The prior's V0^-1, S0^-1 and
 log-determinants are cached on the prior; each iteration factors the
-coefficient precision once and inverts that factor once.
+coefficient precision and the scale once each and inverts each factor once.
 
 Gibbs, coordinate-ascent VB and both mode iterations share one coefficient
 step, :class:`_CoefficientStep`: the Gaussian conditional of beta given
@@ -89,9 +89,6 @@ class IndependentVbPosterior:
     def n_regressors(self) -> int:
         return self.mean_b.size // self.n_vars
 
-    def expected_precision(self) -> np.ndarray:
-        return self.dof * spd_inverse(self.scale_q, "scale_q")[0]
-
     def precision_density(self) -> WishartDist:
         return WishartDist(spd_inverse(self.scale_q, "scale_q")[0], self.dof)
 
@@ -133,33 +130,6 @@ def _omega(cov_b: np.ndarray, xtx: np.ndarray, m: int, p: int) -> np.ndarray:
 ELBO_FALL_TOL = 1e-11
 
 
-def _elbo_value(prior, data, mean_b, cov_b, logdet_cov_b, omega, q_prec) -> float:
-    """ELBO E_q[ln p(y, theta)] + H[q], valid at any (q_beta, q_prec) pair."""
-    t, m, p = data.effective_T, data.n_vars, data.n_regressors
-    e_prec = q_prec.mean()
-    e_logdet = q_prec.expected_logdet()
-    resid = data.residuals(mean_b)
-    lp_y = (
-        -m * t / 2.0 * np.log(2.0 * np.pi)
-        + t / 2.0 * e_logdet
-        - 0.5 * float(np.sum(e_prec * (resid.T @ resid + omega)))
-    )
-    db = mean_b - prior.mean_b
-    quad, tr_vv = _prior_quadratic(prior, db, cov_b)
-    lp_b = (-m * p / 2.0 * np.log(2.0 * np.pi) - 0.5 * prior.logdet_cov
-            - 0.5 * (quad + tr_vv))
-    lp_w = (
-        -mv_log_gamma(m, prior.dof / 2.0)
-        - prior.dof * m / 2.0 * np.log(2.0)
-        + prior.dof / 2.0 * prior.logdet_scale
-        + (prior.dof - m - 1) / 2.0 * e_logdet
-        - 0.5 * float(np.sum(prior.scale * e_prec))
-    )
-    h_b = m * p / 2.0 * (1.0 + np.log(2.0 * np.pi)) + 0.5 * logdet_cov_b
-    h_w = q_prec.entropy()
-    return lp_y + lp_b + lp_w + h_b + h_w
-
-
 def _prior_quadratic(prior, db, cov_b):
     """(db' V0^-1 db, tr(V0^-1 cov_b)) as elementwise sums with the cached
     V0^-1.  einsum keeps these products off numpy's BLAS, whose thread pool
@@ -174,7 +144,8 @@ def fit_vb_independent(
     prior: IndependentPrior, data: DesignData, cfg: VbConfig | None = None
 ) -> IndependentVbPosterior:
     """Coordinate ascent: beta-block update given E[Sigma^-1], then scale
-    update; stops when the relative ELBO increase drops below tolerance.
+    update; stops when the relative increase of the closed-form ELBO, taken
+    after each scale update, drops below tolerance.
 
     An ELBO decrease beyond round-off stops the iteration unconverged."""
     cfg = cfg or VbConfig()
@@ -194,12 +165,11 @@ def fit_vb_independent(
             omega = _omega(cov_b, beta_step.xtx, m, p)
             scale_q = prior.scale + resid.T @ resid + omega
             scale_q = (scale_q + scale_q.T) / 2.0
-            q_prec = WishartDist(spd_inverse(scale_q, "scale_q")[0], nub)
+            scale_q_inv, logdet_scale_q = spd_inverse(scale_q, "scale_q")
         except (np.linalg.LinAlgError, NotPositiveDefiniteError) as exc:
             raise NotPositiveDefiniteError("Cholesky failure in VB update") from exc
-        e_prec = q_prec.mean()
-        elbo = _elbo_value(prior, data, mean_b, cov_b, -chol_logdet(lq[0]), omega, q_prec)
-        trace.append(elbo)
+        e_prec = nub * scale_q_inv
+        trace.append(_elbo(prior, data, mean_b, cov_b, -chol_logdet(lq[0]), logdet_scale_q, nub))
         if len(trace) > 1:
             step = trace[-1] - trace[-2]
             if step < -ELBO_FALL_TOL * max(abs(trace[-2]), 1.0):
@@ -222,23 +192,27 @@ def elbo_independent(
     vb_post: IndependentVbPosterior,
     data: DesignData,
 ) -> float:
-    """Closed-form ELBO at the VB fixed point.
+    """Closed-form ELBO, valid after any scale update, not only at the fixed point.
 
     The leading constant is M*p/2, which the Monte-Carlo check confirms;
     the source display prints p/2, and the two coincide for M = 1.
     """
+    return _elbo(prior, data, vb_post.mean_b, vb_post.cov_b,
+                 chol_logdet(spd_cholesky(vb_post.cov_b, "cov_b")),
+                 chol_logdet(spd_cholesky(vb_post.scale_q, "scale_q")), vb_post.dof)
+
+
+def _elbo(prior, data, mean_b, cov_b, logdet_cov_b, logdet_scale_q, dof) -> float:
+    """The closed-form ELBO from ln |cov_b|, ln |scale_q| and dof = T + prior dof."""
     t, m, p = data.effective_T, data.n_vars, data.n_regressors
-    nub = vb_post.dof
-    logdet_vq = chol_logdet(spd_cholesky(vb_post.cov_b, "cov_b"))
-    logdet_sq = chol_logdet(spd_cholesky(vb_post.scale_q, "scale_q"))
-    tr_term = sum(_prior_quadratic(prior, vb_post.mean_b - prior.mean_b, vb_post.cov_b))
+    tr_term = sum(_prior_quadratic(prior, mean_b - prior.mean_b, cov_b))
     return (
         m * p / 2.0
         - m * t / 2.0 * np.log(np.pi)
-        + mv_log_gamma(m, nub / 2.0)
+        + mv_log_gamma(m, dof / 2.0)
         - mv_log_gamma(m, prior.dof / 2.0)
-        + 0.5 * (logdet_vq - prior.logdet_cov)
-        + 0.5 * (-nub * logdet_sq + prior.dof * prior.logdet_scale)
+        + 0.5 * (logdet_cov_b - prior.logdet_cov)
+        + 0.5 * (-dof * logdet_scale_q + prior.dof * prior.logdet_scale)
         - 0.5 * tr_term
     )
 

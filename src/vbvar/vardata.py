@@ -105,7 +105,9 @@ class DesignData:
     def next_regressors(self) -> np.ndarray:
         """Regressor row x_{T+1} = (1, y_T', ..., y_{T-d+1}') of the one-step
         forecast: the last row of Y, then the first d-1 lag blocks of the
-        last row of X."""
+        last row of X; just (1,) at lag order 0."""
+        if self.lag_order == 0:
+            return np.ones(1)
         lags = self.X[-1, 1:1 + self.n_vars * (self.lag_order - 1)]
         return np.concatenate(([1.0], self.Y[-1], lags))
 

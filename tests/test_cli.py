@@ -212,6 +212,22 @@ class TestConfigFile:
         assert main(["fit", "--config", str(cfg)]) == 1
         assert "lambda9" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [("timestamps", "false"), ("lags", 2.5),
+                                            ("draws", 300.9), ("seed", True), ("out", 5)])
+    def test_mistyped_value_exit_1(self, data_csv, tmp_path, capsys, key, value):
+        cfg = tmp_path / "typed.json"
+        cfg.write_text(json.dumps({"data": data_csv, "prior": "independent", "seed": 5,
+                                   "draws": 300, "burn_in": 100, key: value}))
+        assert main(["fit", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and repr(key) in err
+
+    def test_not_an_object_exit_1(self, tmp_path, capsys):
+        cfg = tmp_path / "list.json"
+        cfg.write_text("[1, 2]")
+        assert main(["fit", "--config", str(cfg)]) == 1
+        assert "JSON object" in capsys.readouterr().err
+
     def test_invalid_json_exit_1(self, tmp_path, capsys):
         cfg = tmp_path / "broken.json"
         cfg.write_text("{not json")

@@ -8,7 +8,7 @@ from conftest import intercept_only_design, random_conjugate_prior, synthetic_de
 from vbvar.conjugate_exact import fit_exact, joint_mode, log_marginal_likelihood
 from vbvar.conjugate_vb import (
     _log_joint_conjugate,
-    _mc_elbo_values,
+    _mc_elbo_terms,
     elbo_conjugate,
     fit_vb_conjugate,
     kl_exact,
@@ -192,7 +192,7 @@ class TestElbo:
             want[i] = (_log_joint_conjugate(prior, data, coefs[i], precs[i],
                                             np.linalg.cholesky(precs[i]))
                        - q_coef.logpdf(coefs[i]) - q_prec.logpdf(precs[i]))
-        got = _mc_elbo_values(prior, data, q_coef, q_prec, coefs, precs)
+        got = _mc_elbo_terms(prior, data, q_coef, q_prec, coefs, precs)
         np.testing.assert_allclose(got, want, rtol=1e-12)
         assert out["estimate"] == pytest.approx(want.mean(), rel=1e-12)
         assert out["std_error"] == pytest.approx(want.std(ddof=1) / np.sqrt(1000), rel=1e-12)

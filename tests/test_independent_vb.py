@@ -108,7 +108,7 @@ class TestFitVb:
     def test_elbo_decrease_is_not_convergence(self, scalar_case, monkeypatch):
         prior, data = scalar_case
         values = iter([-10.0, -10.5, -11.0, -11.5])
-        monkeypatch.setattr(ivb, "_elbo_value", lambda *args: next(values))
+        monkeypatch.setattr(ivb, "_elbo", lambda *args: next(values))
         vb = fit_vb_independent(prior, data, VbConfig(max_iters=4))
         assert not vb.converged
         assert vb.elbo_trace == (-10.0, -10.5)
@@ -116,7 +116,7 @@ class TestFitVb:
     def test_round_off_decrease_still_converges(self, scalar_case, monkeypatch):
         prior, data = scalar_case
         values = iter([-10.0, -10.0 - 1e-13])
-        monkeypatch.setattr(ivb, "_elbo_value", lambda *args: next(values))
+        monkeypatch.setattr(ivb, "_elbo", lambda *args: next(values))
         assert fit_vb_independent(prior, data, VbConfig(max_iters=2)).converged
 
     def test_factor_failure_raises(self, monkeypatch):
@@ -153,10 +153,14 @@ class TestElbo:
         assert elbo_independent(prior, vb, data) == \
             pytest.approx(vb.elbo_trace[-1], rel=1e-12)
 
-    def test_mc_oracle(self):
+    @pytest.mark.parametrize("max_iters", [VbConfig.max_iters, 1],
+                             ids=["default", "max_iters=1"])
+    def test_mc_oracle(self, max_iters):
+        # Monte-Carlo ELBO against both the trace and the closed form, also
+        # after an unconverged stop
         data = synthetic_design(2, 1, 25, seed=210)
         prior = random_independent_prior(2, 3, seed=211)
-        vb = fit_vb_independent(prior, data)
+        vb = fit_vb_independent(prior, data, VbConfig(max_iters=max_iters))
         rng = np.random.default_rng(212)
         q_prec = vb.precision_density()
         lb = np.linalg.cholesky(vb.cov_b)
@@ -172,6 +176,7 @@ class TestElbo:
                 - q_prec.logpdf(prec)
             )
         se = vals.std(ddof=1) / np.sqrt(n)
+        assert abs(vals.mean() - vb.elbo_trace[-1]) < 4 * se
         assert abs(vals.mean() - elbo_independent(prior, vb, data)) < 4 * se
 
 

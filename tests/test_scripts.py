@@ -1,11 +1,14 @@
 """Smoke tests of the scripts under scripts/: they run against the current
 library API and write what they promise."""
 
+import importlib.util
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -25,3 +28,27 @@ def test_compare_methods_writes_both_reports(tmp_path):
     assert set(payload) == {"conjugate", "independent"}
     assert payload["conjugate"]["meta"]["prior_type"] == "conjugate"
     assert payload["independent"]["provenance"]["n_draws"] == 400
+
+
+def test_same_outputs_measures_numeric_drift():
+    spec = importlib.util.spec_from_file_location("same_outputs",
+                                                  ROOT / "scripts" / "same_outputs.py")
+    same_outputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(same_outputs)
+    rel = same_outputs.max_rel_diff
+    trace = b"iteration,elbo\r\n0,-100.0\r\n1,-50.0\r\n"
+    assert rel("trace.csv", trace, trace.replace(b"-50.0", b"-50.000001")) == \
+        pytest.approx(2e-8)
+    assert rel("trace.csv", trace, trace.replace(b"elbo", b"value")) is None
+    assert rel("trace.csv", trace, trace + b"2,-49.0\r\n") is None
+    report = b'{"kl": 1.5, "flags": [true], "name": "vb"}'
+    assert rel("report.json", report, report.replace(b"1.5", b"1.5000000000000002")) == \
+        pytest.approx(2.0 ** -52 / 1.5, rel=1e-3)
+    assert rel("report.json", report, report.replace(b"true", b"1")) is None
+    assert rel("report.json", report, report.replace(b"[true]", b"[true, false]")) is None
+    assert rel("stdout.txt", b"1", b"2") is None
+    assert same_outputs.differences(
+        {"exit code": 0, "stdout": b"", "stderr": b"", "files": {"trace.csv": trace}},
+        {"exit code": 0, "stdout": b"", "stderr": b"",
+         "files": {"trace.csv": trace.replace(b"-50.0", b"-50.5")}},
+    ) == ["trace.csv: max rel 0.0099"]

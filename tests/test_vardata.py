@@ -185,3 +185,9 @@ class TestDesignData:
         design = build_design(RawSeries(raw[:-1], ("a", "b")), d)
         extended = build_design(RawSeries(raw, ("a", "b")), d)
         np.testing.assert_array_equal(design.next_regressors(), extended.X[-1])
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_next_regressors_at_lag_order_0(self, m):
+        y = np.random.default_rng(m).standard_normal((5, m))
+        design = DesignData(Y=y, X=np.ones((5, 1)), lag_order=0)
+        np.testing.assert_array_equal(design.next_regressors(), [1.0])
