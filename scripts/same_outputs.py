@@ -5,8 +5,8 @@ Usage:
 
 The three input series are written once, by perfbench's own simulator
 (perfbench/workloads.simulate_var with seeds model_seed(7, i)), the models
-of the vb-sweep workload, together with one JSON config file (CONFIG) that
-points at the first series.  Each command in COMMANDS then runs in both
+of the vb-sweep workload, together with the JSON config files of CONFIGS,
+each pointing at the first series.  Each command in COMMANDS then runs in both
 checkouts with PYTHONPATH=<checkout>/src, each run in its own empty working
 directory, so relative output paths land there.  Exit code, stdout, stderr
 and every file a run writes are compared byte for byte.  One line is
@@ -37,14 +37,22 @@ ROOT = Path(__file__).resolve().parents[1]
 # name -> (M, d, T_raw); the i-th model is simulated with model_seed(7, i)
 MODELS = {"m3": (3, 2, 200), "m7": (7, 4, 200), "m20": (20, 2, 300)}
 
-# config-file values that differ from the CLI defaults; "data" is added
-CONFIG = {"prior": "independent", "lags": 2, "seed": 7, "lambda1": 0.3,
-          "own_lag_mean": 0.5, "dof_offset": 3}
+# name -> config-file values that differ from the CLI defaults; "data" is added.
+# "cfg_all" gives every key the library configs own (the Minnesota
+# hyperparameters and the VB stopping rule) a value of its own.
+CONFIGS = {
+    "cfg": {"prior": "independent", "lags": 2, "seed": 7, "lambda1": 0.3,
+            "own_lag_mean": 0.5, "dof_offset": 3},
+    "cfg_all": {"prior": "independent", "lags": 2, "seed": 7, "lambda1": 0.3, "lambda2": 0.5,
+                "lambda3": 2.0, "lambda4": 50.0, "own_lag_mean": 0.5, "dof_offset": 3,
+                "max_iters": 40, "tol": 1e-6},
+}
 
 EXPORTS = ["--export-draws", "draws.csv", "--export-elbo-trace", "trace.csv"]
 
 # (label, argv); "vbvar" runs the CLI, "demo" scripts/compare_methods.py,
-# {m3}, {m7}, {m20} stand for the input CSV paths and {cfg} for the config file
+# {m3}, {m7}, {m20} stand for the input CSV paths and {cfg}, {cfg_all} for the
+# config files
 COMMANDS = [
     ("compare Mp=21", ["vbvar", "compare", "--data", "{m3}", "--lags", "2", "--seed", "7",
                        "--out", "report.json"]),
@@ -62,14 +70,16 @@ COMMANDS = [
     ("fit independent, no seed", ["vbvar", "fit", "--prior", "independent",
                                   "--data", "{m3}", "--lags", "2"]),
     ("compare --config", ["vbvar", "compare", "--config", "{cfg}", "--out", "report.json"]),
+    ("fit --config, every library key", ["vbvar", "fit", "--config", "{cfg_all}",
+                                         "--out", "report.json", *EXPORTS]),
     ("demo script", ["demo", "--t", "120", "--draws", "1500", "--burn-in", "300",
                      "--out", "report.json"]),
 ]
 
 
 def write_inputs(directory: Path) -> dict:
-    """Simulate and write each model's series and the config file;
-    name -> path, with "cfg" for the config file."""
+    """Simulate and write each model's series and each config file;
+    name -> path, with the names of CONFIGS for the config files."""
     sys.path[:0] = [str(ROOT), str(ROOT / "src")]
     from perfbench.workloads import Model, model_seed, simulate_var, write_series_csv
 
@@ -77,8 +87,10 @@ def write_inputs(directory: Path) -> dict:
     for i, (name, dims) in enumerate(MODELS.items()):
         paths[name] = directory / f"{name}.csv"
         write_series_csv(simulate_var(Model(*dims), model_seed(7, i)), paths[name])
-    paths["cfg"] = directory / "config.json"
-    paths["cfg"].write_text(json.dumps({**CONFIG, "data": str(paths["m3"])}), encoding="utf-8")
+    for name, config in CONFIGS.items():
+        paths[name] = directory / f"{name}.json"
+        paths[name].write_text(json.dumps({**config, "data": str(paths["m3"])}),
+                               encoding="utf-8")
     return paths
 
 

@@ -20,24 +20,26 @@ from .priors import MinnesotaConfig, minnesota_conjugate, minnesota_independent
 from .report import conjugate_report, independent_report
 from .vardata import build_design, load_csv
 
-# every config-file key, with its default; flags override both
-DEFAULTS = {
-    "prior": "conjugate", "lags": 1, "seed": None, "draws": 2000, "burn_in": 500,
-    "max_iters": 500, "tol": 1e-9, "lambda1": 0.2, "lambda2": 1.0,
-    "lambda3": 1.0, "lambda4": 100.0, "own_lag_mean": 0.0,
-    "dof_offset": 2, "timestamps": False, "out": None, "data": None,
-    "export_draws": None, "export_elbo_trace": None,
+# the library configs a config file sets, as {config key: field}; each class owns its defaults
+LIBRARY_KEYS = {
+    MinnesotaConfig: {"lambda1": "overall_tightness", "lambda2": "cross_tightness",
+                      "lambda3": "lag_decay", "lambda4": "intercept_scale",
+                      "own_lag_mean": "own_lag_mean", "dof_offset": "dof_offset"},
+    ivb.VbConfig: {"max_iters": "max_iters", "tol": "elbo_rel_tol"},
 }
 
-# the JSON type a config file must give each key: float admits integers,
-# no type admits booleans but bool, and null is allowed where the default is None
-TYPES = {
-    "prior": str, "lags": int, "seed": int, "draws": int, "burn_in": int, "max_iters": int,
-    "tol": float, "lambda1": float, "lambda2": float, "lambda3": float, "lambda4": float,
-    "own_lag_mean": float, "dof_offset": int, "timestamps": bool, "out": str, "data": str,
-    "export_draws": str, "export_elbo_trace": str,
-}
+# a config value must have its default's JSON type (float admits integers, only bool
+# admits booleans); a key whose default is None has its type here and also admits null
+UNSET_TYPES = {"seed": int, "out": str, "data": str, "export_draws": str, "export_elbo_trace": str}
 _TYPE_NAMES = {int: "an integer", float: "a number", str: "a string", bool: "true or false"}
+
+# every config-file key, with its default; flags override both
+DEFAULTS = {
+    "prior": "conjugate", "lags": 1, "draws": 2000, "burn_in": 500, "timestamps": False,
+    **dict.fromkeys(UNSET_TYPES),
+    **{key: getattr(kind(), field) for kind, keys in LIBRARY_KEYS.items()
+       for key, field in keys.items()},
+}
 
 PRIORS = ("conjugate", "independent")
 
@@ -114,9 +116,9 @@ def _merge_config(args) -> dict:
 
 
 def _check_type(key, value):
-    kind = TYPES[key]
-    if value is None and DEFAULTS[key] is None:
+    if value is None and key in UNSET_TYPES:
         return
+    kind = UNSET_TYPES.get(key, type(DEFAULTS[key]))
     if (isinstance(value, bool) != (kind is bool)
             or not isinstance(value, (int, float) if kind is float else kind)):
         raise CliError(f"config key {key!r} must be {_TYPE_NAMES[kind]}, got {json.dumps(value)}")
@@ -132,15 +134,9 @@ def _load_design(cfg):
     return build_design(series, cfg["lags"])
 
 
-def _minnesota_config(cfg) -> MinnesotaConfig:
-    return MinnesotaConfig(
-        overall_tightness=cfg["lambda1"],
-        cross_tightness=cfg["lambda2"],
-        lag_decay=cfg["lambda3"],
-        intercept_scale=cfg["lambda4"],
-        own_lag_mean=cfg["own_lag_mean"],
-        dof_offset=cfg["dof_offset"],
-    )
+def _library_config(kind, cfg):
+    """``kind`` (a class of LIBRARY_KEYS) built from the config values of its keys."""
+    return kind(**{field: cfg[key] for key, field in LIBRARY_KEYS[kind].items()})
 
 
 def _write_exports(cfg, vb, draws):
@@ -171,9 +167,12 @@ def _run(cfg, priors) -> int:
     JSON object keyed by prior; the text reports are printed one blank line
     apart.  Returns 2 when VB did not converge, else 0.
 
-    Every output path is checked before the data are loaded, so a missing
-    directory is found before any fitting."""
-    if "independent" not in priors:
+    Every output path, and the number of kept Gibbs draws, is checked
+    before the data are loaded, so neither is found after fitting."""
+    if "independent" in priors:
+        if cfg["draws"] - cfg["burn_in"] < imc.MIN_PREDICTIVE_DRAWS:
+            raise CliError(f"--draws minus --burn-in must be at least {imc.MIN_PREDICTIVE_DRAWS}")
+    else:
         for key in ("export_draws", "export_elbo_trace"):
             if cfg.get(key):
                 raise CliError(f"--{key.replace('_', '-')} needs the independent prior")
@@ -182,7 +181,7 @@ def _run(cfg, priors) -> int:
         if not os.path.isdir(directory):
             raise CliError(f"--{key.replace('_', '-')}: no directory {directory!r}")
     data = _load_design(cfg)
-    mn = _minnesota_config(cfg)
+    mn = _library_config(MinnesotaConfig, cfg)
     x_next = data.next_regressors()
     reports = {}
     status = 0
@@ -194,7 +193,7 @@ def _run(cfg, priors) -> int:
             raise CliError("a --seed is required for stochastic methods")
         gibbs_cfg = imc.GibbsConfig(n_draws=cfg["draws"], burn_in=cfg["burn_in"],
                                     seed=cfg["seed"])
-        vb_cfg = ivb.VbConfig(max_iters=cfg["max_iters"], elbo_rel_tol=cfg["tol"])
+        vb_cfg = _library_config(ivb.VbConfig, cfg)
         prior = minnesota_independent(data, mn)
         # through the module attributes, so a substituted fit is the one run
         vb = ivb.fit_vb_independent(prior, data, vb_cfg)

@@ -85,14 +85,14 @@ def fit_vb_conjugate(prior: ConjugatePrior, data: DesignData) -> ConjugateVbPost
 
 
 def _kl_dofs(n_vars, n_regressors, n_obs, prior_dof):
-    """(M, p, T + prior dof, T + p + prior dof) for the KL formulas, after
-    checking that p and T are nonnegative and T + prior dof > M - 1."""
+    """(M, p, T + prior dof, T + p + prior dof) for the KL formulas and the
+    moment ratios, after checking p, T >= 0 and T + prior dof > M - 1."""
     m, p, t, nu0 = int(n_vars), int(n_regressors), int(n_obs), float(prior_dof)
     if p < 0 or t < 0:
         raise ValueError("n_regressors and n_obs must be nonnegative")
     nub = t + nu0
     if nub <= m - 1:
-        raise ValueError(f"posterior dof T + prior_dof = {nub} must exceed M-1 = {m - 1}")
+        raise UndefinedMomentError(f"T + prior_dof = {nub} must exceed M-1 = {m - 1}")
     return m, p, nub, t + p + nu0
 
 
@@ -281,9 +281,7 @@ def moment_ratios(
     1 - (p+1)/(T + prior dof) factor quoted in the comparison discussion.
     The Monte-Carlo Wishart oracle labels the former "empirical".
     """
-    m, p, t, nu0 = int(n_vars), int(n_regressors), int(n_obs), float(prior_dof)
-    nub = t + nu0
-    nuq = t + p + nu0
+    m, p, nub, nuq = _kl_dofs(n_vars, n_regressors, n_obs, prior_dof)
     if nub <= m + 1:
         raise UndefinedMomentError("coefficient-variance ratio needs T + prior_dof > M+1")
     if nuq <= 2:

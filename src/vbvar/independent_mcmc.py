@@ -40,6 +40,9 @@ __all__ = [
     "lnml_ris",
 ]
 
+# predictive_gibbs needs this many kept draws (n_draws - burn_in)
+MIN_PREDICTIVE_DRAWS = 100
+
 
 @dataclass(frozen=True)
 class GibbsConfig:
@@ -143,8 +146,8 @@ def summarize_draws(draws: GibbsDraws) -> dict:
 def predictive_gibbs(draws: GibbsDraws, x_next, rng: np.random.Generator) -> dict:
     """Simulation predictive: per kept draw, y = (x Gamma)' + eps with
     eps ~ N(0, Sigma) from the drawn precision."""
-    if draws.n_kept < 100:
-        raise ValueError("need at least 100 kept draws for prediction")
+    if draws.n_kept < MIN_PREDICTIVE_DRAWS:
+        raise ValueError(f"need at least {MIN_PREDICTIVE_DRAWS} kept draws for prediction")
     x = np.asarray(x_next, dtype=float).reshape(-1)
     m = draws.n_vars
     n = draws.n_kept

@@ -26,6 +26,7 @@ from .mvdist import (
     NotPositiveDefiniteError,
     UndefinedMomentError,
     WishartDist,
+    check_finite_fields,
     chol_inverse,
     chol_logdet,
     kron_add,
@@ -56,6 +57,7 @@ class VbConfig:
     elbo_rel_tol: float = 1e-9
 
     def __post_init__(self):
+        check_finite_fields(self)
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if self.elbo_rel_tol <= 0:

@@ -113,6 +113,13 @@ def set_fields(obj, **values):
         object.__setattr__(obj, name, value)
 
 
+def check_finite_fields(obj):
+    """Raise ValueError naming the first field of dataclass ``obj`` that is inf or nan."""
+    for name, value in vars(obj).items():
+        if not np.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 def mv_log_gamma(dim: int, a: float) -> float:
     """Log of the multivariate gamma function ln Gamma_M(a).
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mvdist import set_fields, spd_inverse
+from .mvdist import check_finite_fields, set_fields, spd_inverse
 from .vardata import DesignData, InsufficientObservationsError
 
 __all__ = [
@@ -139,6 +139,7 @@ class MinnesotaConfig:
     dof_offset: int = 2
 
     def __post_init__(self):
+        check_finite_fields(self)
         if self.overall_tightness <= 0:
             raise ValueError("overall_tightness must be positive")
         if not 0 < self.cross_tightness <= 1:

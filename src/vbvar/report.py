@@ -39,18 +39,6 @@ _TRACE = {
 }
 
 
-def _jsonable(x):
-    if isinstance(x, np.ndarray):
-        return x.tolist()
-    if isinstance(x, (np.floating, np.integer)):
-        return x.item()
-    if isinstance(x, dict):
-        return {k: _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    return x
-
-
 @dataclass(frozen=True)
 class DiagnosticsReport:
     """Assembled comparison tables plus provenance (seeds, draw counts)."""
@@ -62,13 +50,14 @@ class DiagnosticsReport:
 
     def to_json(self) -> str:
         payload = {
-            "meta": _jsonable(self.model_meta),
-            "kl_section": _jsonable(self.kl_section),
-            "ratio_section": _jsonable(self.ratio_section),
-            "provenance": _jsonable(self.provenance),
+            "meta": self.model_meta,
+            "kl_section": self.kl_section,
+            "ratio_section": self.ratio_section,
+            "provenance": self.provenance,
             "traceability": _TRACE,
         }
-        return json.dumps(payload, indent=2, sort_keys=True)
+        # ndarrays and numpy scalars become Python values (np.float64 is a float)
+        return json.dumps(payload, indent=2, sort_keys=True, default=lambda x: x.tolist())
 
     def to_text(self) -> str:
         lines = []

@@ -2,8 +2,8 @@
 
 Builds the effective-sample response matrix Y (T x M) and regressor matrix
 X (T x p), p = M*d + 1, with rows x_t = (1, y'_{t-1}, ..., y'_{t-d});
-also the stacked block form Z_t used by the independent-prior machinery,
-and a seeded simulator of stable VAR(d) series for tests and demos.
+also the stacked block form Z_t (``z_block``: no solver uses it, the tests
+check ``DesignData.residuals`` against it) and a seeded VAR(d) simulator.
 """
 
 from __future__ import annotations

@@ -10,7 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vbvar.cli import main
+from vbvar.cli import DEFAULTS, main
+from vbvar.independent_vb import VbConfig
+from vbvar.priors import MinnesotaConfig
 from vbvar.vardata import simulate_var
 
 
@@ -168,6 +170,45 @@ class TestFitCommand:
         assert calls == []
         assert flag in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [["fit", "--prior", "independent"], ["compare"]],
+                             ids=["fit", "compare"])
+    def test_too_few_kept_draws_found_before_gibbs(self, data_csv, capsys, monkeypatch,
+                                                   command):
+        from vbvar import independent_mcmc
+
+        calls = []
+        monkeypatch.setattr(independent_mcmc, "gibbs_run", lambda *a, **k: calls.append(a))
+        assert main(command + ["--data", data_csv, "--seed", "5",
+                               "--draws", "20099", "--burn-in", "20000"]) == 1
+        assert calls == []
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "--burn-in" in err
+        assert str(independent_mcmc.MIN_PREDICTIVE_DRAWS) in err
+
+    @pytest.mark.parametrize("flags, file_cfg, field", [
+        (["--tol", "inf"], {}, "elbo_rel_tol"),
+        (["--tol", "nan"], {}, "elbo_rel_tol"),
+        ([], {"tol": float("nan")}, "elbo_rel_tol"),
+        ([], {"lambda1": float("inf")}, "overall_tightness"),
+        ([], {"lambda3": float("-inf")}, "lag_decay"),
+        ([], {"own_lag_mean": float("nan")}, "own_lag_mean"),
+    ], ids=["flag-tol-inf", "flag-tol-nan", "config-tol-nan", "config-lambda1-inf",
+            "config-lambda3-minus-inf", "config-own_lag_mean-nan"])
+    def test_non_finite_setting_exit_1(self, data_csv, tmp_path, capsys, monkeypatch,
+                                       flags, file_cfg, field):
+        from vbvar import independent_mcmc
+
+        calls = []
+        monkeypatch.setattr(independent_mcmc, "gibbs_run", lambda *a, **k: calls.append(a))
+        cfg = tmp_path / "non_finite.json"
+        # json writes the Python floats as Infinity/NaN, which json.load accepts
+        cfg.write_text(json.dumps({"data": data_csv, "prior": "independent", "seed": 5,
+                                   "draws": 300, "burn_in": 100, **file_cfg}))
+        assert main(["fit", "--config", str(cfg)] + flags) == 1
+        assert calls == []
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"{field} must be finite" in err
+
     def test_unwritable_out_exit_1(self, data_csv, tmp_path, capsys):
         # the directory exists, but the path is a directory: open() fails
         assert main(["fit", "--data", data_csv, "--prior", "conjugate",
@@ -221,6 +262,42 @@ class TestConfigFile:
         assert main(["fit", "--config", str(cfg)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and repr(key) in err
+
+    @pytest.mark.parametrize("values, minnesota, vb", [
+        ({}, MinnesotaConfig(), VbConfig()),
+        ({"lambda1": 0.3, "lambda2": 0.5, "lambda3": 2.0, "lambda4": 50.0,
+          "own_lag_mean": 0.5, "dof_offset": 3, "max_iters": 7, "tol": 1e-6},
+         MinnesotaConfig(overall_tightness=0.3, cross_tightness=0.5, lag_decay=2.0,
+                         intercept_scale=50.0, own_lag_mean=0.5, dof_offset=3),
+         VbConfig(max_iters=7, elbo_rel_tol=1e-6)),
+    ], ids=["defaults", "every-key-set"])
+    def test_library_keys_reach_config_fields(self, data_csv, tmp_path, monkeypatch,
+                                              values, minnesota, vb):
+        from vbvar import cli, independent_vb
+
+        assert all(values[key] != DEFAULTS[key] for key in values)
+        built = {}
+        original = cli.minnesota_independent
+
+        class Built(Exception):
+            pass
+
+        def capture_prior(data, mn):
+            built["minnesota"] = mn
+            return original(data, mn)
+
+        def capture_vb(prior, data, vb_cfg):
+            built["vb"] = vb_cfg
+            raise Built
+
+        monkeypatch.setattr(cli, "minnesota_independent", capture_prior)
+        monkeypatch.setattr(independent_vb, "fit_vb_independent", capture_vb)
+        cfg = tmp_path / "library.json"
+        cfg.write_text(json.dumps({"data": data_csv, "prior": "independent", "seed": 5,
+                                   **values}))
+        with pytest.raises(Built):
+            main(["fit", "--config", str(cfg)])
+        assert built == {"minnesota": minnesota, "vb": vb}
 
     def test_not_an_object_exit_1(self, tmp_path, capsys):
         cfg = tmp_path / "list.json"

@@ -305,3 +305,10 @@ class TestMomentRatios:
     def test_dof_bounds(self):
         with pytest.raises(UndefinedMomentError):
             moment_ratios(5, 2, 1, 2.0)
+
+    @pytest.mark.parametrize("args", [(3, -1, 196, 5), (3, 13, -2, 10)],
+                             ids=["negative_p", "negative_T"])
+    def test_negative_p_or_t(self, args):
+        # (3, -1, 196, 5) once gave prec_var_ratio_wishart and mode_ratio 1.005
+        with pytest.raises(ValueError, match="nonnegative"):
+            moment_ratios(*args)

@@ -30,6 +30,25 @@ def test_compare_methods_writes_both_reports(tmp_path):
     assert payload["independent"]["provenance"]["n_draws"] == 400
 
 
+def test_ratio_tables_prints_both_tables():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                      env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "ratio_tables.py"), "--mc-draws", "200"],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("T = 196\n")
+    rows = [line.split() for line in proc.stdout.splitlines()
+            if line.startswith(("small", "medium", "large"))]
+    kl_rows, ratio_rows, empirical_rows = rows[:3], rows[3:6], rows[6:]
+    assert kl_rows[0][2] == "0.189003"  # kl_exact(3, 13, 196, 5), as `vbvar kl` prints it
+    # VB underestimates: every moment ratio of moment_ratios lies in (0, 1)
+    assert all(0.0 < float(cell) < 1.0 for row in ratio_rows for cell in row[2:])
+    assert len(empirical_rows) == 2
+
+
 def test_same_outputs_measures_numeric_drift():
     spec = importlib.util.spec_from_file_location("same_outputs",
                                                   ROOT / "scripts" / "same_outputs.py")
