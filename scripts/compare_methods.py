@@ -32,7 +32,7 @@ def main():
     parser.add_argument("--out", help="write both reports as JSON")
     args = parser.parse_args()
 
-    series = simulate_var(args.n_vars, args.lags, args.t, args.seed)
+    values = simulate_var(args.n_vars, args.lags, args.t, args.seed)
     argv = ["compare", "--lags", args.lags, "--seed", args.seed + 1,
             "--draws", args.draws, "--burn-in", args.burn_in]
     if args.out:
@@ -40,8 +40,8 @@ def main():
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "series.csv")
         # '%.18e' keeps 19 significant digits, so every value reads back exactly
-        np.savetxt(path, series.values, delimiter=",", header=",".join(series.names),
-                   comments="")
+        np.savetxt(path, values, delimiter=",",
+                   header=",".join(f"y{j}" for j in range(args.n_vars)), comments="")
         status = cli.main([str(a) for a in argv + ["--data", path]])
     if args.out:
         print(f"\nwrote {args.out}")

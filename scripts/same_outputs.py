@@ -5,8 +5,9 @@ Usage:
 
 The three input series are written once, by perfbench's own simulator
 (perfbench/workloads.simulate_var with seeds model_seed(7, i)), the models
-of the vb-sweep workload, together with the JSON config files of CONFIGS,
-each pointing at the first series.  Each command in COMMANDS then runs in both
+of the vb-sweep workload, together with a copy of the first series with a
+leading date column (read with --timestamps) and the JSON config files of
+CONFIGS, each pointing at the first series.  Each command in COMMANDS then runs in both
 checkouts with PYTHONPATH=<checkout>/src, each run in its own empty working
 directory, so relative output paths land there.  Exit code, stdout, stderr
 and every file a run writes are compared byte for byte.  One line is
@@ -51,8 +52,8 @@ CONFIGS = {
 EXPORTS = ["--export-draws", "draws.csv", "--export-elbo-trace", "trace.csv"]
 
 # (label, argv); "vbvar" runs the CLI, "demo" scripts/compare_methods.py,
-# {m3}, {m7}, {m20} stand for the input CSV paths and {cfg}, {cfg_all} for the
-# config files
+# {m3}, {m7}, {m20} stand for the input CSV paths, {m3_dated} for the dated
+# copy of {m3} and {cfg}, {cfg_all} for the config files
 COMMANDS = [
     ("compare Mp=21", ["vbvar", "compare", "--data", "{m3}", "--lags", "2", "--seed", "7",
                        "--out", "report.json"]),
@@ -72,14 +73,17 @@ COMMANDS = [
     ("compare --config", ["vbvar", "compare", "--config", "{cfg}", "--out", "report.json"]),
     ("fit --config, every library key", ["vbvar", "fit", "--config", "{cfg_all}",
                                          "--out", "report.json", *EXPORTS]),
+    ("fit --timestamps", ["vbvar", "fit", "--data", "{m3_dated}", "--timestamps",
+                          "--lags", "2", "--out", "report.json"]),
     ("demo script", ["demo", "--t", "120", "--draws", "1500", "--burn-in", "300",
                      "--out", "report.json"]),
 ]
 
 
 def write_inputs(directory: Path) -> dict:
-    """Simulate and write each model's series and each config file;
-    name -> path, with the names of CONFIGS for the config files."""
+    """Simulate and write each model's series, the dated copy of the first
+    and each config file; name -> path, with "m3_dated" for the dated copy
+    and the names of CONFIGS for the config files."""
     sys.path[:0] = [str(ROOT), str(ROOT / "src")]
     from perfbench.workloads import Model, model_seed, simulate_var, write_series_csv
 
@@ -87,6 +91,11 @@ def write_inputs(directory: Path) -> dict:
     for i, (name, dims) in enumerate(MODELS.items()):
         paths[name] = directory / f"{name}.csv"
         write_series_csv(simulate_var(Model(*dims), model_seed(7, i)), paths[name])
+    header, *rows = paths["m3"].read_text(encoding="utf-8").splitlines()
+    dated = [f"date,{header}"] + [f"{1950 + i // 4}Q{i % 4 + 1},{row}"
+                                  for i, row in enumerate(rows)]
+    paths["m3_dated"] = directory / "m3_dated.csv"
+    paths["m3_dated"].write_text("\n".join(dated) + "\n", encoding="utf-8")
     for name, config in CONFIGS.items():
         paths[name] = directory / f"{name}.json"
         paths[name].write_text(json.dumps({**config, "data": str(paths["m3"])}),

@@ -56,6 +56,6 @@ from .priors import (
     minnesota_independent,
 )
 from .report import DiagnosticsReport, conjugate_report, independent_report
-from .vardata import DesignData, RawSeries, build_design, load_csv, z_block
+from .vardata import DesignData, build_design, load_csv, z_block
 
 __version__ = "0.1.0"

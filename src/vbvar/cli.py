@@ -128,10 +128,10 @@ def _load_design(cfg):
     if not cfg.get("data"):
         raise CliError("no data file given (--data or config 'data')")
     try:
-        series = load_csv(cfg["data"], has_timestamps=cfg["timestamps"])
+        values = load_csv(cfg["data"], has_timestamps=cfg["timestamps"])
     except OSError as exc:
         raise CliError(f"cannot read data file {cfg['data']}: {exc}") from exc
-    return build_design(series, cfg["lags"])
+    return build_design(values, cfg["lags"])
 
 
 def _library_config(kind, cfg):
@@ -167,11 +167,15 @@ def _run(cfg, priors) -> int:
     JSON object keyed by prior; the text reports are printed one blank line
     apart.  Returns 2 when VB did not converge, else 0.
 
-    Every output path, and the number of kept Gibbs draws, is checked
-    before the data are loaded, so neither is found after fitting."""
+    Every output path, the number of kept Gibbs draws and the seed are
+    checked before the data are loaded, so none is found after fitting."""
     if "independent" in priors:
         if cfg["draws"] - cfg["burn_in"] < imc.MIN_PREDICTIVE_DRAWS:
             raise CliError(f"--draws minus --burn-in must be at least {imc.MIN_PREDICTIVE_DRAWS}")
+        if cfg.get("seed") is None:
+            raise CliError("a --seed is required for stochastic methods")
+        if cfg["seed"] < 0:
+            raise CliError(f"--seed must be >= 0, got {cfg['seed']}")
     else:
         for key in ("export_draws", "export_elbo_trace"):
             if cfg.get(key):
@@ -189,8 +193,6 @@ def _run(cfg, priors) -> int:
         if name == "conjugate":
             reports[name] = conjugate_report(minnesota_conjugate(data, mn), data, x_next)
             continue
-        if cfg.get("seed") is None:
-            raise CliError("a --seed is required for stochastic methods")
         gibbs_cfg = imc.GibbsConfig(n_draws=cfg["draws"], burn_in=cfg["burn_in"],
                                     seed=cfg["seed"])
         vb_cfg = _library_config(ivb.VbConfig, cfg)

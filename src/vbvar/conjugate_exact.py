@@ -91,8 +91,10 @@ def marginal_coefficients(post: ConjugateExactPosterior) -> MatricT:
     return MatricT(post.mean_G, post.scale, post.row_cov, post.dof)
 
 
-def log_marginal_likelihood(prior: ConjugatePrior, post: ConjugateExactPosterior) -> float:
-    """Closed-form log marginal likelihood of the conjugate VAR."""
+def _log_evidence_head(prior: ConjugatePrior, post: ConjugateExactPosterior) -> float:
+    """The leading terms that the log marginal likelihood and the conjugate
+    ELBO share: -MT/2 ln pi and the log-determinant terms of the prior and
+    posterior row covariances and scales."""
     m = post.n_vars
     t = post.n_obs
     return (
@@ -100,6 +102,14 @@ def log_marginal_likelihood(prior: ConjugatePrior, post: ConjugateExactPosterior
         + m / 2.0 * (chol_logdet(spd_cholesky(post.row_cov, "row_cov")) - prior.logdet_row_cov)
         - post.dof / 2.0 * chol_logdet(spd_cholesky(post.scale, "scale"))
         + prior.dof / 2.0 * prior.logdet_scale
+    )
+
+
+def log_marginal_likelihood(prior: ConjugatePrior, post: ConjugateExactPosterior) -> float:
+    """Closed-form log marginal likelihood of the conjugate VAR."""
+    m = post.n_vars
+    return (
+        _log_evidence_head(prior, post)
         + mv_log_gamma(m, post.dof / 2.0)
         - mv_log_gamma(m, prior.dof / 2.0)
     )

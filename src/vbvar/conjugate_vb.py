@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .conjugate_exact import ConjugateExactPosterior, fit_exact
+from .conjugate_exact import ConjugateExactPosterior, _log_evidence_head, fit_exact
 from .mvdist import (
     MatricNormal,
     MultivariateT,
@@ -86,10 +86,13 @@ def fit_vb_conjugate(prior: ConjugatePrior, data: DesignData) -> ConjugateVbPost
 
 def _kl_dofs(n_vars, n_regressors, n_obs, prior_dof):
     """(M, p, T + prior dof, T + p + prior dof) for the KL formulas and the
-    moment ratios, after checking p, T >= 0 and T + prior dof > M - 1."""
+    moment ratios, after checking p, T >= 0, a finite prior dof and
+    T + prior dof > M - 1."""
     m, p, t, nu0 = int(n_vars), int(n_regressors), int(n_obs), float(prior_dof)
     if p < 0 or t < 0:
         raise ValueError("n_regressors and n_obs must be nonnegative")
+    if not np.isfinite(nu0):
+        raise ValueError(f"prior_dof must be finite, got {nu0}")
     nub = t + nu0
     if nub <= m - 1:
         raise UndefinedMomentError(f"T + prior_dof = {nub} must exceed M-1 = {m - 1}")
@@ -129,14 +132,10 @@ def elbo_conjugate(prior: ConjugatePrior, vb_post: ConjugateVbPosterior) -> floa
     Satisfies lnML - ELBO = kl_exact(M, p, T, prior_dof) exactly; equals the
     Monte-Carlo estimate of E_q[ln p(Y, theta) - ln q(theta)].
     """
-    m, p, t = vb_post.n_vars, vb_post.n_regressors, vb_post.n_obs
+    m, p = vb_post.n_vars, vb_post.n_regressors
     nub, nuq, nu0 = vb_post.dof, vb_post.dof_q, vb_post.prior_dof
     return (
-        -m * t / 2.0 * np.log(np.pi)
-        + m / 2.0 * (chol_logdet(spd_cholesky(vb_post.row_cov, "row_cov"))
-                     - prior.logdet_row_cov)
-        - nub / 2.0 * chol_logdet(spd_cholesky(vb_post.scale, "scale"))
-        + nu0 / 2.0 * prior.logdet_scale
+        _log_evidence_head(prior, vb_post)
         + m * p / 2.0 * (np.log(2.0) + 1.0)
         + m / 2.0 * (nub * np.log(nub) - nuq * np.log(nuq))
         + mv_log_gamma(m, nuq / 2.0)
@@ -260,14 +259,11 @@ def predictive_vb_conjugate(vb_post: ConjugateVbPosterior, x_next) -> VbPredicti
 
 
 def vb_modes(vb_post: ConjugateVbPosterior) -> dict:
-    """Modes of the VB posterior: coefficients at mean_G, precision at
-    (dof_q - M - 1) * scale_q^-1."""
-    m = vb_post.n_vars
-    if vb_post.dof_q <= m + 1:
-        raise UndefinedMomentError("VB precision mode needs dof_q > M+1")
+    """Modes of the VB posterior: coefficients at mean_G, precision at the
+    mode (dof_q - M - 1) * scale_q^-1 of q(Sigma^-1)."""
     return {
         "coefficients": np.asarray(vb_post.mean_G),
-        "precision": (vb_post.dof_q - m - 1) * spd_inverse(vb_post.scale_q, "scale_q")[0],
+        "precision": vb_post.precision_density().mode(),
     }
 
 

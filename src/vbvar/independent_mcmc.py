@@ -59,6 +59,8 @@ class GibbsConfig:
             raise ValueError("burn_in must be >= 0")
         if self.burn_in >= self.n_draws:
             raise ValueError("burn_in must be smaller than n_draws")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,18 @@
 """Raw-series ingestion and VAR(d) design-matrix construction.
 
-Builds the effective-sample response matrix Y (T x M) and regressor matrix
-X (T x p), p = M*d + 1, with rows x_t = (1, y'_{t-1}, ..., y'_{t-d});
-also the stacked block form Z_t (``z_block``: no solver uses it, the tests
-check ``DesignData.residuals`` against it) and a seeded VAR(d) simulator.
+A raw series is a plain (T_raw x M) float array, as ``load_csv`` reads it
+and the seeded simulator ``simulate_var`` draws it.  ``build_design`` turns
+it into the effective-sample response matrix Y (T x M) and regressor
+matrix X (T x p), p = M*d + 1, with rows x_t = (1, y'_{t-1}, ..., y'_{t-d}).
+``DesignData`` rejects non-finite Y or X, so no prior or fit sees one.
+Also the stacked block form Z_t (``z_block``: no solver uses it, the tests
+check ``DesignData.residuals`` against it).
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +23,6 @@ __all__ = [
     "CsvFormatError",
     "MissingValueError",
     "InsufficientObservationsError",
-    "RawSeries",
     "DesignData",
     "load_csv",
     "build_design",
@@ -33,41 +36,11 @@ class CsvFormatError(ValueError):
 
 
 class MissingValueError(CsvFormatError):
-    """A data cell is empty; names the offending row and column."""
+    """A data cell is empty or not finite; names the offending row and column."""
 
 
 class InsufficientObservationsError(ValueError):
     """Too few raw observations for the requested lag order."""
-
-
-@dataclass(frozen=True)
-class RawSeries:
-    """Multivariate series: values (T_raw x M), variable names, optional timestamps."""
-
-    values: np.ndarray
-    names: tuple
-    timestamps: tuple | None = None
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 2:
-            raise ValueError("values must be a 2-D array")
-        if v.shape[1] < 1:
-            raise ValueError("need at least one variable")
-        if not np.all(np.isfinite(v)):
-            raise MissingValueError("values contain non-finite entries")
-        if len(self.names) != v.shape[1]:
-            raise ValueError("names length must equal number of columns")
-        set_fields(self, values=v, names=tuple(self.names),
-                   timestamps=None if self.timestamps is None else tuple(self.timestamps))
-
-    @property
-    def n_obs(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def n_vars(self) -> int:
-        return self.values.shape[1]
 
 
 @dataclass(frozen=True)
@@ -88,6 +61,8 @@ class DesignData:
             raise ValueError(
                 f"X has {x.shape[1]} columns, expected p = M*d+1 = {m * self.lag_order + 1}"
             )
+        if not (np.all(np.isfinite(y)) and np.all(np.isfinite(x))):
+            raise ValueError("Y and X must be finite")
         set_fields(self, Y=y, X=x)
 
     @property
@@ -131,11 +106,11 @@ class DesignData:
         return e.T @ e + d.transpose(0, 2, 1) @ d
 
 
-def load_csv(path, has_timestamps: bool = False) -> RawSeries:
-    """Read a UTF-8 comma-delimited file with a header row into a RawSeries.
+def load_csv(path, has_timestamps: bool = False) -> np.ndarray:
+    """Read a UTF-8 comma-delimited file with a header row into a
+    (T_raw x M) float array, one column per variable.
 
-    When ``has_timestamps`` is set the first column is kept as string
-    metadata and the remaining columns become variables.
+    When ``has_timestamps`` is set the first column is skipped.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -150,15 +125,12 @@ def load_csv(path, has_timestamps: bool = False) -> RawSeries:
     names = [h.strip() for h in header[start:]]
     if not names:
         raise CsvFormatError(f"{path}: no variable columns")
-    timestamps = [] if has_timestamps else None
     data = np.empty((len(rows), len(names)))
     for i, row in enumerate(rows):
         if len(row) != len(header):
             raise CsvFormatError(
                 f"{path}: row {i + 2} has {len(row)} fields, expected {len(header)}"
             )
-        if has_timestamps:
-            timestamps.append(row[0].strip())
         for j, cell in enumerate(row[start:]):
             text = cell.strip()
             if not text:
@@ -166,18 +138,22 @@ def load_csv(path, has_timestamps: bool = False) -> RawSeries:
                     f"{path}: empty cell at row {i + 2}, column '{names[j]}'"
                 )
             try:
-                data[i, j] = float(text)
+                value = float(text)
             except ValueError:
                 raise CsvFormatError(
                     f"{path}: non-numeric value {text!r} at row {i + 2}, "
                     f"column '{names[j]}'"
                 ) from None
-    return RawSeries(values=data, names=tuple(names),
-                     timestamps=tuple(timestamps) if timestamps is not None else None)
+            if not math.isfinite(value):
+                raise MissingValueError(
+                    f"{path}: non-finite value {text!r} at row {i + 2}, column '{names[j]}'"
+                )
+            data[i, j] = value
+    return data
 
 
-def build_design(series: RawSeries, lag_order: int) -> DesignData:
-    """Assemble VAR(d) design matrices from a raw series.
+def build_design(values, lag_order: int) -> DesignData:
+    """Assemble VAR(d) design matrices from a (T_raw x M) raw series.
 
     Row t of X is (1, y'_{t-1}, ..., y'_{t-d}); Y keeps rows d+1..T_raw,
     so the effective sample size is T_raw - d.
@@ -185,17 +161,20 @@ def build_design(series: RawSeries, lag_order: int) -> DesignData:
     d = int(lag_order)
     if d < 1:
         raise ValueError(f"lag order must be >= 1, got {d}")
-    t_raw, m = series.values.shape
+    values = np.array(values, dtype=float)
+    if values.ndim != 2 or values.shape[1] < 1:
+        raise ValueError("the raw series must be a 2-D array with at least one column")
+    t_raw, m = values.shape
     if t_raw <= d:
         raise InsufficientObservationsError(
             f"need more than d={d} observations, have {t_raw}"
         )
     t_eff = t_raw - d
-    y = series.values[d:]
+    y = values[d:]
     x = np.empty((t_eff, m * d + 1))
     x[:, 0] = 1.0
     for lag in range(1, d + 1):
-        x[:, 1 + (lag - 1) * m: 1 + lag * m] = series.values[d - lag: t_raw - lag]
+        x[:, 1 + (lag - 1) * m: 1 + lag * m] = values[d - lag: t_raw - lag]
     return DesignData(Y=y, X=x, lag_order=d)
 
 
@@ -209,9 +188,9 @@ def z_block(x_row, n_vars: int) -> np.ndarray:
     return np.kron(np.eye(int(n_vars)), x)
 
 
-def simulate_var(n_vars: int, lag_order: int, t_raw: int, seed: int) -> RawSeries:
-    """Simulate a stable VAR(d) series with mildly correlated innovations,
-    after a 50-step warm-up; deterministic given seed."""
+def simulate_var(n_vars: int, lag_order: int, t_raw: int, seed: int) -> np.ndarray:
+    """Simulate a stable (t_raw x n_vars) VAR(d) series with mildly
+    correlated innovations, after a 50-step warm-up; deterministic given seed."""
     rng = np.random.default_rng(seed)
     m, d = n_vars, lag_order
     coefs = []
@@ -238,4 +217,4 @@ def simulate_var(n_vars: int, lag_order: int, t_raw: int, seed: int) -> RawSerie
         for lag, a in enumerate(coefs):
             mean = mean + a @ values[t - lag - 1]
         values[t] = mean + chol @ rng.standard_normal(m)
-    return RawSeries(values=values[warmup:], names=tuple(f"y{j}" for j in range(m)))
+    return values[warmup:]

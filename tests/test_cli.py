@@ -7,7 +7,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from vbvar.cli import DEFAULTS, main
@@ -23,7 +22,7 @@ def data_csv(tmp_path_factory):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["a", "b"])
-        writer.writerows(np.asarray(values.values).tolist())
+        writer.writerows(values.tolist())
     return str(path)
 
 
@@ -53,6 +52,14 @@ class TestKlCommand:
         assert main(["kl", "--M", "5", "--p", "2", "--T", "0",
                      "--nu0", "2"]) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("nu0", ["nan", "inf"])
+    def test_non_finite_nu0_exit_1(self, nu0, capsys):
+        # both once printed kl_exact nan and exited 0
+        assert main(["kl", "--M", "3", "--p", "13", "--T", "196", "--nu0", nu0]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: prior_dof must be finite" in captured.err
 
 
 class TestFitCommand:
@@ -184,6 +191,28 @@ class TestFitCommand:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "--burn-in" in err
         assert str(independent_mcmc.MIN_PREDICTIVE_DRAWS) in err
+
+    @pytest.mark.parametrize("command, flags, file_cfg", [
+        (["fit", "--prior", "independent"], ["--seed", "-1"], {}),
+        (["fit", "--prior", "independent"], [], {"seed": -1}),
+        (["compare"], ["--seed", "-3"], {"seed": 7}),
+    ], ids=["fit-flag", "fit-config", "compare-flag"])
+    def test_negative_seed_found_before_fitting(self, data_csv, tmp_path, capsys, monkeypatch,
+                                                command, flags, file_cfg):
+        # a negative seed once failed in numpy, naming no flag, after the VB fit
+        from vbvar import cli, independent_mcmc, independent_vb
+
+        def never(*args, **kwargs):
+            raise AssertionError("called before the seed was checked")
+
+        monkeypatch.setattr(cli, "_load_design", never)
+        monkeypatch.setattr(independent_vb, "fit_vb_independent", never)
+        monkeypatch.setattr(independent_mcmc, "gibbs_run", never)
+        cfg = tmp_path / "seed.json"
+        cfg.write_text(json.dumps({"data": data_csv, **file_cfg}))
+        assert main(command + ["--config", str(cfg)] + flags) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --seed must be >= 0, got -")
 
     @pytest.mark.parametrize("flags, file_cfg, field", [
         (["--tol", "inf"], {}, "elbo_rel_tol"),

@@ -312,3 +312,12 @@ class TestMomentRatios:
         # (3, -1, 196, 5) once gave prec_var_ratio_wishart and mode_ratio 1.005
         with pytest.raises(ValueError, match="nonnegative"):
             moment_ratios(*args)
+
+
+@pytest.mark.parametrize("nu0", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("fn", [kl_exact, kl_stirling, moment_ratios],
+                         ids=lambda fn: fn.__name__)
+def test_non_finite_prior_dof(fn, nu0):
+    # nan and inf once gave nan KL values and ratios
+    with pytest.raises(ValueError, match="prior_dof must be finite"):
+        fn(3, 13, 196, nu0)

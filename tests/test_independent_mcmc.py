@@ -108,6 +108,10 @@ class TestGibbsConfig:
         with pytest.raises(ValueError):
             GibbsConfig(n_draws=0, burn_in=0, seed=0)
 
+    def test_negative_seed(self):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            GibbsConfig(n_draws=10, burn_in=0, seed=-1)
+
 
 class TestSummarize:
     def test_constant_series(self, toy):

@@ -17,8 +17,7 @@ from vbvar.priors import IndependentPrior
 from vbvar.report import DiagnosticsReport
 from vbvar.vardata import build_design, simulate_var
 
-SERIES = simulate_var(2, 1, 40, seed=1)
-DATA = build_design(SERIES, 1)
+DATA = build_design(simulate_var(2, 1, 40, seed=1), 1)
 CPRIOR = random_conjugate_prior(2, 3, seed=2)
 IPRIOR = random_independent_prior(2, 3, seed=3)
 
@@ -42,7 +41,6 @@ CASES = {
                                {"mean_b", "cov_b", "scale_q"}),
     "GibbsDraws": (lambda: gibbs_run(IPRIOR, DATA, GibbsConfig(n_draws=5, burn_in=0, seed=4)),
                    {"beta_draws", "precision_draws"}),
-    "RawSeries": (lambda: SERIES, {"values"}),
     "DesignData": (lambda: DATA, {"Y", "X"}),
 }
 

@@ -10,7 +10,6 @@ from vbvar.vardata import (
     DesignData,
     InsufficientObservationsError,
     MissingValueError,
-    RawSeries,
     build_design,
     load_csv,
     z_block,
@@ -27,13 +26,21 @@ class TestLoadCsv:
     def test_shapes(self, tmp_path):
         rows = "\n".join(f"{i},{i + 0.5},{i - 1}" for i in range(200))
         path = _write(tmp_path, "a,b,c\n" + rows + "\n")
-        s = load_csv(path)
-        assert s.n_vars == 3 and s.n_obs == 200
-        assert s.names == ("a", "b", "c")
+        values = load_csv(path)
+        assert values.shape == (200, 3)
+        assert values.dtype == float
+        np.testing.assert_array_equal(values[5], [5.0, 5.5, 4.0])
 
     def test_blank_cell_names_location(self, tmp_path):
         path = _write(tmp_path, "a,b\n1,2\n3,\n")
         with pytest.raises(MissingValueError, match=r"row 3, column 'b'"):
+            load_csv(path)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+    def test_non_finite_names_location(self, tmp_path, cell):
+        path = _write(tmp_path, f"a,b\n1,2\n3,{cell}\n")
+        with pytest.raises(MissingValueError,
+                           match=rf"non-finite value '{cell}' at row 3, column 'b'"):
             load_csv(path)
 
     def test_header_only(self, tmp_path):
@@ -58,55 +65,51 @@ class TestLoadCsv:
 
     def test_timestamps(self, tmp_path):
         path = _write(tmp_path, "date,a,b\n2001Q1,1,2\n2001Q2,3,4\n")
-        s = load_csv(path, has_timestamps=True)
-        assert s.n_vars == 2
-        assert s.timestamps == ("2001Q1", "2001Q2")
-        np.testing.assert_allclose(s.values, [[1, 2], [3, 4]])
-
-
-class TestRawSeries:
-    def test_rejects_nan(self):
-        with pytest.raises(MissingValueError):
-            RawSeries(np.array([[1.0, np.nan]]), ("a", "b"))
-
-    def test_name_length_check(self):
-        with pytest.raises(ValueError):
-            RawSeries(np.ones((3, 2)), ("a",))
+        values = load_csv(path, has_timestamps=True)
+        np.testing.assert_array_equal(values, [[1, 2], [3, 4]])
 
 
 class TestBuildDesign:
     def test_lag1_rows(self):
         raw = np.arange(8.0).reshape(4, 2)  # rows r1..r4
-        s = RawSeries(raw, ("a", "b"))
-        d = build_design(s, 1)
+        d = build_design(raw, 1)
         np.testing.assert_allclose(d.Y, raw[1:])
         np.testing.assert_allclose(d.X[0], [1.0, raw[0, 0], raw[0, 1]])
         np.testing.assert_allclose(d.X[:, 0], 1.0)
 
     def test_reference_dimensions(self):
-        s = RawSeries(np.random.default_rng(0).standard_normal((200, 3)),
-                      ("a", "b", "c"))
-        d = build_design(s, 4)
+        d = build_design(np.random.default_rng(0).standard_normal((200, 3)), 4)
         assert d.effective_T == 196
         assert d.n_regressors == 13
         assert d.n_vars == 3
 
     def test_lag_ordering(self):
         raw = np.arange(10.0).reshape(5, 2)
-        d = build_design(RawSeries(raw, ("a", "b")), 2)
+        d = build_design(raw, 2)
         # row t: (1, y'_{t-1}, y'_{t-2})
         np.testing.assert_allclose(d.X[0], [1.0, *raw[1], *raw[0]])
         np.testing.assert_allclose(d.Y[0], raw[2])
 
     def test_insufficient_observations(self):
-        s = RawSeries(np.ones((3, 1)), ("a",))
         with pytest.raises(InsufficientObservationsError):
-            build_design(s, 3)
+            build_design(np.ones((3, 1)), 3)
 
     def test_invalid_lag(self):
-        s = RawSeries(np.ones((3, 1)), ("a",))
         with pytest.raises(ValueError):
-            build_design(s, 0)
+            build_design(np.ones((3, 1)), 0)
+
+    @pytest.mark.parametrize("shape", [(5,), (5, 0), (5, 2, 1)])
+    def test_rejects_non_matrix(self, shape):
+        with pytest.raises(ValueError, match="2-D array with at least one column"):
+            build_design(np.ones(shape), 1)
+
+    @pytest.mark.parametrize("row", [0, 2, 3])
+    def test_rejects_nan(self, row):
+        # row 0 reaches only X, row 3 only Y, row 2 both
+        raw = np.ones((4, 2))
+        raw[row, 1] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            build_design(raw, 1)
 
     def test_roundtrip_zero_noise(self):
         # data generated as Y = X Gamma reproduces zero residuals
@@ -118,7 +121,7 @@ class TestBuildDesign:
         for t in range(d, t_raw):
             x = np.concatenate([[1.0], values[t - 1], values[t - 2]])
             values[t] = x @ gamma
-        dd = build_design(RawSeries(values, ("a", "b")), d)
+        dd = build_design(values, d)
         np.testing.assert_allclose(dd.Y - dd.X @ gamma, 0.0, atol=1e-12)
 
 
@@ -145,7 +148,7 @@ class TestZBlock:
     def test_design_residuals(self, d):
         # row t of DesignData.residuals(beta) is y_t - Z_t beta
         rng = np.random.default_rng(10 + d)
-        dd = build_design(RawSeries(rng.standard_normal((20, 3)), ("a", "b", "c")), d)
+        dd = build_design(rng.standard_normal((20, 3)), d)
         beta = rng.standard_normal(dd.n_vars * dd.n_regressors)
         expected = [y - z_block(x, dd.n_vars) @ beta for y, x in zip(dd.Y, dd.X)]
         np.testing.assert_allclose(dd.residuals(beta), expected, rtol=1e-13, atol=1e-13)
@@ -182,9 +185,17 @@ class TestDesignData:
     def test_next_regressors_is_next_design_row(self, d, extra):
         # effective T = extra: 1 is the shortest sample with a design at all
         raw = np.random.default_rng(d).standard_normal((d + extra + 1, 2))
-        design = build_design(RawSeries(raw[:-1], ("a", "b")), d)
-        extended = build_design(RawSeries(raw, ("a", "b")), d)
+        design = build_design(raw[:-1], d)
+        extended = build_design(raw, d)
         np.testing.assert_array_equal(design.next_regressors(), extended.X[-1])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["Y", "X"])
+    def test_rejects_non_finite(self, where, bad):
+        arrays = {"Y": np.ones((4, 2)), "X": np.ones((4, 3))}
+        arrays[where][2, 1] = bad
+        with pytest.raises(ValueError, match="Y and X must be finite"):
+            DesignData(**arrays, lag_order=1)
 
     @pytest.mark.parametrize("m", [1, 2])
     def test_next_regressors_at_lag_order_0(self, m):
