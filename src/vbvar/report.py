@@ -21,21 +21,32 @@ from .vardata import DesignData
 
 __all__ = ["DiagnosticsReport", "conjugate_report", "independent_report"]
 
+# per report kind, the library functions behind each kl_section and
+# ratio_section cell
 _TRACE = {
-    "lnml": "log_marginal_likelihood",
-    "lnml_ris": "lnml_ris",
-    "elbo": "elbo_conjugate",
-    "elbo_independent": "elbo_independent",
-    "kl": "kl_exact",
-    "kl_stirling": "kl_stirling",
-    "coef_var_ratio": "moment_ratios",
-    "prec_var_ratio_wishart": "moment_ratios",
-    "prec_var_ratio_text": "moment_ratios",
-    "mode_ratio": "moment_ratios",
-    "pred_var_ratio": "moment_ratios",
-    "precision_mean_ratio": "summarize_draws",
-    "precision_var_ratio": "summarize_draws",
-    "pred_mean_ratio": "predictive_gibbs",
+    "conjugate": {
+        "lnml": "log_marginal_likelihood",
+        "elbo": "elbo_conjugate",
+        "kl": "kl_exact",
+        "kl_stirling": "kl_stirling",
+        "identity_residual": "log_marginal_likelihood - elbo_conjugate - kl_exact",
+        "coef_var_ratio": "moment_ratios",
+        "prec_var_ratio_wishart": "moment_ratios",
+        "prec_var_ratio_text": "moment_ratios",
+        "mode_ratio": "moment_ratios",
+        "pred_var_ratio": "moment_ratios",
+        "pred_mean_ratio": "1: predictive_vb_conjugate and predictive_exact share the mean",
+        "pred_var_ratio_at_x": "predictive_vb_conjugate / predictive_exact",
+    },
+    "independent": {
+        "lnml_ris": "lnml_ris",
+        "elbo": "elbo_independent",
+        "kl": "lnml_ris - elbo_independent",
+        "precision_mean_ratio": "fit_vb_independent / summarize_draws",
+        "precision_var_ratio": "fit_vb_independent / summarize_draws",
+        "pred_mean_ratio": "predictive_vb_independent / predictive_gibbs",
+        "pred_var_ratio": "predictive_vb_independent / predictive_gibbs",
+    },
 }
 
 
@@ -54,7 +65,7 @@ class DiagnosticsReport:
             "kl_section": self.kl_section,
             "ratio_section": self.ratio_section,
             "provenance": self.provenance,
-            "traceability": _TRACE,
+            "traceability": _TRACE[self.model_meta["prior_type"]],
         }
         # ndarrays and numpy scalars become Python values (np.float64 is a float)
         return json.dumps(payload, indent=2, sort_keys=True, default=lambda x: x.tolist())

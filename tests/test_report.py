@@ -51,6 +51,11 @@ class TestConjugateReport:
         assert set(parsed) == {"meta", "kl_section", "ratio_section",
                                "provenance", "traceability"}
 
+    def test_traceability(self, conj_report):
+        trace = _assert_traces_every_cell(conj_report)
+        assert trace["elbo"] == "elbo_conjugate"
+        assert trace["pred_var_ratio_at_x"] == "predictive_vb_conjugate / predictive_exact"
+
     def test_fits_exact_once(self, medium_design, monkeypatch):
         from vbvar import conjugate_exact, conjugate_vb
 
@@ -68,6 +73,15 @@ class TestConjugateReport:
         assert "conjugate VAR" in text
         assert "kl_stirling" in text
         assert "coef_var_ratio" in text
+
+
+def _assert_traces_every_cell(report):
+    # one traceability entry per kl_section and ratio_section cell, no more
+    trace = json.loads(report.to_json())["traceability"]
+    kl, ratios = set(report.kl_section), set(report.ratio_section)
+    assert not kl & ratios
+    assert set(trace) == kl | ratios
+    return trace
 
 
 def _fits(prior, data, cfg):
@@ -135,6 +149,14 @@ class TestIndependentReport:
         assert rep.provenance["ris_degenerate_weights"] is True
         assert json.loads(rep.to_json())["provenance"]["ris_degenerate_weights"] is True
         assert "warning: degenerate RIS weights (ESS 3.3 of 200 kept draws)" in rep.to_text()
+
+    def test_traceability(self, indep_report):
+        # the elbo, kl and pred_var_ratio cells were once traced to the
+        # conjugate closed forms
+        trace = _assert_traces_every_cell(indep_report[-1])
+        assert trace["elbo"] == "elbo_independent"
+        assert trace["kl"] == "lnml_ris - elbo_independent"
+        assert trace["pred_var_ratio"] == "predictive_vb_independent / predictive_gibbs"
 
     def test_deterministic(self, indep_report):
         prior, data, x, cfg, rep = indep_report
