@@ -167,15 +167,15 @@ def _run(cfg, priors) -> int:
     JSON object keyed by prior; the text reports are printed one blank line
     apart.  Returns 2 when VB did not converge, else 0.
 
-    Every output path, the number of kept Gibbs draws and the seed are
-    checked before the data are loaded, so none is found after fitting."""
+    Every output path and the Gibbs chain's settings (kept draws, seed)
+    are checked before the data are loaded, so none is found after fitting."""
     if "independent" in priors:
         if cfg["draws"] - cfg["burn_in"] < imc.MIN_PREDICTIVE_DRAWS:
             raise CliError(f"--draws minus --burn-in must be at least {imc.MIN_PREDICTIVE_DRAWS}")
         if cfg.get("seed") is None:
             raise CliError("a --seed is required for stochastic methods")
-        if cfg["seed"] < 0:
-            raise CliError(f"--seed must be >= 0, got {cfg['seed']}")
+        gibbs_cfg = imc.GibbsConfig(n_draws=cfg["draws"], burn_in=cfg["burn_in"],
+                                    seed=cfg["seed"])
     else:
         for key in ("export_draws", "export_elbo_trace"):
             if cfg.get(key):
@@ -193,8 +193,6 @@ def _run(cfg, priors) -> int:
         if name == "conjugate":
             reports[name] = conjugate_report(minnesota_conjugate(data, mn), data, x_next)
             continue
-        gibbs_cfg = imc.GibbsConfig(n_draws=cfg["draws"], burn_in=cfg["burn_in"],
-                                    seed=cfg["seed"])
         vb_cfg = _library_config(ivb.VbConfig, cfg)
         prior = minnesota_independent(data, mn)
         # through the module attributes, so a substituted fit is the one run

@@ -92,9 +92,8 @@ def marginal_coefficients(post: ConjugateExactPosterior) -> MatricT:
 
 
 def _log_evidence_head(prior: ConjugatePrior, post: ConjugateExactPosterior) -> float:
-    """The leading terms that the log marginal likelihood and the conjugate
-    ELBO share: -MT/2 ln pi and the log-determinant terms of the prior and
-    posterior row covariances and scales."""
+    """The leading terms shared by the log marginal likelihood and the
+    conjugate ELBO: -MT/2 ln pi and the row-covariance and scale log-dets."""
     m = post.n_vars
     t = post.n_obs
     return (

@@ -30,11 +30,8 @@ _TRACE = {
         "kl": "kl_exact",
         "kl_stirling": "kl_stirling",
         "identity_residual": "log_marginal_likelihood - elbo_conjugate - kl_exact",
-        "coef_var_ratio": "moment_ratios",
-        "prec_var_ratio_wishart": "moment_ratios",
-        "prec_var_ratio_text": "moment_ratios",
-        "mode_ratio": "moment_ratios",
-        "pred_var_ratio": "moment_ratios",
+        **dict.fromkeys(("coef_var_ratio", "prec_var_ratio_wishart", "prec_var_ratio_text",
+                         "mode_ratio", "pred_var_ratio"), "moment_ratios"),
         "pred_mean_ratio": "1: predictive_vb_conjugate and predictive_exact share the mean",
         "pred_var_ratio_at_x": "predictive_vb_conjugate / predictive_exact",
     },

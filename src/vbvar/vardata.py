@@ -1,12 +1,10 @@
 """Raw-series ingestion and VAR(d) design-matrix construction.
 
-A raw series is a plain (T_raw x M) float array, as ``load_csv`` reads it
-and the seeded simulator ``simulate_var`` draws it.  ``build_design`` turns
-it into the effective-sample response matrix Y (T x M) and regressor
-matrix X (T x p), p = M*d + 1, with rows x_t = (1, y'_{t-1}, ..., y'_{t-d}).
-``DesignData`` rejects non-finite Y or X, so no prior or fit sees one.
-Also the stacked block form Z_t (``z_block``: no solver uses it, the tests
-check ``DesignData.residuals`` against it).
+Builds, from a raw (T_raw x M) float array, the effective-sample response
+matrix Y (T x M) and regressor matrix X (T x p), p = M*d + 1, with rows
+x_t = (1, y'_{t-1}, ..., y'_{t-d}), and rejects non-finite data; also the
+stacked block form Z_t (``z_block``: no solver uses it, the tests check
+``DesignData.residuals`` against it) and a seeded VAR(d) simulator.
 """
 
 from __future__ import annotations
@@ -161,7 +159,7 @@ def build_design(values, lag_order: int) -> DesignData:
     d = int(lag_order)
     if d < 1:
         raise ValueError(f"lag order must be >= 1, got {d}")
-    values = np.array(values, dtype=float)
+    values = np.array(values, dtype=float)  # a copy: Y shares no memory with the caller
     if values.ndim != 2 or values.shape[1] < 1:
         raise ValueError("the raw series must be a 2-D array with at least one column")
     t_raw, m = values.shape

@@ -212,7 +212,7 @@ class TestFitCommand:
         cfg.write_text(json.dumps({"data": data_csv, **file_cfg}))
         assert main(command + ["--config", str(cfg)] + flags) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: --seed must be >= 0, got -")
+        assert err.startswith("error: seed must be >= 0, got -")
 
     @pytest.mark.parametrize("flags, file_cfg, field", [
         (["--tol", "inf"], {}, "elbo_rel_tol"),

@@ -98,7 +98,8 @@ class TestBuildDesign:
         with pytest.raises(ValueError):
             build_design(np.ones((3, 1)), 0)
 
-    @pytest.mark.parametrize("shape", [(5,), (5, 0), (5, 2, 1)])
+    @pytest.mark.parametrize("shape", [(5,), (5, 0), (5, 2, 1)],
+                             ids=["1-D", "no-columns", "3-D"])
     def test_rejects_non_matrix(self, shape):
         with pytest.raises(ValueError, match="2-D array with at least one column"):
             build_design(np.ones(shape), 1)
