@@ -7,9 +7,9 @@ The three input series are written once, by perfbench's own simulator
 (perfbench/workloads.simulate_var with seeds model_seed(7, i)), the models
 of the vb-sweep workload, together with a copy of the first series with a
 leading date column (read with --timestamps) and the JSON config files of
-CONFIGS, each pointing at the first series.  Each command in COMMANDS then runs in both
-checkouts with PYTHONPATH=<checkout>/src, each run in its own empty working
-directory, so relative output paths land there.  Exit code, stdout, stderr
+CONFIGS, each pointing at the first series.  Each command in COMMANDS then
+runs in both checkouts with PYTHONPATH=<checkout>/src, each run in its own
+empty working directory, so relative output paths land there.  Exit code, stdout, stderr
 and every file a run writes are compared byte for byte.  One line is
 printed per command; the exit status is 1 when any output differs.  A
 differing .json or .csv file whose two sides have the same shape and the
