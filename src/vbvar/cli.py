@@ -214,11 +214,6 @@ def _run(cfg, priors) -> int:
     return status
 
 
-def cmd_fit(args) -> int:
-    cfg = _merge_config(args)
-    return _run(cfg, [cfg["prior"]])
-
-
 def cmd_kl(args) -> int:
     exact = cvb.kl_exact(args.M, args.p, args.T, args.nu0)
     stirling = cvb.kl_stirling(args.M, args.p, args.T, args.nu0)
@@ -227,16 +222,13 @@ def cmd_kl(args) -> int:
     return 0
 
 
-def cmd_compare(args) -> int:
-    return _run(_merge_config(args), PRIORS)
-
-
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    handlers = {"fit": cmd_fit, "kl": cmd_kl, "compare": cmd_compare}
+    args = _build_parser().parse_args(argv)
     try:
-        return handlers[args.command](args)
+        if args.command == "kl":
+            return cmd_kl(args)
+        cfg = _merge_config(args)
+        return _run(cfg, [cfg["prior"]] if args.command == "fit" else PRIORS)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

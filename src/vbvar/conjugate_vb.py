@@ -43,7 +43,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ConjugateVbPosterior(ConjugateExactPosterior):
-    """q(Gamma) = MN(mean_G, expected_precision^-1, row_cov),
+    """q(Gamma) = MN(mean_G, scale / dof, row_cov),
     q(Sigma^-1) = W(scale_q^-1, dof_q): the exact posterior's mean_G,
     row_cov and scale, with the dof raised by p."""
 
@@ -63,16 +63,8 @@ class ConjugateVbPosterior(ConjugateExactPosterior):
         """VB Wishart scale, (dof_q / dof) * scale."""
         return (self.dof_q / self.dof) * self.scale
 
-    def expected_precision(self) -> np.ndarray:
-        """E_q(Sigma^-1) = dof_q * scale_q^-1 = dof * scale^-1."""
-        return self.dof * spd_inverse(self.scale, "scale")[0]
-
-    def expected_precision_inv(self) -> np.ndarray:
-        """Column covariance of q(Gamma): scale / dof."""
-        return self.scale / self.dof
-
     def coef_density(self) -> MatricNormal:
-        return MatricNormal(self.mean_G, self.expected_precision_inv(), self.row_cov)
+        return MatricNormal(self.mean_G, self.scale / self.dof, self.row_cov)
 
     def precision_density(self) -> WishartDist:
         return WishartDist(spd_inverse(self.scale_q, "scale_q")[0], self.dof_q)
@@ -218,26 +210,15 @@ def mc_elbo_estimate(
 
 @dataclass(frozen=True)
 class VbPredictive:
-    """VB one-step predictive: exact moments plus a seeded simulator.
-
-    The density is the convolution of a normal (coefficient part) and a
-    multivariate t (error part); only moments are closed-form.
-    """
+    """VB one-step predictive moments: mean, variance, and the two parts of
+    the predictive sum, the normal coefficient part N(0, normal_cov) and
+    the multivariate-t error part ``t_component``.  Only the moments are
+    closed-form; the density is their convolution."""
 
     mean: np.ndarray
     variance: np.ndarray
     normal_cov: np.ndarray
     t_component: MultivariateT
-
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        n = int(size)
-        if np.abs(self.normal_cov).max() == 0.0:
-            normal_part = 0.0  # degenerate coefficient part (zero leverage)
-        else:
-            l = spd_cholesky(self.normal_cov)
-            normal_part = rng.standard_normal((n, len(self.mean))) @ l.T
-        t_part = self.t_component.sample(rng, size=n)
-        return self.mean + normal_part + t_part
 
 
 def predictive_vb_conjugate(vb_post: ConjugateVbPosterior, x_next) -> VbPredictive:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy.linalg import cholesky, lapack, solve_triangular
-from scipy.special import gammaln, psi
+from scipy.special import gammaln
 
 __all__ = [
     "NotPositiveDefiniteError",
@@ -120,6 +120,12 @@ def check_finite_fields(obj):
             raise ValueError(f"{name} must be finite, got {value}")
 
 
+def check_wishart_dof(dof, m):
+    """Raise ValueError unless a Wishart dof is finite and exceeds M - 1."""
+    if not (np.isfinite(dof) and dof > m - 1):
+        raise ValueError(f"dof must be finite and exceed M-1 = {m - 1}, got {dof}")
+
+
 def mv_log_gamma(dim: int, a: float) -> float:
     """Log of the multivariate gamma function ln Gamma_M(a).
 
@@ -207,9 +213,7 @@ class WishartDist:
 
     def __post_init__(self):
         l = spd_cholesky(self.scale, "scale")
-        m = l.shape[0]
-        if self.dof <= m - 1:
-            raise ValueError(f"dof must exceed M-1 = {m - 1}, got {self.dof}")
+        check_wishart_dof(self.dof, l.shape[0])
         set_fields(self, scale=_as_matrix(self.scale, "scale"), dof=float(self.dof), _chol=l)
 
     @property
@@ -231,25 +235,6 @@ class WishartDist:
         if self.dof <= m + 1:
             raise UndefinedMomentError(f"Wishart mode needs dof > M+1 = {m + 1}, got {self.dof}")
         return (self.dof - m - 1) * self.scale
-
-    def expected_logdet(self) -> float:
-        """E[ln |W|] = sum_j psi((dof+1-j)/2) + M ln 2 + ln |scale|."""
-        m = self.dim
-        j = np.arange(1, m + 1)
-        return (
-            float(np.sum(psi((self.dof + 1.0 - j) / 2.0)))
-            + m * np.log(2.0)
-            + chol_logdet(self._chol)
-        )
-
-    def entropy(self) -> float:
-        """Differential entropy (closed form)."""
-        m = self.dim
-        nu = self.dof
-        ln_norm = nu * m / 2.0 * np.log(2.0) + nu / 2.0 * chol_logdet(
-            self._chol
-        ) + mv_log_gamma(m, nu / 2.0)
-        return ln_norm - (nu - m - 1) / 2.0 * self.expected_logdet() + nu * m / 2.0
 
     def logpdf(self, w):
         """Log density at one M x M matrix (a float), or at each matrix of
@@ -363,8 +348,8 @@ class MultivariateT:
         l = spd_cholesky(self.scale, "scale")
         if l.shape[0] != mean.size:
             raise ValueError("mean and scale dimensions disagree")
-        if self.dof <= 0:
-            raise ValueError(f"dof must be positive, got {self.dof}")
+        if not (np.isfinite(self.dof) and self.dof > 0):
+            raise ValueError(f"dof must be finite and positive, got {self.dof}")
         set_fields(self, mean=mean, scale=_as_matrix(self.scale, "scale"),
                    dof=float(self.dof), _chol=l)
 
@@ -390,11 +375,3 @@ class MultivariateT:
             - 0.5 * chol_logdet(self._chol)
             - (nu + q) / 2.0 * np.log1p(quad / nu)
         )
-
-    def sample(self, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
-        """Draws via normal/chi-square mixture; shape (size, q) or (q,)."""
-        n = 1 if size is None else int(size)
-        z = rng.standard_normal((n, self.dim)) @ self._chol.T
-        g = rng.chisquare(self.dof, size=n) / self.dof
-        out = self.mean + z / np.sqrt(g)[:, None]
-        return out[0] if size is None else out

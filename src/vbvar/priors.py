@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mvdist import check_finite_fields, set_fields, spd_inverse
+from .mvdist import check_finite_fields, check_wishart_dof, set_fields, spd_inverse
 from .vardata import DesignData, InsufficientObservationsError
 
 __all__ = [
@@ -58,8 +58,7 @@ class ConjugatePrior:
         p, m = g.shape
         if np.asarray(self.row_cov).shape != (p, p) or np.asarray(self.scale).shape != (m, m):
             raise ValueError("prior block shapes are inconsistent with mean_G")
-        if self.dof <= m - 1:
-            raise ValueError(f"dof must exceed M-1 = {m - 1}, got {self.dof}")
+        check_wishart_dof(self.dof, m)
         set_fields(self, mean_G=g, row_cov=self.row_cov, scale=self.scale,
                    row_cov_inv=row_cov_inv, logdet_row_cov=logdet_row_cov,
                    scale_inv=scale_inv, logdet_scale=logdet_scale, dof=float(self.dof))
@@ -103,8 +102,7 @@ class IndependentPrior:
             raise ValueError(f"mean_b size {b.size} is not a multiple of M={m}")
         if np.asarray(self.cov).shape != (b.size, b.size):
             raise ValueError("cov shape inconsistent with mean_b")
-        if self.dof <= m - 1:
-            raise ValueError(f"dof must exceed M-1 = {m - 1}, got {self.dof}")
+        check_wishart_dof(self.dof, m)
         set_fields(self, mean_b=b, cov=self.cov, scale=self.scale,
                    cov_inv=cov_inv, cov_inv_mean=cov_inv @ b, logdet_cov=logdet_cov,
                    scale_inv=scale_inv, logdet_scale=logdet_scale, dof=float(self.dof))
@@ -155,11 +153,14 @@ class MinnesotaConfig:
 def _ar_residual_variances(data: DesignData) -> np.ndarray:
     """Per-variable residual variance from univariate AR(d) least squares.
 
-    Falls back to the sample variance when the fit is singular or leaves
-    no residual degrees of freedom.
+    Needs T_raw >= 2d + 2 (effective T >= d + 2), so each fit of d + 1
+    coefficients keeps at least one residual degree of freedom; falls back
+    to the sample variance when the fit is singular.
     """
     t, m = data.Y.shape
     d = data.lag_order
+    if t < d + 2:
+        raise InsufficientObservationsError(f"need T_raw >= 2d+2 for AR({d}) pre-fits")
     out = np.empty(m)
     for j in range(m):
         # own lags of variable j: columns 1 + (l-1)*M + j of X, l = 1..d
@@ -167,9 +168,6 @@ def _ar_residual_variances(data: DesignData) -> np.ndarray:
         xj = data.X[:, cols]
         yj = data.Y[:, j]
         dof = t - len(cols)
-        if dof < 1:
-            out[j] = float(np.var(yj, ddof=1)) if t > 1 else 1.0
-            continue
         coef, _, rank, _ = np.linalg.lstsq(xj, yj, rcond=None)
         if rank < len(cols):
             out[j] = float(np.var(yj, ddof=1))
@@ -181,14 +179,6 @@ def _ar_residual_variances(data: DesignData) -> np.ndarray:
     return out
 
 
-def _check_prefit_sample(data: DesignData):
-    # effective_T = T_raw - d, so this enforces T_raw >= 2d + 2
-    if data.effective_T < data.lag_order + 2:
-        raise InsufficientObservationsError(
-            f"need T_raw >= 2d+2 for AR({data.lag_order}) pre-fits"
-        )
-
-
 def _mean_coefficients(m: int, d: int, own_lag_mean: float) -> np.ndarray:
     g = np.zeros((m * d + 1, m))
     for j in range(m):
@@ -198,7 +188,6 @@ def _mean_coefficients(m: int, d: int, own_lag_mean: float) -> np.ndarray:
 
 def minnesota_conjugate(data: DesignData, cfg: MinnesotaConfig) -> ConjugatePrior:
     """Minnesota-style conjugate prior: diagonal row covariance, AR-based scales."""
-    _check_prefit_sample(data)
     m, d = data.n_vars, data.lag_order
     s2 = _ar_residual_variances(data)
     diag = np.empty(m * d + 1)
@@ -222,7 +211,6 @@ def minnesota_independent(data: DesignData, cfg: MinnesotaConfig) -> Independent
     Block m scales the conjugate diagonal by s_m^2 and applies the lambda2
     discount to cross-variable lag entries.
     """
-    _check_prefit_sample(data)
     m, d = data.n_vars, data.lag_order
     p = m * d + 1
     s2 = _ar_residual_variances(data)

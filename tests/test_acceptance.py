@@ -40,7 +40,7 @@ from vbvar.independent_vb import (
     fit_vb_independent,
     predictive_vb_independent,
 )
-from vbvar.mvdist import MatricNormal, MultivariateT, WishartDist
+from vbvar.mvdist import MatricNormal, WishartDist
 from vbvar.priors import (
     ConjugatePrior,
     IndependentPrior,
@@ -141,7 +141,7 @@ def test_criterion_3_identity_suite():
             assert abs(gap - kl) <= 1e-8 * max(abs(lnml), 1.0)
             np.testing.assert_array_equal(vb.mean_G, post.mean_G)
             np.testing.assert_allclose(
-                vb.expected_precision(),
+                vb.precision_density().mean(),
                 post.dof * np.linalg.inv(post.scale),
                 rtol=1e-12,
             )
@@ -298,18 +298,5 @@ def test_criterion_7_sampler_moments():
         se_cov = prods.std(axis=0, ddof=1) / np.sqrt(n)
         assert np.all(np.abs(emp_cov - target_cov) < 4 * se_cov)
 
-    def multivariate_t():
-        rng = np.random.default_rng(73)
-        mt = MultivariateT(np.array([1.0, -2.0]),
-                           np.array([[0.6, 0.2], [0.2, 0.9]]), 9.0)
-        n = 500_000
-        draws = mt.sample(rng, size=n)
-        se_mean = draws.std(axis=0, ddof=1) / np.sqrt(n)
-        assert np.all(np.abs(draws.mean(axis=0) - mt.mean) < 4 * se_mean)
-        centered = draws - draws.mean(axis=0)
-        prods = centered[:, :, None] * centered[:, None, :]
-        se_cov = prods.std(axis=0, ddof=1) / np.sqrt(n)
-        assert np.all(np.abs(np.cov(draws.T) - mt.variance()) < 4 * se_cov)
-
-    _verdict("criterion 7 (sampler moments within 4 MC se at 2e5-5e5 draws)",
-             [wishart, matric_normal, multivariate_t])
+    _verdict("criterion 7 (sampler moments within 4 MC se at 2e5 draws)",
+             [wishart, matric_normal])

@@ -243,27 +243,6 @@ class TestPredictiveExact:
         pv = predictive_vb_conjugate(vb, x_next)
         np.testing.assert_allclose(pe.mean, pv.mean, atol=1e-14)
 
-    def test_variance_vs_compound_simulation(self):
-        # scalar case: draw h ~ W, gamma | h ~ N, y | gamma, h ~ N; the
-        # compound variance matches the predictive t moments
-        from vbvar.mvdist import WishartDist
-
-        data = synthetic_design(1, 1, 50, seed=22)
-        prior = random_conjugate_prior(1, 2, seed=23)
-        post = fit_exact(prior, data)
-        x_next = np.concatenate([[1.0], data.Y[-1]])
-        pred = predictive_exact(post, x_next)
-        w = WishartDist(np.linalg.inv(post.scale), post.dof)
-        rng = np.random.default_rng(24)
-        n = 400_000
-        hs = np.array([w.sample(rng)[0, 0] for _ in range(n)])
-        c = float(x_next @ post.row_cov @ x_next)
-        gam_part = rng.standard_normal(n) * np.sqrt(c / hs)
-        eps = rng.standard_normal(n) / np.sqrt(hs)
-        ys = (x_next @ post.mean_G)[0] + gam_part + eps
-        assert ys.mean() == pytest.approx(pred.mean[0], abs=5e-3)
-        assert ys.var(ddof=1) == pytest.approx(pred.variance()[0, 0], rel=0.02)
-
     def test_dof_bound(self):
         post = ConjugateExactPosterior(np.zeros((2, 1)), np.eye(2),
                                        np.eye(1), 0, 2.0)

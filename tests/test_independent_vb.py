@@ -12,7 +12,6 @@ from conftest import (
     synthetic_design,
 )
 import vbvar.independent_vb as ivb
-from vbvar.conjugate_vb import VbPredictive
 from vbvar.independent_mcmc import _log_joint_independent
 from vbvar.independent_vb import (
     VbConfig,
@@ -192,15 +191,6 @@ class TestPredictive:
             pred["variance"],
             pred["normal_cov"] + vb.scale_q / (vb.dof - 2.0),
         )
-
-    def test_simulation_oracle_scalar(self, scalar_case):
-        prior, data = scalar_case
-        vb = fit_vb_independent(prior, data)
-        pred = predictive_vb_independent(vb, np.array([1.0]))
-        draws = VbPredictive(**pred).sample(np.random.default_rng(217), 400_000)
-        se = draws.std(ddof=1) / np.sqrt(draws.shape[0])
-        assert abs(draws.mean() - pred["mean"][0]) < 4 * se
-        assert draws.var(ddof=1) == pytest.approx(pred["variance"][0, 0], rel=0.02)
 
     def test_zero_leverage(self, scalar_case):
         prior, data = scalar_case

@@ -1,4 +1,5 @@
-"""Distribution layer: densities, moments, modes, samplers, entropy."""
+"""Distribution layer: densities, moments, modes, the Wishart and
+matric-normal samplers, and input checks."""
 
 import numpy as np
 import pytest
@@ -124,25 +125,6 @@ class TestWishart:
         bad = np.stack([np.eye(2), np.array([[1.0, 2.0], [2.0, 1.0]])])
         with pytest.raises(NotPositiveDefiniteError, match="positive definite"):
             WishartDist(np.eye(2), 4.0).logpdf(bad)
-
-    def test_entropy_matches_scipy(self):
-        rng = np.random.default_rng(1)
-        for m in (1, 3):
-            s = _rand_spd(rng, m)
-            w = WishartDist(s, m + 4.0)
-            assert w.entropy() == pytest.approx(
-                stats.wishart.entropy(df=m + 4.0, scale=s), abs=1e-10
-            )
-
-    def test_expected_logdet_matches_mc(self):
-        rng = np.random.default_rng(2)
-        s = _rand_spd(rng, 2)
-        w = WishartDist(s, 7.0)
-        draws = stats.wishart.rvs(df=7.0, scale=s, size=200_000,
-                                  random_state=np.random.default_rng(3))
-        vals = np.linalg.slogdet(draws)[1]
-        se = vals.std(ddof=1) / np.sqrt(vals.size)
-        assert abs(w.expected_logdet() - vals.mean()) < 4 * se
 
     def test_logpdf_integrates_to_one_scalar(self):
         w = WishartDist(np.array([[0.7]]), 4.5)
@@ -310,17 +292,12 @@ class TestMultivariateT:
         ref = stats.multivariate_t.logpdf(x, loc=mean, shape=scale, df=6.5)
         assert d.logpdf(x) == pytest.approx(ref, abs=1e-10)
 
-    def test_sampler_moments(self):
-        d = MultivariateT(np.array([1.0, -2.0]), np.array([[0.5, 0.1], [0.1, 1.0]]), 8.0)
-        draws = d.sample(np.random.default_rng(8), size=400_000)
-        se = draws.std(axis=0, ddof=1) / np.sqrt(draws.shape[0])
-        assert np.all(np.abs(draws.mean(axis=0) - d.mean) < 4 * se)
-        np.testing.assert_allclose(np.cov(draws.T), d.variance(), rtol=0.03)
 
-    def test_sample_deterministic(self):
-        d = MultivariateT(np.zeros(2), np.eye(2), 5.0)
-        a = d.sample(np.random.default_rng(9), size=3)
-        b = d.sample(np.random.default_rng(9), size=3)
-        assert np.array_equal(a, b)
-        single = d.sample(np.random.default_rng(9))
-        assert single.shape == (2,)
+@pytest.mark.parametrize("dof", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("make", [lambda dof: WishartDist(np.eye(2), dof),
+                                  lambda dof: MultivariateT(np.zeros(2), np.eye(2), dof)],
+                         ids=["WishartDist", "MultivariateT"])
+def test_non_finite_dof(make, dof):
+    # nan passed the dof bound, and WishartDist(I, inf).logpdf(I) was nan
+    with pytest.raises(ValueError, match="dof must be finite"):
+        make(dof)

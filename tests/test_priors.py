@@ -76,8 +76,9 @@ class TestConjugateBuilder:
 
     def test_insufficient_data(self):
         data = synthetic_design(1, 4, 9, seed=5)  # effective T = 5 < d + 2
-        with pytest.raises(InsufficientObservationsError):
-            minnesota_conjugate(data, MinnesotaConfig())
+        for build in (minnesota_conjugate, minnesota_independent):
+            with pytest.raises(InsufficientObservationsError):
+                build(data, MinnesotaConfig())
 
 
 class TestIndependentBuilder:
@@ -139,6 +140,14 @@ class TestPriorTypes:
             IndependentPrior(np.zeros(5), np.eye(5), np.eye(2), 4.0)
         prior = IndependentPrior(np.zeros(6), np.eye(6), np.eye(2), 4.0)
         assert prior.n_regressors == 3
+
+    @pytest.mark.parametrize("dof", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_dof(self, dof):
+        # nan passed the dof > M - 1 check
+        with pytest.raises(ValueError, match="dof must be finite"):
+            ConjugatePrior(np.zeros((3, 2)), np.eye(3), np.eye(2), dof)
+        with pytest.raises(ValueError, match="dof must be finite"):
+            IndependentPrior(np.zeros(6), np.eye(6), np.eye(2), dof)
 
 
 class TestIndependentPriorCache:
