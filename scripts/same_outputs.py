@@ -14,7 +14,11 @@ and every file a run writes are compared byte for byte.  One line is
 printed per command; the exit status is 1 when any output differs.  A
 differing .json or .csv file whose two sides have the same shape and the
 same non-numeric cells is named with the largest relative difference over
-its numeric cells, e.g. "trace.csv: max rel 3.4e-16".
+its numeric cells, e.g. "trace.csv: max rel 3.4e-16".  A command whose exit
+code, stdout and stderr match and whose differing files are all such files
+within ROUND_OFF_REL gets the verdict "round-off" instead of "DIFFERENT";
+the summary line counts those commands apart, and they still set the exit
+status to 1.
 
 Plain standard library here; numpy is loaded only by perfbench, to write
 the inputs.
@@ -48,6 +52,9 @@ CONFIGS = {
                 "lambda3": 2.0, "lambda4": 50.0, "own_lag_mean": 0.5, "dof_offset": 3,
                 "max_iters": 40, "tol": 1e-6},
 }
+
+# largest max rel of a differing .json or .csv file that counts as round-off
+ROUND_OFF_REL = 1e-12
 
 EXPORTS = ["--export-draws", "draws.csv", "--export-elbo-trace", "trace.csv"]
 
@@ -174,13 +181,37 @@ def max_rel_diff(name: str, parent: bytes, change: bytes):
 
 
 def differences(parent: dict, change: dict) -> list:
-    diffs = [key for key in ("exit code", "stdout", "stderr") if parent[key] != change[key]]
+    """(name, max rel) for each stream and file that differs; max rel is
+    None for a stream, a file on one side only, or a file it cannot measure."""
+    diffs = [(key, None) for key in ("exit code", "stdout", "stderr")
+             if parent[key] != change[key]]
     for name in sorted(set(parent["files"]) | set(change["files"])):
         a, b = parent["files"].get(name), change["files"].get(name)
         if a != b:
-            rel = None if a is None or b is None else max_rel_diff(name, a, b)
-            diffs.append(name if rel is None else f"{name}: max rel {rel:.2g}")
+            diffs.append((name, None if a is None or b is None else max_rel_diff(name, a, b)))
     return diffs
+
+
+def verdict(parent: dict, change: dict) -> str:
+    """"same", "round-off (...)" or "DIFFERENT (...)" for one command's outputs."""
+    diffs = differences(parent, change)
+    if not diffs:
+        return "same"
+    kind = ("round-off" if all(rel is not None and rel <= ROUND_OFF_REL for _, rel in diffs)
+            else "DIFFERENT")
+    labels = ", ".join(name if rel is None else f"{name}: max rel {rel:.2g}"
+                       for name, rel in diffs)
+    return f"{kind} ({labels})"
+
+
+def summary(verdicts: list) -> tuple:
+    """(summary line, exit status) over the verdicts of all commands; the
+    status is 0 only when every command is byte-identical."""
+    same = verdicts.count("same")
+    round_off = sum(v.startswith("round-off") for v in verdicts)
+    line = (f"{same} of {len(verdicts)} commands byte-identical, "
+            f"{round_off} round-off (max rel <= {ROUND_OFF_REL:g})")
+    return line, 0 if same == len(verdicts) else 1
 
 
 def main(argv=None) -> int:
@@ -192,18 +223,17 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         inputs = {k: str(v) for k, v in write_inputs(work).items()}
-        differing = 0
+        verdicts = []
         for i, (label, command) in enumerate(COMMANDS):
             out = {side: run(checkout.resolve(), command, inputs, work / side / str(i))
                    for side, checkout in (("parent", args.parent), ("change", args.change))}
-            diffs = differences(out["parent"], out["change"])
-            differing += bool(diffs)
+            verdicts.append(verdict(out["parent"], out["change"]))
             files = ", ".join(out["change"]["files"]) or "no files"
-            verdict = f"DIFFERENT ({', '.join(diffs)})" if diffs else "same"
-            print(f"{verdict:<10} exit {out['change']['exit code']}  {label}  [{files}]",
+            print(f"{verdicts[-1]:<10} exit {out['change']['exit code']}  {label}  [{files}]",
                   flush=True)
-    print(f"{len(COMMANDS) - differing} of {len(COMMANDS)} commands byte-identical")
-    return 1 if differing else 0
+    line, status = summary(verdicts)
+    print(line)
+    return status
 
 
 if __name__ == "__main__":

@@ -42,7 +42,6 @@ from .independent_vb import (
 from .mvdist import (
     MatricNormal,
     MatricT,
-    MultivariateT,
     NotPositiveDefiniteError,
     UndefinedMomentError,
     WishartDist,

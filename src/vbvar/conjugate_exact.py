@@ -1,5 +1,5 @@
 """Exact posterior for the conjugate normal-Wishart VAR: fit, marginals,
-moments, joint mode, log marginal likelihood, and predictive t-density.
+moments, joint mode, log marginal likelihood, and predictive moments.
 """
 
 from __future__ import annotations
@@ -11,17 +11,17 @@ from scipy.linalg import cho_solve
 
 from .mvdist import (
     MatricT,
-    MultivariateT,
     UndefinedMomentError,
     chol_inverse,
     chol_logdet,
     mv_log_gamma,
+    normal_wishart_predictive,
     set_fields,
     spd_cholesky,
     spd_inverse,
 )
 from .priors import ConjugatePrior
-from .vardata import DesignData
+from .vardata import DesignData, regressor_row
 
 __all__ = [
     "ConjugateExactPosterior",
@@ -127,16 +127,11 @@ def joint_mode(post: ConjugateExactPosterior) -> dict:
     }
 
 
-def predictive_exact(post: ConjugateExactPosterior, x_next) -> MultivariateT:
-    """One-step predictive density: t with mean (x Gb)' and
-    Var = (1 + x V x') * scale / (dof - 2)."""
-    x = np.asarray(x_next, dtype=float).reshape(-1)
-    if x.size != post.n_regressors:
-        raise ValueError(f"x_next must have p = {post.n_regressors} entries")
-    if post.dof <= 2:
-        raise UndefinedMomentError("predictive variance needs dof > 2")
+def predictive_exact(post: ConjugateExactPosterior, x_next) -> dict:
+    """One-step predictive: t with mean (x Gb)', shape (1 + x V x') * scale / dof
+    and dof ``dof``, as the :func:`mvdist.normal_wishart_predictive` record
+    with no normal part."""
+    x = regressor_row(x_next, post.n_regressors)
     c = float(x @ post.row_cov @ x)
-    mean = x @ post.mean_G
-    # MultivariateT variance = dof * scale_param / (dof - 2)
-    scale_param = (1.0 + c) * post.scale / post.dof
-    return MultivariateT(mean, scale_param, post.dof)
+    return normal_wishart_predictive(x @ post.mean_G, np.zeros((post.n_vars, post.n_vars)),
+                                     (1.0 + c) * post.scale, post.dof)

@@ -16,20 +16,19 @@ from scipy.linalg import cho_factor, cho_solve
 from .conjugate_exact import ConjugateExactPosterior, _log_evidence_head, fit_exact
 from .mvdist import (
     MatricNormal,
-    MultivariateT,
     UndefinedMomentError,
     WishartDist,
     chol_logdet,
     mv_log_gamma,
+    normal_wishart_predictive,
     spd_cholesky,
     spd_inverse,
 )
 from .priors import ConjugatePrior
-from .vardata import DesignData
+from .vardata import DesignData, regressor_row
 
 __all__ = [
     "ConjugateVbPosterior",
-    "VbPredictive",
     "fit_vb_conjugate",
     "elbo_conjugate",
     "mc_elbo_estimate",
@@ -208,35 +207,14 @@ def mc_elbo_estimate(
     }
 
 
-@dataclass(frozen=True)
-class VbPredictive:
-    """VB one-step predictive moments: mean, variance, and the two parts of
-    the predictive sum, the normal coefficient part N(0, normal_cov) and
-    the multivariate-t error part ``t_component``.  Only the moments are
-    closed-form; the density is their convolution."""
-
-    mean: np.ndarray
-    variance: np.ndarray
-    normal_cov: np.ndarray
-    t_component: MultivariateT
-
-
-def predictive_vb_conjugate(vb_post: ConjugateVbPosterior, x_next) -> VbPredictive:
-    """VB predictive moments: mean (x Gb)',
-    Var = (dof_q/(dof_q-2) + x V x') * scale / dof."""
-    x = np.asarray(x_next, dtype=float).reshape(-1)
-    if x.size != vb_post.n_regressors:
-        raise ValueError(f"x_next must have p = {vb_post.n_regressors} entries")
-    if vb_post.dof_q <= 2:
-        raise UndefinedMomentError("VB predictive variance needs dof_q > 2")
+def predictive_vb_conjugate(vb_post: ConjugateVbPosterior, x_next) -> dict:
+    """VB predictive moments: mean (x Gb)', normal part x V x' * scale / dof
+    from q(Gamma) and t part from q(Sigma^-1) = W(scale_q^-1, dof_q), as the
+    :func:`mvdist.normal_wishart_predictive` record."""
+    x = regressor_row(x_next, vb_post.n_regressors)
     c = float(x @ vb_post.row_cov @ x)
-    mean = x @ vb_post.mean_G
-    variance = (vb_post.dof_q / (vb_post.dof_q - 2.0) + c) * vb_post.scale / vb_post.dof
-    normal_cov = c * vb_post.scale / vb_post.dof
-    t_comp = MultivariateT(
-        np.zeros(vb_post.n_vars), vb_post.scale_q / vb_post.dof_q, vb_post.dof_q
-    )
-    return VbPredictive(mean=mean, variance=variance, normal_cov=normal_cov, t_component=t_comp)
+    return normal_wishart_predictive(x @ vb_post.mean_G, c * vb_post.scale / vb_post.dof,
+                                     vb_post.scale_q, vb_post.dof_q)
 
 
 def vb_modes(vb_post: ConjugateVbPosterior) -> dict:

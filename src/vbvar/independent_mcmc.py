@@ -29,7 +29,7 @@ from .mvdist import (
     spd_cholesky,
 )
 from .priors import IndependentPrior
-from .vardata import DesignData
+from .vardata import DesignData, regressor_row
 
 __all__ = [
     "GibbsConfig",
@@ -148,11 +148,11 @@ def summarize_draws(draws: GibbsDraws) -> dict:
 def predictive_gibbs(draws: GibbsDraws, x_next, rng: np.random.Generator) -> dict:
     """Simulation predictive: per kept draw, y = (x Gamma)' + eps with
     eps ~ N(0, Sigma) from the drawn precision."""
-    if draws.n_kept < MIN_PREDICTIVE_DRAWS:
-        raise ValueError(f"need at least {MIN_PREDICTIVE_DRAWS} kept draws for prediction")
-    x = np.asarray(x_next, dtype=float).reshape(-1)
     m = draws.n_vars
     n = draws.n_kept
+    x = regressor_row(x_next, draws.beta_draws.shape[1] // m)
+    if n < MIN_PREDICTIVE_DRAWS:
+        raise ValueError(f"need at least {MIN_PREDICTIVE_DRAWS} kept draws for prediction")
     # row j of draw i is column j of Gamma_i = beta_i.reshape((p, M), order="F")
     means = draws.beta_draws.reshape(n, m, x.size) @ x
     lw = np.linalg.cholesky(draws.precision_draws)
@@ -201,6 +201,8 @@ def lnml_ris(
     :meth:`DesignData.residual_crossprod`.
     """
     n = draws.n_kept
+    if n < 2:
+        raise ValueError("need at least 2 kept draws for the RIS standard error")
     m = draws.n_vars
     t, p = data.effective_T, data.n_regressors
     mp = vb_post.mean_b.size

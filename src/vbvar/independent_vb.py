@@ -22,7 +22,6 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .mvdist import (
-    MultivariateT,
     NotPositiveDefiniteError,
     UndefinedMomentError,
     WishartDist,
@@ -31,12 +30,13 @@ from .mvdist import (
     chol_logdet,
     kron_add,
     mv_log_gamma,
+    normal_wishart_predictive,
     set_fields,
     spd_cholesky,
     spd_inverse,
 )
 from .priors import IndependentPrior
-from .vardata import DesignData
+from .vardata import DesignData, regressor_row
 
 __all__ = [
     "VbConfig",
@@ -220,28 +220,14 @@ def _elbo(prior, data, mean_b, cov_b, logdet_cov_b, logdet_scale_q, dof) -> floa
 
 
 def predictive_vb_independent(vb_post: IndependentVbPosterior, x_next) -> dict:
-    """One-step VB predictive: mean Z beta_q, variance
-    Z Vq Z' + scale_q / (dof - 2), and the normal (Z Vq Z') and t parts of
-    the predictive sum, the fields of :class:`conjugate_vb.VbPredictive`."""
-    if vb_post.dof <= 2:
-        raise UndefinedMomentError("VB predictive variance needs dof > 2")
-    x = np.asarray(x_next, dtype=float).reshape(-1)
+    """One-step VB predictive moments: mean Z beta_q, normal part Z Vq Z'
+    from q(beta) and t part from q(Sigma^-1) = W(scale_q^-1, dof), as the
+    :func:`mvdist.normal_wishart_predictive` record."""
     m, p = vb_post.n_vars, vb_post.n_regressors
-    if x.size != p:
-        raise ValueError(f"x_next must have p = {p} entries")
-    mean = x @ vb_post.coef_matrix()
-    # Z Vq Z' entries: x' Vq[m-block, n-block] x
-    zvz = np.empty((m, m))
-    for a in range(m):
-        for b in range(a, m):
-            blk = vb_post.cov_b[a * p:(a + 1) * p, b * p:(b + 1) * p]
-            zvz[a, b] = zvz[b, a] = float(x @ blk @ x)
-    return {
-        "mean": mean,
-        "variance": zvz + vb_post.scale_q / (vb_post.dof - 2.0),
-        "normal_cov": zvz,
-        "t_component": MultivariateT(np.zeros(m), vb_post.scale_q / vb_post.dof, vb_post.dof),
-    }
+    x = regressor_row(x_next, p)
+    return normal_wishart_predictive(x @ vb_post.coef_matrix(),
+                                     _omega(vb_post.cov_b, np.outer(x, x), m, p),
+                                     vb_post.scale_q, vb_post.dof)
 
 
 def _iterate_modes(prior, data, tol, max_iters, vb_corrected):

@@ -1,5 +1,5 @@
 """Matrix-variate distributions: matricvariate normal, Wishart, matricvariate t,
-multivariate t.
+and the normal-Wishart one-step predictive moments.
 
 All types are immutable value objects.  Vectorization is column-major
 throughout, so the covariance of vec(X) for a matricvariate normal with
@@ -24,8 +24,8 @@ __all__ = [
     "MatricNormal",
     "WishartDist",
     "MatricT",
-    "MultivariateT",
     "mv_log_gamma",
+    "normal_wishart_predictive",
 ]
 
 _SYM_RTOL = 1e-12
@@ -331,47 +331,25 @@ class MatricT:
         return np.kron(self.col_scale, self.row_scale) / (self.dof - q - 1)
 
 
-@dataclass(frozen=True)
-class MultivariateT:
-    """Multivariate t T(mean, scale, dof) with Var = dof * scale / (dof - 2).
+def normal_wishart_predictive(mean, normal_cov, error_scale, dof) -> dict:
+    """One-step predictive moments of y = mean + u + e: u ~ N(0, normal_cov)
+    from the coefficients, and e ~ N(0, Sigma) with
+    Sigma^-1 ~ W(error_scale^-1, dof), a multivariate t.
 
-    Coincides with the standard Student-t whose shape matrix is ``scale``.
+    Returns the record every closed-form predictive returns: ``mean``,
+    ``variance`` = normal_cov + t_dof * t_shape / (t_dof - 2), ``normal_cov``,
+    ``t_shape`` = error_scale / t_dof and ``t_dof``.  The t rule lives here
+    alone.  It takes t_dof = dof, the paper's rule; the compound law has t dof
+    dof - M + 1, which the simulation oracles show at M > 1 (ROADMAP item 1).
     """
-
-    mean: np.ndarray
-    scale: np.ndarray
-    dof: float
-    _chol: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=float).reshape(-1)
-        l = spd_cholesky(self.scale, "scale")
-        if l.shape[0] != mean.size:
-            raise ValueError("mean and scale dimensions disagree")
-        if not (np.isfinite(self.dof) and self.dof > 0):
-            raise ValueError(f"dof must be finite and positive, got {self.dof}")
-        set_fields(self, mean=mean, scale=_as_matrix(self.scale, "scale"),
-                   dof=float(self.dof), _chol=l)
-
-    @property
-    def dim(self) -> int:
-        return self.mean.size
-
-    def variance(self) -> np.ndarray:
-        if self.dof <= 2:
-            raise UndefinedMomentError(f"t variance needs dof > 2, got {self.dof}")
-        return self.dof * self.scale / (self.dof - 2.0)
-
-    def logpdf(self, x) -> float:
-        x = np.asarray(x, dtype=float).reshape(-1)
-        q = self.dim
-        nu = self.dof
-        z = solve_triangular(self._chol, x - self.mean, lower=True)
-        quad = float(z @ z)
-        return (
-            gammaln((nu + q) / 2.0)
-            - gammaln(nu / 2.0)
-            - q / 2.0 * np.log(nu * np.pi)
-            - 0.5 * chol_logdet(self._chol)
-            - (nu + q) / 2.0 * np.log1p(quad / nu)
-        )
+    t_dof = float(dof)
+    if not (np.isfinite(t_dof) and t_dof > 2):
+        raise UndefinedMomentError(f"t dof must be finite and exceed 2, got {t_dof}")
+    t_shape = error_scale / t_dof
+    return {
+        "mean": mean,
+        "variance": normal_cov + t_dof * t_shape / (t_dof - 2.0),
+        "normal_cov": normal_cov,
+        "t_shape": t_shape,
+        "t_dof": t_dof,
+    }

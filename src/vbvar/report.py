@@ -17,7 +17,7 @@ from . import conjugate_vb as cvb
 from . import independent_mcmc as imc
 from . import independent_vb as ivb
 from .priors import ConjugatePrior, IndependentPrior
-from .vardata import DesignData
+from .vardata import DesignData, regressor_row
 
 __all__ = ["DiagnosticsReport", "conjugate_report", "independent_report"]
 
@@ -106,10 +106,10 @@ def _fmt(v):
 
 def conjugate_report(prior: ConjugatePrior, data: DesignData, x_next) -> DiagnosticsReport:
     """Exact-vs-VB comparison for the conjugate prior; fully analytic."""
+    x = regressor_row(x_next, prior.n_regressors)
     post = cex.fit_exact(prior, data)
     vb = cvb.ConjugateVbPosterior.from_exact(post)
     m, p, t = post.n_vars, post.n_regressors, post.n_obs
-    x = np.asarray(x_next, dtype=float).reshape(-1)
     c = float(x @ post.row_cov @ x)
     lnml = cex.log_marginal_likelihood(prior, post)
     elbo = cvb.elbo_conjugate(prior, vb)
@@ -121,7 +121,7 @@ def conjugate_report(prior: ConjugatePrior, data: DesignData, x_next) -> Diagnos
     ratio_section = dict(ratios)
     ratio_section["pred_mean_ratio"] = mean_ratio
     ratio_section["pred_var_ratio_at_x"] = float(
-        np.trace(pred_vb.variance) / np.trace(pred_exact.variance())
+        np.trace(pred_vb["variance"]) / np.trace(pred_exact["variance"])
     )
     return DiagnosticsReport(
         model_meta={"prior_type": "conjugate", "M": m, "p": p, "T": t,
@@ -157,12 +157,12 @@ def independent_report(
 
     The seed, burn-in and draw count in the provenance are the chain's, and
     the predictive simulation is seeded with the chain's seed + 1."""
+    x = regressor_row(x_next, prior.n_regressors)
     if (vb.n_vars, vb.n_regressors) != (prior.n_vars, prior.n_regressors):
         raise ValueError("vb is not a fit of this prior's dimensions")
     if draws.n_vars != prior.n_vars or draws.beta_draws.shape[1] != prior.mean_b.size:
         raise ValueError("draws are not a chain of this prior's dimensions")
     summary = imc.summarize_draws(draws)
-    x = np.asarray(x_next, dtype=float).reshape(-1)
     m, p = vb.n_vars, vb.n_regressors
     t = data.effective_T
 

@@ -24,6 +24,7 @@ __all__ = [
     "DesignData",
     "load_csv",
     "build_design",
+    "regressor_row",
     "simulate_var",
     "z_block",
 ]
@@ -174,6 +175,15 @@ def build_design(values, lag_order: int) -> DesignData:
     for lag in range(1, d + 1):
         x[:, 1 + (lag - 1) * m: 1 + lag * m] = values[d - lag: t_raw - lag]
     return DesignData(Y=y, X=x, lag_order=d)
+
+
+def regressor_row(x_next, p: int) -> np.ndarray:
+    """x_next as a flat float row of the p regressors of a one-step forecast;
+    raises ValueError when it has another number of entries."""
+    x = np.asarray(x_next, dtype=float).reshape(-1)
+    if x.size != p:
+        raise ValueError(f"x_next must have p = {p} entries, got {x.size}")
+    return x
 
 
 def z_block(x_row, n_vars: int) -> np.ndarray:

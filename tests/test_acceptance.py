@@ -42,7 +42,6 @@ from vbvar.independent_vb import (
 )
 from vbvar.mvdist import MatricNormal, WishartDist
 from vbvar.priors import (
-    ConjugatePrior,
     IndependentPrior,
     MinnesotaConfig,
     minnesota_independent,
@@ -147,8 +146,8 @@ def test_criterion_3_identity_suite():
             )
             x = np.concatenate([[1.0], data.Y[-d:][::-1].reshape(-1)])
             np.testing.assert_array_equal(
-                predictive_vb_conjugate(vb, x).mean,
-                predictive_exact(post, x).mean,
+                predictive_vb_conjugate(vb, x)["mean"],
+                predictive_exact(post, x)["mean"],
             )
 
     _verdict("criterion 3 (20-instance identity suite, 1e-8 relative)",

@@ -231,7 +231,8 @@ class TestPredictiveExact:
         post = ConjugateExactPosterior(np.zeros((3, 2)), np.eye(3),
                                        np.eye(2), 4, 4.0)
         pred = predictive_exact(post, np.array([1.0, 0.0, 0.0]))
-        np.testing.assert_allclose(pred.mean, 0.0)
+        np.testing.assert_allclose(pred["mean"], 0.0)
+        assert np.abs(pred["normal_cov"]).max() == 0.0
 
     def test_mean_equals_vb_mean(self):
         data = synthetic_design(2, 1, 60, seed=20)
@@ -241,7 +242,7 @@ class TestPredictiveExact:
         x_next = np.concatenate([[1.0], data.Y[-1]])
         pe = predictive_exact(post, x_next)
         pv = predictive_vb_conjugate(vb, x_next)
-        np.testing.assert_allclose(pe.mean, pv.mean, atol=1e-14)
+        np.testing.assert_allclose(pe["mean"], pv["mean"], atol=1e-14)
 
     def test_dof_bound(self):
         post = ConjugateExactPosterior(np.zeros((2, 1)), np.eye(2),
@@ -252,5 +253,5 @@ class TestPredictiveExact:
     def test_dimension_check(self):
         post = ConjugateExactPosterior(np.zeros((2, 1)), np.eye(2),
                                        np.eye(1), 4, 4.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="x_next must have p = 2 entries, got 3"):
             predictive_exact(post, np.array([1.0, 0.0, 0.0]))

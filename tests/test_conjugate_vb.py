@@ -20,7 +20,6 @@ from vbvar.conjugate_vb import (
 )
 from vbvar.mvdist import UndefinedMomentError
 from vbvar.priors import ConjugatePrior, MinnesotaConfig, minnesota_conjugate
-from vbvar.vardata import DesignData
 
 
 class TestFitVb:
@@ -207,11 +206,11 @@ class TestPredictiveVb:
         x = np.concatenate([[1.0], data.Y[-1]])
         pe = predictive_exact(post, x)
         pv = predictive_vb_conjugate(vb, x)
-        np.testing.assert_allclose(pv.mean, pe.mean, atol=1e-14)
+        np.testing.assert_allclose(pv["mean"], pe["mean"], atol=1e-14)
         c = float(x @ post.row_cov @ x)
         want = ((post.dof - 2) / post.dof
                 * (vb.dof_q / (vb.dof_q - 2) + c) / (1 + c))
-        np.testing.assert_allclose(pv.variance / pe.variance(), want, rtol=1e-10)
+        np.testing.assert_allclose(pv["variance"] / pe["variance"], want, rtol=1e-10)
 
     def test_zero_leverage_sampling(self):
         # x with zero leverage: the normal component degenerates to zero
@@ -219,7 +218,13 @@ class TestPredictiveVb:
                                synthetic_design(1, 1, 40, seed=33))
         x = np.zeros(2)
         pred = predictive_vb_conjugate(vbp, x)
-        assert np.abs(pred.normal_cov).max() == 0.0
+        assert np.abs(pred["normal_cov"]).max() == 0.0
+
+    def test_dimension_check(self):
+        vbp = fit_vb_conjugate(random_conjugate_prior(1, 2, seed=32),
+                               synthetic_design(1, 1, 40, seed=33))
+        with pytest.raises(ValueError, match="x_next must have p = 2 entries, got 3"):
+            predictive_vb_conjugate(vbp, np.ones(3))
 
 
 class TestVbModes:

@@ -185,6 +185,10 @@ class TestPredictiveGibbs:
         with pytest.raises(ValueError):
             predictive_gibbs(draws, np.array([1.0]), np.random.default_rng(0))
 
+    def test_x_next_size_is_checked(self, toy_draws):
+        with pytest.raises(ValueError, match="x_next must have p = 1 entries, got 2"):
+            predictive_gibbs(toy_draws, np.array([1.0, 0.0]), np.random.default_rng(0))
+
 
 class TestLnmlRis:
     def test_matches_quadrature(self, toy, toy_draws, toy_grid):
@@ -200,6 +204,13 @@ class TestLnmlRis:
         vb = fit_vb_independent(prior, data)
         out = lnml_ris(toy_draws, vb, prior, data)
         assert out["estimate"] >= elbo_independent(prior, vb, data) - 3 * out["std_error"]
+
+    def test_needs_two_kept_draws(self, toy):
+        # one kept draw gave std_error nan after a divide warning
+        prior, data = toy
+        draws = gibbs_run(prior, data, GibbsConfig(n_draws=2, burn_in=1, seed=11))
+        with pytest.raises(ValueError, match="at least 2 kept draws"):
+            lnml_ris(draws, fit_vb_independent(prior, data), prior, data)
 
     def test_deterministic(self, toy, toy_draws):
         prior, data = toy

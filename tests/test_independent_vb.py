@@ -23,6 +23,7 @@ from vbvar.independent_vb import (
 )
 from vbvar.mvdist import NotPositiveDefiniteError, WishartDist
 from vbvar.priors import IndependentPrior
+from vbvar.vardata import z_block
 
 
 @pytest.fixture(scope="module")
@@ -187,6 +188,8 @@ class TestPredictive:
         x = np.concatenate([[1.0], data.Y[-1]])
         pred = predictive_vb_independent(vb, x)
         np.testing.assert_allclose(pred["mean"], x @ vb.coef_matrix())
+        z = z_block(x, 2)
+        np.testing.assert_allclose(pred["normal_cov"], z @ vb.cov_b @ z.T, rtol=1e-12)
         np.testing.assert_allclose(
             pred["variance"],
             pred["normal_cov"] + vb.scale_q / (vb.dof - 2.0),
@@ -201,7 +204,7 @@ class TestPredictive:
     def test_dimension_check(self, scalar_case):
         prior, data = scalar_case
         vb = fit_vb_independent(prior, data)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="x_next must have p = 1 entries, got 2"):
             predictive_vb_independent(vb, np.array([1.0, 0.0]))
 
 

@@ -11,12 +11,12 @@ from scipy.special import gammaln
 from vbvar.mvdist import (
     MatricNormal,
     MatricT,
-    MultivariateT,
     NotPositiveDefiniteError,
     UndefinedMomentError,
     WishartDist,
     bartlett_draw,
     mv_log_gamma,
+    normal_wishart_predictive,
     spd_cholesky,
 )
 
@@ -273,30 +273,27 @@ class TestMatricT:
         assert np.all(np.abs(cov - target) < 5 * se)
 
 
-class TestMultivariateT:
-    def test_variance_substitution(self):
-        d = MultivariateT(np.array([1.0, 2.0]), 0.1 * np.eye(2), 10.0)
-        np.testing.assert_allclose(d.variance(), 0.125 * np.eye(2))
+class TestNormalWishartPredictive:
+    def test_variance_formula(self):
+        # t dof 10, shape 0.1 I: t variance 10 * 0.1 / 8 = 0.125, plus the normal part
+        normal_cov = np.array([[0.3, 0.1], [0.1, 0.2]])
+        pred = normal_wishart_predictive(np.array([1.0, 2.0]), normal_cov,
+                                         np.eye(2), 10.0)
+        np.testing.assert_allclose(pred["variance"], normal_cov + 0.125 * np.eye(2))
+        np.testing.assert_allclose(pred["t_shape"], 0.1 * np.eye(2))
+        assert pred["t_dof"] == 10.0
+        assert pred["normal_cov"] is normal_cov
 
-    def test_undefined_variance(self):
-        d = MultivariateT(np.zeros(2), np.eye(2), 2.0)
-        with pytest.raises(UndefinedMomentError):
-            d.variance()
-
-    def test_logpdf_matches_scipy(self):
-        rng = np.random.default_rng(7)
-        scale = _rand_spd(rng, 3)
-        mean = rng.standard_normal(3)
-        d = MultivariateT(mean, scale, 6.5)
-        x = rng.standard_normal(3)
-        ref = stats.multivariate_t.logpdf(x, loc=mean, shape=scale, df=6.5)
-        assert d.logpdf(x) == pytest.approx(ref, abs=1e-10)
+    def test_dof_bound(self):
+        with pytest.raises(UndefinedMomentError, match="exceed 2, got 2.0"):
+            normal_wishart_predictive(np.zeros(2), np.zeros((2, 2)), np.eye(2), 2.0)
 
 
 @pytest.mark.parametrize("dof", [np.nan, np.inf], ids=["nan", "inf"])
-@pytest.mark.parametrize("make", [lambda dof: WishartDist(np.eye(2), dof),
-                                  lambda dof: MultivariateT(np.zeros(2), np.eye(2), dof)],
-                         ids=["WishartDist", "MultivariateT"])
+@pytest.mark.parametrize(
+    "make", [lambda dof: WishartDist(np.eye(2), dof),
+             lambda dof: normal_wishart_predictive(np.zeros(2), np.zeros((2, 2)), np.eye(2), dof)],
+    ids=["WishartDist", "normal_wishart_predictive"])
 def test_non_finite_dof(make, dof):
     # nan passed the dof bound, and WishartDist(I, inf).logpdf(I) was nan
     with pytest.raises(ValueError, match="dof must be finite"):

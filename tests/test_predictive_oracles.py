@@ -21,7 +21,8 @@ from vbvar.independent_vb import fit_vb_independent, predictive_vb_independent
 from vbvar.priors import MinnesotaConfig, minnesota_conjugate, minnesota_independent
 
 N_DRAWS = 100_000
-_DOF = pytest.mark.xfail(strict=True, reason="ROADMAP item 1: predictive t dof")
+_DOF = pytest.mark.xfail(strict=True, raises=AssertionError,
+                         reason="ROADMAP item 1: predictive t dof")
 N_VARS = [1, pytest.param(3, marks=_DOF), pytest.param(7, marks=_DOF)]
 
 
@@ -53,6 +54,21 @@ def _assert_diag_variance(y, variance):
     assert np.all(np.abs(z) < 4), f"simulated/formula {y.var(axis=0, ddof=1) / want}, z {z}"
 
 
+def test_one_record():
+    # the three closed-form predictives return the normal_wishart_predictive record
+    data, x = _design(2)
+    cprior = minnesota_conjugate(data, MinnesotaConfig())
+    preds = [predictive_exact(fit_exact(cprior, data), x),
+             predictive_vb_conjugate(fit_vb_conjugate(cprior, data), x),
+             predictive_vb_independent(
+                 fit_vb_independent(minnesota_independent(data, MinnesotaConfig()), data), x)]
+    for pred in preds:
+        assert set(pred) == {"mean", "variance", "normal_cov", "t_shape", "t_dof"}
+        assert pred["mean"].shape == (2,)
+        for key in ("variance", "normal_cov", "t_shape"):
+            assert pred[key].shape == (2, 2), key
+
+
 @pytest.mark.parametrize("m", N_VARS)
 def test_predictive_exact(m):
     # Gamma | Sigma ~ MN(mean_G, Sigma, row_cov) under the exact posterior
@@ -63,7 +79,7 @@ def test_predictive_exact(m):
     z = rng.standard_normal((N_DRAWS, post.n_regressors, m))
     coefs = post.mean_G + np.linalg.cholesky(post.row_cov) @ z @ ls.transpose(0, 2, 1)
     y = _draw_y(rng, np.einsum("p,npm->nm", x, coefs), ls)
-    _assert_diag_variance(y, predictive_exact(post, x).variance())
+    _assert_diag_variance(y, predictive_exact(post, x)["variance"])
 
 
 @pytest.mark.parametrize("m", N_VARS)
@@ -77,7 +93,7 @@ def test_predictive_vb_conjugate(m):
     coefs = (vb.mean_G + np.linalg.cholesky(vb.row_cov) @ z
              @ np.linalg.cholesky(vb.scale / vb.dof).T)
     y = _draw_y(rng, np.einsum("p,npm->nm", x, coefs), ls)
-    _assert_diag_variance(y, predictive_vb_conjugate(vb, x).variance)
+    _assert_diag_variance(y, predictive_vb_conjugate(vb, x)["variance"])
 
 
 @pytest.mark.parametrize("m", N_VARS)

@@ -15,7 +15,7 @@ from vbvar.priors import (
     minnesota_conjugate,
     minnesota_independent,
 )
-from vbvar.vardata import DesignData, InsufficientObservationsError
+from vbvar.vardata import InsufficientObservationsError
 
 
 class TestMinnesotaConfig:

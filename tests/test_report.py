@@ -56,6 +56,11 @@ class TestConjugateReport:
         assert trace["elbo"] == "elbo_conjugate"
         assert trace["pred_var_ratio_at_x"] == "predictive_vb_conjugate / predictive_exact"
 
+    def test_x_next_size_is_checked(self, medium_design):
+        prior = minnesota_conjugate(medium_design, MinnesotaConfig())
+        with pytest.raises(ValueError, match="x_next must have p = 13 entries, got 12"):
+            conjugate_report(prior, medium_design, medium_design.next_regressors()[:-1])
+
     def test_fits_exact_once(self, medium_design, monkeypatch):
         from vbvar import conjugate_exact, conjugate_vb
 
@@ -175,3 +180,10 @@ class TestIndependentReport:
             independent_report(prior, data, x, fit_vb_independent(wide_prior, wide), draws)
         with pytest.raises(ValueError, match="draws are not a chain"):
             independent_report(prior, data, x, vb, gibbs_run(wide_prior, wide, cfg))
+
+    def test_x_next_size_is_checked(self):
+        data = synthetic_design(2, 1, 60, seed=310)
+        prior = minnesota_independent(data, MinnesotaConfig())
+        vb, draws = _fits(prior, data, GibbsConfig(n_draws=300, burn_in=100, seed=311))
+        with pytest.raises(ValueError, match="x_next must have p = 3 entries, got 4"):
+            independent_report(prior, data, np.ones(4), vb, draws)

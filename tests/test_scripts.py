@@ -49,11 +49,16 @@ def test_ratio_tables_prints_both_tables():
     assert len(empirical_rows) == 2
 
 
-def test_same_outputs_measures_numeric_drift():
+def _load_same_outputs():
     spec = importlib.util.spec_from_file_location("same_outputs",
                                                   ROOT / "scripts" / "same_outputs.py")
     same_outputs = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(same_outputs)
+    return same_outputs
+
+
+def test_same_outputs_measures_numeric_drift():
+    same_outputs = _load_same_outputs()
     rel = same_outputs.max_rel_diff
     trace = b"iteration,elbo\r\n0,-100.0\r\n1,-50.0\r\n"
     assert rel("trace.csv", trace, trace.replace(b"-50.0", b"-50.000001")) == \
@@ -66,8 +71,33 @@ def test_same_outputs_measures_numeric_drift():
     assert rel("report.json", report, report.replace(b"true", b"1")) is None
     assert rel("report.json", report, report.replace(b"[true]", b"[true, false]")) is None
     assert rel("stdout.txt", b"1", b"2") is None
-    assert same_outputs.differences(
+    assert same_outputs.verdict(
         {"exit code": 0, "stdout": b"", "stderr": b"", "files": {"trace.csv": trace}},
         {"exit code": 0, "stdout": b"", "stderr": b"",
          "files": {"trace.csv": trace.replace(b"-50.0", b"-50.5")}},
-    ) == ["trace.csv: max rel 0.0099"]
+    ) == "DIFFERENT (trace.csv: max rel 0.0099)"
+
+
+def test_same_outputs_round_off_verdict():
+    same_outputs = _load_same_outputs()
+
+    def outputs(report, stdout=b""):
+        return {"exit code": 0, "stdout": stdout, "stderr": b"",
+                "files": {"report.json": report, "draws.csv": b"a\r\n1.0\r\n"}}
+
+    report = b'{"kl": 1.5, "name": "vb"}'
+    tiny = report.replace(b"1.5", b"1.5000000000000002")  # max rel 1.5e-16
+    assert same_outputs.verdict(outputs(report), outputs(report)) == "same"
+    assert same_outputs.verdict(outputs(report), outputs(tiny)) == \
+        "round-off (report.json: max rel 1.5e-16)"
+    # past the bound, or with any stream differing, it is a difference
+    assert same_outputs.verdict(outputs(report), outputs(report.replace(b"1.5", b"1.5001"))) \
+        .startswith("DIFFERENT (report.json: max rel")
+    assert same_outputs.verdict(outputs(report), outputs(tiny, stdout=b"x")).startswith(
+        "DIFFERENT (stdout, report.json")
+    line, status = same_outputs.summary(["same", "round-off (report.json: max rel 1e-16)",
+                                         "DIFFERENT (stdout)"])
+    assert line == "1 of 3 commands byte-identical, 1 round-off (max rel <= 1e-12)"
+    assert status == 1
+    assert same_outputs.summary(["same", "same"]) == \
+        ("2 of 2 commands byte-identical, 0 round-off (max rel <= 1e-12)", 0)

@@ -12,7 +12,7 @@ from vbvar.conjugate_exact import ConjugateExactPosterior, fit_exact
 from vbvar.conjugate_vb import ConjugateVbPosterior, fit_vb_conjugate
 from vbvar.independent_mcmc import GibbsConfig, gibbs_run
 from vbvar.independent_vb import IndependentVbPosterior, fit_vb_independent
-from vbvar.mvdist import MatricNormal, MatricT, MultivariateT, WishartDist
+from vbvar.mvdist import MatricNormal, MatricT, WishartDist
 from vbvar.priors import IndependentPrior
 from vbvar.report import DiagnosticsReport
 from vbvar.vardata import build_design, simulate_var
@@ -28,8 +28,6 @@ CASES = {
     "WishartDist": (lambda: WishartDist(np.eye(2), 4.0), {"scale", "_chol"}),
     "MatricT": (lambda: MatricT(np.zeros((3, 2)), np.eye(2), np.eye(3), 6.0),
                 {"mean", "col_scale", "row_scale"}),
-    "MultivariateT": (lambda: MultivariateT(np.zeros(2), np.eye(2), 5.0),
-                      {"mean", "scale", "_chol"}),
     "ConjugatePrior": (lambda: CPRIOR,
                        {"mean_G", "row_cov", "scale", "row_cov_inv", "scale_inv"}),
     "IndependentPrior": (lambda: IPRIOR,
