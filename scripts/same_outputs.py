@@ -72,6 +72,10 @@ COMMANDS = [
     ("fit independent, exports", ["vbvar", "fit", "--prior", "independent", "--data", "{m3}",
                                   "--lags", "2", "--seed", "7",
                                   "--out", "report.json", *EXPORTS]),
+    ("fit independent M=7 d=4, exports", ["vbvar", "fit", "--prior", "independent",
+                                          "--data", "{m7}", "--lags", "4", "--seed", "7",
+                                          "--draws", "600", "--burn-in", "100",
+                                          "--out", "report.json", *EXPORTS]),
     ("fit conjugate M=7 d=4", ["vbvar", "fit", "--prior", "conjugate", "--data", "{m7}",
                                "--lags", "4", "--out", "report.json"]),
     ("kl", ["vbvar", "kl", "--M", "3", "--p", "13", "--T", "196", "--nu0", "5"]),

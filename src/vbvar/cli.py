@@ -155,8 +155,9 @@ def _write_exports(cfg, vb, draws):
             header = [f"beta_{i}" for i in range(mp)]
             header += [f"prec_{i}_{j}" for i in range(m) for j in range(m)]
             writer.writerow(header)
-            for b, w in zip(draws.beta_draws, draws.precision_draws):
-                writer.writerow(list(b) + list(w.reshape(-1)))
+            # the bytes csv.writer gives: it writes a float as its repr and never quotes one
+            fh.writelines(",".join(map(repr, b.tolist() + w.ravel().tolist())) + "\r\n"
+                          for b, w in zip(draws.beta_draws, draws.precision_draws))
 
 
 def _run(cfg, priors) -> int:

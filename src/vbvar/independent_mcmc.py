@@ -16,15 +16,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cholesky, solve_triangular
+from scipy.linalg import lapack, solve_triangular
 
 from .independent_vb import IndependentVbPosterior, _CoefficientStep
 from .mvdist import (
     NotPositiveDefiniteError,
     WishartDist,
     bartlett_draw,
-    chol_inverse,
     chol_logdet,
+    lapack_checked,
     set_fields,
     spd_cholesky,
 )
@@ -102,13 +102,15 @@ def gibbs_run(prior: IndependentPrior, data: DesignData, cfg: GibbsConfig) -> Gi
     for it in range(cfg.n_draws):
         try:
             lb, mean_b = beta_step(prec)
-            beta = mean_b + solve_triangular(lb[0], rng.standard_normal(m * p),
-                                             lower=True, trans="T", check_finite=False)
+            beta = mean_b + lapack_checked(
+                lapack.dtrtrs(lb, rng.standard_normal(m * p), lower=1, trans=1), "trtrs")
             resid = data.residuals(beta)
             scale = prior.scale + resid.T @ resid
-            scale_inv = chol_inverse(np.linalg.cholesky(scale))
-            prec = bartlett_draw(cholesky(scale_inv, lower=True, check_finite=False),
-                                 nub, rng)
+            # potri fills only the lower triangle of scale^-1, all that potrf reads
+            scale_inv = lapack_checked(lapack.dpotri(np.linalg.cholesky(scale), lower=1),
+                                       "potri")
+            prec = bartlett_draw(lapack_checked(lapack.dpotrf(scale_inv, lower=1, clean=1),
+                                                "potrf"), nub, rng)
         except np.linalg.LinAlgError as exc:
             raise NotPositiveDefiniteError(
                 f"Cholesky failure in Gibbs conditional at iteration {it}"

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import lapack
 
 from .mvdist import (
     NotPositiveDefiniteError,
@@ -29,6 +29,7 @@ from .mvdist import (
     chol_inverse,
     chol_logdet,
     kron_add,
+    lapack_checked,
     mv_log_gamma,
     normal_wishart_predictive,
     set_fields,
@@ -114,12 +115,15 @@ class _CoefficientStep:
         self._prec = np.empty((m * p, m * p))
 
     def __call__(self, prec):
-        """(cho_factor of the conditional precision, conditional mean) at P;
-        the factor overwrites the buffer, so it lasts until the next call."""
+        """(lower Cholesky factor of the conditional precision, conditional
+        mean) at P, from LAPACK potrf and potrs; the strict upper triangle of
+        the factor is not zeroed.  A precision that is not positive definite
+        raises np.linalg.LinAlgError."""
         kron_add(self._prec, self.prior.cov_inv, prec, self.xtx)
-        factor = cho_factor(self._prec, lower=True, overwrite_a=True, check_finite=False)
+        lower = lapack_checked(lapack.dpotrf(self._prec, lower=1, overwrite_a=1, clean=0),
+                               "potrf")
         rhs = self.prior.cov_inv_mean + (self.xty @ prec).flatten(order="F")
-        return factor, cho_solve(factor, rhs, check_finite=False)
+        return lower, lapack_checked(lapack.dpotrs(lower, rhs, lower=1), "potrs")
 
 
 def _omega(cov_b: np.ndarray, xtx: np.ndarray, m: int, p: int) -> np.ndarray:
@@ -162,7 +166,7 @@ def fit_vb_independent(
     for _ in range(cfg.max_iters):
         try:
             lq, mean_b = beta_step(e_prec)
-            cov_b = chol_inverse(lq[0])
+            cov_b = chol_inverse(lq)
             resid = data.residuals(mean_b)
             omega = _omega(cov_b, beta_step.xtx, m, p)
             scale_q = prior.scale + resid.T @ resid + omega
@@ -171,7 +175,7 @@ def fit_vb_independent(
         except (np.linalg.LinAlgError, NotPositiveDefiniteError) as exc:
             raise NotPositiveDefiniteError("Cholesky failure in VB update") from exc
         e_prec = nub * scale_q_inv
-        trace.append(_elbo(prior, data, mean_b, cov_b, -chol_logdet(lq[0]), logdet_scale_q, nub))
+        trace.append(_elbo(prior, data, mean_b, cov_b, -chol_logdet(lq), logdet_scale_q, nub))
         if len(trace) > 1:
             step = trace[-1] - trace[-2]
             if step < -ELBO_FALL_TOL * max(abs(trace[-2]), 1.0):
@@ -245,7 +249,7 @@ def _iterate_modes(prior, data, tol, max_iters, vb_corrected):
         resid = data.residuals(beta_new)
         scale = prior.scale + resid.T @ resid
         if vb_corrected:
-            scale = scale + _omega(chol_inverse(lq[0]), beta_step.xtx, m, p)
+            scale = scale + _omega(chol_inverse(lq), beta_step.xtx, m, p)
         prec_new = dof_factor * spd_inverse((scale + scale.T) / 2.0, "scale")[0]
         delta = max(
             float(np.max(np.abs(beta_new - beta))) / max(float(np.max(np.abs(beta_new))), 1e-12),

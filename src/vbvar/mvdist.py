@@ -71,15 +71,22 @@ def chol_logdet(lower):
     return 2.0 * np.sum(np.log(np.diagonal(lower, axis1=-2, axis2=-1)), axis=-1)
 
 
+def lapack_checked(result, routine):
+    """The array of a raw LAPACK call's (array, info) result; a nonzero info
+    raises np.linalg.LinAlgError naming ``routine``, as scipy's wrappers do."""
+    out, info = result
+    if info != 0:
+        raise np.linalg.LinAlgError(f"LAPACK {routine} failed with info={info}")
+    return out
+
+
 def chol_inverse(lower):
     """A^-1 from the lower Cholesky factor L of A, exactly symmetric.
 
     LAPACK potri inverts L and forms L^-T L^-1 in about a third of the work
     of two triangular solves against the identity.
     """
-    inv, info = lapack.dpotri(lower, lower=1)
-    if info != 0:
-        raise np.linalg.LinAlgError("singular Cholesky factor")
+    inv = lapack_checked(lapack.dpotri(lower, lower=1), "potri")
     # potri fills the lower triangle; mirror it, then return the C-ordered view
     np.copyto(inv, inv.T, where=~np.tri(inv.shape[0], dtype=bool))
     return inv.T

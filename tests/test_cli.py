@@ -1,15 +1,18 @@
 """Command-line interface: exit codes, report files, config handling."""
 
 import csv
+import io
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from vbvar.cli import DEFAULTS, main
+from vbvar.cli import DEFAULTS, _write_exports, main
+from vbvar.independent_mcmc import GibbsDraws
 from vbvar.independent_vb import VbConfig
 from vbvar.priors import MinnesotaConfig
 from vbvar.vardata import simulate_var
@@ -150,6 +153,23 @@ class TestFitCommand:
         assert code == 0
         assert sorted(calls) == ["fit_vb_independent", "gibbs_run"]
         capsys.readouterr()
+
+    def test_draws_export_bytes_match_csv_writer(self, tmp_path):
+        values = np.array([-0.0, 5e-324, 1.2345678901234567e-05, 1e16, 0.1])
+        rows = np.stack([values, values[::-1]])
+        draws = GibbsDraws(beta_draws=rows[:, :4], precision_draws=rows[:, 4:, None],
+                           seed=0, burn_in=0)
+        path = tmp_path / "draws.csv"
+        _write_exports({"export_draws": str(path)}, None, draws)
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected)
+        writer.writerow(["beta_0", "beta_1", "beta_2", "beta_3", "prec_0_0"])
+        for row in rows:
+            writer.writerow(list(row))
+        assert path.read_bytes() == expected.getvalue().encode("utf-8")
+        with open(path, newline="") as fh:
+            parsed = np.array([[float(cell) for cell in row] for row in list(csv.reader(fh))[1:]])
+        assert parsed.tobytes() == rows.tobytes()
 
     def test_missing_out_directory_no_traceback(self, data_csv, tmp_path):
         out = tmp_path / "nodir" / "r.json"

@@ -90,6 +90,15 @@ class TestGibbsRun:
         with pytest.raises(NotPositiveDefiniteError, match="iteration 0"):
             gibbs_run(prior, data, GibbsConfig(n_draws=10, burn_in=0, seed=3))
 
+    def test_indefinite_scale_raises(self, monkeypatch):
+        # the coefficient step succeeds; the M x M chain on S0 + E'E must not
+        data = synthetic_design(2, 1, 40, seed=101)
+        prior = random_independent_prior(2, 3, seed=102)
+        monkeypatch.setattr(IndependentPrior, "scale", property(lambda _: -1e6 * np.eye(2)),
+                            raising=False)
+        with pytest.raises(NotPositiveDefiniteError, match="iteration 0"):
+            gibbs_run(prior, data, GibbsConfig(n_draws=10, burn_in=0, seed=3))
+
     def test_matches_quadrature(self, toy_draws, toy_grid):
         s = summarize_draws(toy_draws)
         assert abs(s["beta_mean"][0] - toy_grid["beta_mean"]) < 4 * s["beta_mean_se"][0]
