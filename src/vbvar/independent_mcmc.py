@@ -9,6 +9,13 @@ vec(X' Y Sigma^-1); the coefficient step shared with VB
 directly instead of looping over the block-diagonal Z_t.  The prior's
 inverse and determinants are cached on the prior; none of them is
 refactored per draw.
+
+The per-draw path calls LAPACK through ``scipy.linalg.lapack`` rather than
+scipy's wrappers, which cost several times the routine at small M p: trtrs
+for the coefficient noise, then numpy's Cholesky of the conditional scale,
+potri and potrf for the lower factor of its inverse.  Every ``info`` is
+checked, and a failure raises :class:`NotPositiveDefiniteError` naming the
+iteration.
 """
 
 from __future__ import annotations

@@ -11,7 +11,9 @@ coefficient precision and the scale once each and inverts each factor once.
 Gibbs, coordinate-ascent VB and both mode iterations share one coefficient
 step, :class:`_CoefficientStep`: the Gaussian conditional of beta given
 Sigma^-1 = P, at a drawn P, at E_q[Sigma^-1] or at lambda * Sigma-hat^-1.
-Each starts at the prior mean of Sigma^-1.
+Each starts at the prior mean of Sigma^-1.  The step calls LAPACK potrf and
+potrs directly, the routines under scipy's cho_factor and cho_solve, and
+raises np.linalg.LinAlgError on a nonzero ``info``, as cho_factor did.
 """
 
 from __future__ import annotations
