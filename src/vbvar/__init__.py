@@ -45,7 +45,6 @@ from .mvdist import (
     NotPositiveDefiniteError,
     UndefinedMomentError,
     WishartDist,
-    mv_log_gamma,
 )
 from .priors import (
     ConjugatePrior,

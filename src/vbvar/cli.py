@@ -8,7 +8,6 @@ report is still written).
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -139,24 +138,28 @@ def _library_config(kind, cfg):
     return kind(**{field: cfg[key] for key, field in LIBRARY_KEYS[kind].items()})
 
 
+def _csv_row(cells) -> str:
+    """One CSV line of string cells, as csv.writer writes it when no cell
+    needs quoting: no header here does, and csv.writer writes a float as its
+    repr and never quotes one."""
+    return ",".join(cells) + "\r\n"
+
+
 def _write_exports(cfg, vb, draws):
     """Write the VB ELBO trace and the Gibbs draws where the config asks."""
     if cfg.get("export_elbo_trace"):
         with open(cfg["export_elbo_trace"], "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["iteration", "elbo"])
-            for i, value in enumerate(vb.elbo_trace):
-                writer.writerow([i, repr(float(value))])
+            fh.write(_csv_row(["iteration", "elbo"]))
+            fh.writelines(_csv_row([str(i), repr(float(value))])
+                          for i, value in enumerate(vb.elbo_trace))
     if cfg.get("export_draws"):
         with open(cfg["export_draws"], "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
             m = draws.n_vars
             mp = draws.beta_draws.shape[1]
             header = [f"beta_{i}" for i in range(mp)]
             header += [f"prec_{i}_{j}" for i in range(m) for j in range(m)]
-            writer.writerow(header)
-            # the bytes csv.writer gives: it writes a float as its repr and never quotes one
-            fh.writelines(",".join(map(repr, b.tolist() + w.ravel().tolist())) + "\r\n"
+            fh.write(_csv_row(header))
+            fh.writelines(_csv_row(map(repr, b.tolist() + w.ravel().tolist()))
                           for b, w in zip(draws.beta_draws, draws.precision_draws))
 
 

@@ -8,13 +8,13 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_solve
+from scipy.special import multigammaln
 
 from .mvdist import (
     MatricT,
     UndefinedMomentError,
     chol_inverse,
     chol_logdet,
-    mv_log_gamma,
     normal_wishart_predictive,
     set_fields,
     spd_cholesky,
@@ -109,8 +109,8 @@ def log_marginal_likelihood(prior: ConjugatePrior, post: ConjugateExactPosterior
     m = post.n_vars
     return (
         _log_evidence_head(prior, post)
-        + mv_log_gamma(m, post.dof / 2.0)
-        - mv_log_gamma(m, prior.dof / 2.0)
+        + multigammaln(post.dof / 2.0, m)
+        - multigammaln(prior.dof / 2.0, m)
     )
 
 

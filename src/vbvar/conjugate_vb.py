@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
+from scipy.special import multigammaln
 
 from .conjugate_exact import ConjugateExactPosterior, _log_evidence_head, fit_exact
 from .mvdist import (
@@ -19,7 +20,6 @@ from .mvdist import (
     UndefinedMomentError,
     WishartDist,
     chol_logdet,
-    mv_log_gamma,
     normal_wishart_predictive,
     spd_cholesky,
     spd_inverse,
@@ -77,9 +77,11 @@ def fit_vb_conjugate(prior: ConjugatePrior, data: DesignData) -> ConjugateVbPost
 
 def _kl_dofs(n_vars, n_regressors, n_obs, prior_dof):
     """(M, p, T + prior dof, T + p + prior dof) for the KL formulas and the
-    moment ratios, after checking p, T >= 0, a finite prior dof and
+    moment ratios, after checking M >= 1, p, T >= 0, a finite prior dof and
     T + prior dof > M - 1."""
     m, p, t, nu0 = int(n_vars), int(n_regressors), int(n_obs), float(prior_dof)
+    if m < 1:
+        raise ValueError(f"n_vars must be >= 1, got {m}")
     if p < 0 or t < 0:
         raise ValueError("n_regressors and n_obs must be nonnegative")
     if not np.isfinite(nu0):
@@ -99,7 +101,7 @@ def kl_exact(n_vars: int, n_regressors: int, n_obs: int, prior_dof: float) -> fl
     return (
         -m * p / 2.0 * (np.log(2.0) + 1.0)
         + m / 2.0 * (nuq * np.log(nuq) - nub * np.log(nub))
-        - (mv_log_gamma(m, nuq / 2.0) - mv_log_gamma(m, nub / 2.0))
+        - (multigammaln(nuq / 2.0, m) - multigammaln(nub / 2.0, m))
     )
 
 
@@ -129,8 +131,8 @@ def elbo_conjugate(prior: ConjugatePrior, vb_post: ConjugateVbPosterior) -> floa
         _log_evidence_head(prior, vb_post)
         + m * p / 2.0 * (np.log(2.0) + 1.0)
         + m / 2.0 * (nub * np.log(nub) - nuq * np.log(nuq))
-        + mv_log_gamma(m, nuq / 2.0)
-        - mv_log_gamma(m, nu0 / 2.0)
+        + multigammaln(nuq / 2.0, m)
+        - multigammaln(nu0 / 2.0, m)
     )
 
 
@@ -162,12 +164,10 @@ def _mc_elbo_terms(prior, data, q_coef, q_prec, coefs, precs) -> np.ndarray:
     inverses and log-determinants are its cached ones.
     """
     p, m = coefs.shape[1:]
-    t = data.effective_T
     log_2pi = np.log(2.0 * np.pi)
     lw = spd_cholesky(precs, "precision draw")
     logdet_w = chol_logdet(lw)
-    lp_y = (-m * t / 2.0 * log_2pi + t / 2.0 * logdet_w
-            - 0.5 * np.sum(precs * data.residual_crossprod(coefs), axis=(1, 2)))
+    lp_y = data.log_likelihood(coefs, precs, logdet_w)
     # p(Gamma | Sigma) = MN(prior mean, Sigma, prior row_cov), ln|Sigma| = -ln|W|
     dg = coefs - prior.mean_G
     quad = np.sum(precs * (dg.transpose(0, 2, 1) @ (prior.row_cov_inv @ dg)), axis=(1, 2))

@@ -206,14 +206,13 @@ def lnml_ris(
     sample size of the weights.  A degenerate-weights warning flag is set
     when ESS falls below 5% of the draws.
 
-    All draws are handled together; the residual cross-products come from
-    :meth:`DesignData.residual_crossprod`.
+    All draws are handled together; ln p(y | beta, Sigma^-1) comes from
+    :meth:`DesignData.log_likelihood`.
     """
     n = draws.n_kept
     if n < 2:
         raise ValueError("need at least 2 kept draws for the RIS standard error")
-    m = draws.n_vars
-    t, p = data.effective_T, data.n_regressors
+    m, p = draws.n_vars, data.n_regressors
     mp = vb_post.mean_b.size
     beta = draws.beta_draws
     precs = draws.precision_draws
@@ -227,9 +226,8 @@ def lnml_ris(
     lq_w = vb_post.precision_density().logpdf_chol(lw)
 
     # ln p(y | beta, Sigma^-1); Gamma_i = beta_i.reshape((p, M), order="F")
-    ss = data.residual_crossprod(beta.reshape(n, m, p).transpose(0, 2, 1))
-    lp_y = (-m * t / 2.0 * log_2pi + t / 2.0 * chol_logdet(lw)
-            - 0.5 * np.sum(precs * ss, axis=(1, 2)))
+    lp_y = data.log_likelihood(beta.reshape(n, m, p).transpose(0, 2, 1), precs,
+                               chol_logdet(lw))
 
     # ln p(beta) + ln p(Sigma^-1)
     db = beta - prior.mean_b

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import lapack
+from scipy.special import multigammaln
 
 from .mvdist import (
     NotPositiveDefiniteError,
@@ -32,7 +33,6 @@ from .mvdist import (
     chol_logdet,
     kron_add,
     lapack_checked,
-    mv_log_gamma,
     normal_wishart_predictive,
     set_fields,
     spd_cholesky,
@@ -105,7 +105,8 @@ class IndependentVbPosterior:
 class _CoefficientStep:
     """beta | Sigma^-1 = P, Y ~ N(mean, (V0^-1 + P kron X'X)^-1) for one
     prior and data set: X'X and X'Y are formed once and the Mp x Mp
-    precision is assembled in one reused buffer."""
+    precision is assembled in one reused buffer.  The buffer is C-ordered,
+    so potrf factors an F-ordered copy and leaves the buffer as it was."""
 
     def __init__(self, prior: IndependentPrior, data: DesignData):
         m, p = data.n_vars, data.n_regressors
@@ -122,8 +123,7 @@ class _CoefficientStep:
         the factor is not zeroed.  A precision that is not positive definite
         raises np.linalg.LinAlgError."""
         kron_add(self._prec, self.prior.cov_inv, prec, self.xtx)
-        lower = lapack_checked(lapack.dpotrf(self._prec, lower=1, overwrite_a=1, clean=0),
-                               "potrf")
+        lower = lapack_checked(lapack.dpotrf(self._prec, lower=1, clean=0), "potrf")
         rhs = self.prior.cov_inv_mean + (self.xty @ prec).flatten(order="F")
         return lower, lapack_checked(lapack.dpotrs(lower, rhs, lower=1), "potrs")
 
@@ -217,8 +217,8 @@ def _elbo(prior, data, mean_b, cov_b, logdet_cov_b, logdet_scale_q, dof) -> floa
     return (
         m * p / 2.0
         - m * t / 2.0 * np.log(np.pi)
-        + mv_log_gamma(m, dof / 2.0)
-        - mv_log_gamma(m, prior.dof / 2.0)
+        + multigammaln(dof / 2.0, m)
+        - multigammaln(prior.dof / 2.0, m)
         + 0.5 * (logdet_cov_b - prior.logdet_cov)
         + 0.5 * (-dof * logdet_scale_q + prior.dof * prior.logdet_scale)
         - 0.5 * tr_term

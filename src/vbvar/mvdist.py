@@ -1,6 +1,9 @@
 """Matrix-variate distributions: matricvariate normal, Wishart, matricvariate t,
 and the normal-Wishart one-step predictive moments.
 
+The multivariate gamma ln Gamma_M(a) is ``scipy.special.multigammaln(a, M)``;
+it does not check M >= 1, so its callers take M from a matrix shape or check it.
+
 All types are immutable value objects.  Vectorization is column-major
 throughout, so the covariance of vec(X) for a matricvariate normal with
 column covariance ``Sigma`` and row covariance ``V`` is ``Sigma kron V``.
@@ -16,7 +19,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy.linalg import cholesky, lapack, solve_triangular
-from scipy.special import gammaln
+from scipy.special import multigammaln
 
 __all__ = [
     "NotPositiveDefiniteError",
@@ -24,7 +27,6 @@ __all__ = [
     "MatricNormal",
     "WishartDist",
     "MatricT",
-    "mv_log_gamma",
     "normal_wishart_predictive",
 ]
 
@@ -131,22 +133,6 @@ def check_wishart_dof(dof, m):
     """Raise ValueError unless a Wishart dof is finite and exceeds M - 1."""
     if not (np.isfinite(dof) and dof > m - 1):
         raise ValueError(f"dof must be finite and exceed M-1 = {m - 1}, got {dof}")
-
-
-def mv_log_gamma(dim: int, a: float) -> float:
-    """Log of the multivariate gamma function ln Gamma_M(a).
-
-    ln Gamma_M(a) = (M(M-1)/4) ln pi + sum_{j=1..M} ln Gamma(a + (1-j)/2).
-    Raises ValueError when a <= (M-1)/2 (outside the domain of the last
-    univariate gamma factor).
-    """
-    dim = int(dim)
-    if dim < 1:
-        raise ValueError(f"dim must be >= 1, got {dim}")
-    if a <= (dim - 1) / 2.0:
-        raise ValueError(f"mv_log_gamma requires a > (M-1)/2 = {(dim - 1) / 2}, got {a}")
-    j = np.arange(1, dim + 1)
-    return dim * (dim - 1) / 4.0 * np.log(np.pi) + float(np.sum(gammaln(a + (1.0 - j) / 2.0)))
 
 
 @dataclass(frozen=True)
@@ -267,7 +253,7 @@ class WishartDist:
             - 0.5 * tr
             - nu * m / 2.0 * np.log(2.0)
             - nu / 2.0 * chol_logdet(self._chol)
-            - mv_log_gamma(m, nu / 2.0)
+            - multigammaln(nu / 2.0, m)
         )
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:

@@ -156,7 +156,8 @@ def independent_report(
     stochastic cells carry Monte-Carlo standard errors.
 
     The seed, burn-in and draw count in the provenance are the chain's, and
-    the predictive simulation is seeded with the chain's seed + 1."""
+    the predictive simulation is seeded with the chain's seed + 1.  The
+    ``elbo`` cell is ``vb.elbo_trace[-1]``, the closed form at the returned fit."""
     x = regressor_row(x_next, prior.n_regressors)
     if (vb.n_vars, vb.n_regressors) != (prior.n_vars, prior.n_regressors):
         raise ValueError("vb is not a fit of this prior's dimensions")
@@ -169,7 +170,7 @@ def independent_report(
     q_prec = vb.precision_density()
     pred_mc = imc.predictive_gibbs(draws, x, np.random.default_rng(draws.seed + 1))
     pred_vb = ivb.predictive_vb_independent(vb, x)
-    elbo = ivb.elbo_independent(prior, vb, data)
+    elbo = vb.elbo_trace[-1]
     ris = imc.lnml_ris(draws, vb, prior, data)
 
     return DiagnosticsReport(

@@ -104,6 +104,14 @@ class DesignData:
         d = qty - r @ coefs
         return e.T @ e + d.transpose(0, 2, 1) @ d
 
+    def log_likelihood(self, coefs, precs, logdet_precs) -> np.ndarray:
+        """ln p(Y | C_i, W_i) of the Gaussian VAR, y_t ~ N(C_i' x_t, W_i^-1),
+        for each C_i of an (n, p, M) coefficient stack and W_i of an
+        (n, M, M) precision stack, given the n values ln |W_i|."""
+        t, m = self.Y.shape
+        return (-m * t / 2.0 * np.log(2.0 * np.pi) + t / 2.0 * logdet_precs
+                - 0.5 * np.sum(precs * self.residual_crossprod(coefs), axis=(1, 2)))
+
 
 def load_csv(path, has_timestamps: bool = False) -> np.ndarray:
     """Read a UTF-8 comma-delimited file with a header row into a

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -63,6 +64,14 @@ class TestKlCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "error: prior_dof must be finite" in captured.err
+
+    def test_no_variables_exit_1(self, capsys):
+        # scipy's multigammaln does not check M; unchecked, this printed
+        # kl_exact 0.000000 and exited 0
+        assert main(["kl", "--M", "0", "--p", "1", "--T", "10", "--nu0", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: n_vars must be >= 1")
 
 
 class TestFitCommand:
@@ -159,14 +168,21 @@ class TestFitCommand:
         rows = np.stack([values, values[::-1]])
         draws = GibbsDraws(beta_draws=rows[:, :4], precision_draws=rows[:, 4:, None],
                            seed=0, burn_in=0)
-        path = tmp_path / "draws.csv"
-        _write_exports({"export_draws": str(path)}, None, draws)
+        trace = [-932.8369631798702, -0.0, 1e16]
+        path, trace_path = tmp_path / "draws.csv", tmp_path / "trace.csv"
+        _write_exports({"export_draws": str(path), "export_elbo_trace": str(trace_path)},
+                       SimpleNamespace(elbo_trace=tuple(map(np.float64, trace))), draws)
         expected = io.StringIO(newline="")
         writer = csv.writer(expected)
         writer.writerow(["beta_0", "beta_1", "beta_2", "beta_3", "prec_0_0"])
         for row in rows:
             writer.writerow(list(row))
         assert path.read_bytes() == expected.getvalue().encode("utf-8")
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected)
+        writer.writerow(["iteration", "elbo"])
+        writer.writerows(enumerate(trace))
+        assert trace_path.read_bytes() == expected.getvalue().encode("utf-8")
         with open(path, newline="") as fh:
             parsed = np.array([[float(cell) for cell in row] for row in list(csv.reader(fh))[1:]])
         assert parsed.tobytes() == rows.tobytes()

@@ -297,6 +297,16 @@ class TestMomentRatios:
             moment_ratios(*args)
 
 
+@pytest.mark.parametrize("m", [0, -2])
+@pytest.mark.parametrize("fn", [kl_exact, kl_stirling, moment_ratios],
+                         ids=lambda fn: fn.__name__)
+def test_no_variables(fn, m):
+    # scipy's multigammaln does not check M: unchecked, kl_exact gave 0 at M = 0
+    # and -1.83 at M = -2, and moment_ratios(0, ...) gave a ratio row
+    with pytest.raises(ValueError, match=f"n_vars must be >= 1, got {m}"):
+        fn(m, 1, 10, 2.0)
+
+
 @pytest.mark.parametrize("nu0", [np.nan, np.inf], ids=["nan", "inf"])
 @pytest.mark.parametrize("fn", [kl_exact, kl_stirling, moment_ratios],
                          ids=lambda fn: fn.__name__)

@@ -3,10 +3,7 @@ matric-normal samplers, and input checks."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy import integrate, stats
-from scipy.special import gammaln
 
 from vbvar.mvdist import (
     MatricNormal,
@@ -15,7 +12,6 @@ from vbvar.mvdist import (
     UndefinedMomentError,
     WishartDist,
     bartlett_draw,
-    mv_log_gamma,
     normal_wishart_predictive,
     spd_cholesky,
 )
@@ -24,40 +20,6 @@ from vbvar.mvdist import (
 def _rand_spd(rng, n, jitter=1.0):
     a = rng.standard_normal((n, n))
     return a @ a.T / n + jitter * np.eye(n)
-
-
-class TestMvLogGamma:
-    def test_dim1_at_one(self):
-        assert mv_log_gamma(1, 1.0) == pytest.approx(0.0, abs=1e-15)
-
-    def test_dim1_at_half(self):
-        # ln Gamma(1/2) = ln sqrt(pi)
-        assert mv_log_gamma(1, 0.5) == pytest.approx(0.5723649, abs=1e-6)
-
-    def test_dim2_product_formula(self):
-        # independently evaluated: 0.5*ln(pi) + lnGamma(1.5) + lnGamma(1.0)
-        oracle = 0.5 * np.log(np.pi) + float(gammaln(1.5)) + float(gammaln(1.0))
-        assert oracle == pytest.approx(0.4515827, abs=1e-6)
-        assert mv_log_gamma(2, 1.5) == pytest.approx(oracle, abs=1e-12)
-
-    def test_domain_error(self):
-        with pytest.raises(ValueError):
-            mv_log_gamma(3, 1.0)
-        with pytest.raises(ValueError):
-            mv_log_gamma(0, 1.0)
-
-    @given(
-        dim=st.integers(min_value=2, max_value=6),
-        a=st.floats(min_value=3.5, max_value=80.0),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_recurrence(self, dim, a):
-        # ln Gamma_M(a) = ((M-1)/2) ln pi + ln Gamma(a) + ln Gamma_{M-1}(a - 1/2)
-        lhs = mv_log_gamma(dim, a)
-        rhs = (dim - 1) / 2.0 * np.log(np.pi) + float(gammaln(a)) + mv_log_gamma(
-            dim - 1, a - 0.5
-        )
-        assert lhs == pytest.approx(rhs, abs=1e-12 * max(1.0, abs(lhs)))
 
 
 class TestSpdCholesky:

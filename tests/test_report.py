@@ -7,6 +7,7 @@ import pytest
 
 from conftest import synthetic_design
 from vbvar import independent_mcmc as imc
+from vbvar import independent_vb as ivb
 from vbvar.independent_mcmc import GibbsConfig, gibbs_run
 from vbvar.independent_vb import fit_vb_independent
 from vbvar.priors import MinnesotaConfig, minnesota_conjugate, minnesota_independent
@@ -154,6 +155,19 @@ class TestIndependentReport:
         assert rep.provenance["ris_degenerate_weights"] is True
         assert json.loads(rep.to_json())["provenance"]["ris_degenerate_weights"] is True
         assert "warning: degenerate RIS weights (ESS 3.3 of 200 kept draws)" in rep.to_text()
+
+    def test_elbo_read_from_fit(self, monkeypatch):
+        data = synthetic_design(2, 1, 60, seed=310)
+        prior = minnesota_independent(data, MinnesotaConfig())
+        x = np.concatenate([[1.0], data.Y[-1]])
+        vb, draws = _fits(prior, data, GibbsConfig(n_draws=300, burn_in=100, seed=311))
+
+        def refit(*args):
+            raise AssertionError("elbo_independent called")
+
+        monkeypatch.setattr(ivb, "elbo_independent", refit)
+        rep = independent_report(prior, data, x, vb, draws)
+        assert rep.kl_section["elbo"] == vb.elbo_trace[-1]
 
     def test_traceability(self, indep_report):
         # the elbo, kl and pred_var_ratio cells were once traced to the

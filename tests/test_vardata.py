@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from vbvar.vardata import (
     CsvFormatError,
@@ -203,3 +204,14 @@ class TestDesignData:
         y = np.random.default_rng(m).standard_normal((5, m))
         design = DesignData(Y=y, X=np.ones((5, 1)), lag_order=0)
         np.testing.assert_array_equal(design.next_regressors(), [1.0])
+
+    def test_log_likelihood_sums_row_densities(self):
+        rng = np.random.default_rng(11)
+        design = build_design(rng.standard_normal((30, 2)), 2)
+        coefs = rng.standard_normal((3, design.n_regressors, 2))
+        precs = np.array([a @ a.T + np.eye(2) for a in rng.standard_normal((3, 2, 2))])
+        got = design.log_likelihood(coefs, precs, np.linalg.slogdet(precs)[1])
+        want = [stats.multivariate_normal.logpdf(design.Y - design.X @ c,
+                                                 cov=np.linalg.inv(w)).sum()
+                for c, w in zip(coefs, precs)]
+        np.testing.assert_allclose(got, want, rtol=1e-10)
