@@ -82,6 +82,8 @@ COMMANDS = [
     ("fit independent, no seed", ["vbvar", "fit", "--prior", "independent",
                                   "--data", "{m3}", "--lags", "2"]),
     ("compare --config", ["vbvar", "compare", "--config", "{cfg}", "--out", "report.json"]),
+    ("compare --config, every library key", ["vbvar", "compare", "--config", "{cfg_all}",
+                                             "--out", "report.json"]),
     ("fit --config, every library key", ["vbvar", "fit", "--config", "{cfg_all}",
                                          "--out", "report.json", *EXPORTS]),
     ("fit --timestamps", ["vbvar", "fit", "--data", "{m3_dated}", "--timestamps",

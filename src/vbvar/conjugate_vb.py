@@ -95,7 +95,8 @@ def _kl_dofs(n_vars, n_regressors, n_obs, prior_dof):
 def kl_exact(n_vars: int, n_regressors: int, n_obs: int, prior_dof: float) -> float:
     """Exact KL(q || p) for the conjugate VAR; data-independent.
 
-    Computed entirely in log space (the dof powers are never exponentiated).
+    Its terms cancel as T grows (ROADMAP item 2): relative error 1.2e-12 at (M, p, T, nu0)
+    = (3, 13, 196, 5), 3.9e-5 at T = 1e6, and the wrong sign at T = 1e12.
     """
     m, p, nub, nuq = _kl_dofs(n_vars, n_regressors, n_obs, prior_dof)
     return (

@@ -30,6 +30,7 @@ from .mvdist import (
     NotPositiveDefiniteError,
     WishartDist,
     bartlett_draw,
+    check_fields,
     chol_logdet,
     lapack_checked,
     set_fields,
@@ -49,6 +50,8 @@ __all__ = [
 
 # predictive_gibbs needs this many kept draws (n_draws - burn_in)
 MIN_PREDICTIVE_DRAWS = 100
+# batches of the batch-means standard errors
+BATCH_MEANS_BATCHES = 20
 
 
 @dataclass(frozen=True)
@@ -60,6 +63,7 @@ class GibbsConfig:
     seed: int
 
     def __post_init__(self):
+        check_fields(self)
         if self.n_draws < 1:
             raise ValueError("n_draws must be >= 1")
         if self.burn_in < 0:
@@ -129,10 +133,10 @@ def gibbs_run(prior: IndependentPrior, data: DesignData, cfg: GibbsConfig) -> Gi
                       seed=cfg.seed, burn_in=cfg.burn_in)
 
 
-def _batch_means_se(series: np.ndarray, n_batches: int = 20) -> np.ndarray:
-    """Batch-means standard error of the mean along axis 0."""
+def _batch_means_se(series: np.ndarray) -> np.ndarray:
+    """Batch-means standard error of the mean along axis 0, over BATCH_MEANS_BATCHES batches."""
     n = series.shape[0]
-    k = min(n_batches, n)
+    k = min(BATCH_MEANS_BATCHES, n)
     usable = (n // k) * k
     batches = series[:usable].reshape(k, usable // k, *series.shape[1:]).mean(axis=1)
     return batches.std(axis=0, ddof=1) / np.sqrt(k)

@@ -28,7 +28,7 @@ from .mvdist import (
     NotPositiveDefiniteError,
     UndefinedMomentError,
     WishartDist,
-    check_finite_fields,
+    check_fields,
     chol_inverse,
     chol_logdet,
     kron_add,
@@ -60,7 +60,7 @@ class VbConfig:
     elbo_rel_tol: float = 1e-9
 
     def __post_init__(self):
-        check_finite_fields(self)
+        check_fields(self)
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if self.elbo_rel_tol <= 0:
@@ -136,6 +136,8 @@ def _omega(cov_b: np.ndarray, xtx: np.ndarray, m: int, p: int) -> np.ndarray:
 # An ELBO step below -ELBO_FALL_TOL * max(1, |ELBO|) is a real decrease,
 # not round-off; coordinate ascent cannot produce one at a correct update.
 ELBO_FALL_TOL = 1e-11
+# the most fixed-point steps a mode solver takes
+MODE_MAX_ITERS = 1000
 
 
 def _prior_quadratic(prior, db, cov_b):
@@ -236,7 +238,7 @@ def predictive_vb_independent(vb_post: IndependentVbPosterior, x_next) -> dict:
                                      vb_post.scale_q, vb_post.dof)
 
 
-def _iterate_modes(prior, data, tol, max_iters, vb_corrected):
+def _iterate_modes(prior, data, tol, vb_corrected):
     beta_step = _CoefficientStep(prior, data)
     m, p = data.n_vars, data.n_regressors
     dof_factor = data.effective_T + prior.dof - m - 1
@@ -246,13 +248,16 @@ def _iterate_modes(prior, data, tol, max_iters, vb_corrected):
     prec = prior.precision_mean
     beta = np.asarray(prior.mean_b, dtype=float).copy()
     converged = False
-    for _ in range(max_iters):
-        lq, beta_new = beta_step(lam * prec)
-        resid = data.residuals(beta_new)
-        scale = prior.scale + resid.T @ resid
-        if vb_corrected:
-            scale = scale + _omega(chol_inverse(lq), beta_step.xtx, m, p)
-        prec_new = dof_factor * spd_inverse((scale + scale.T) / 2.0, "scale")[0]
+    for it in range(MODE_MAX_ITERS):
+        try:
+            lq, beta_new = beta_step(lam * prec)
+            resid = data.residuals(beta_new)
+            scale = prior.scale + resid.T @ resid
+            if vb_corrected:
+                scale = scale + _omega(chol_inverse(lq), beta_step.xtx, m, p)
+            prec_new = dof_factor * spd_inverse((scale + scale.T) / 2.0, "scale")[0]
+        except (np.linalg.LinAlgError, NotPositiveDefiniteError) as exc:
+            raise NotPositiveDefiniteError(f"Cholesky failure in mode iteration {it}") from exc
         delta = max(
             float(np.max(np.abs(beta_new - beta))) / max(float(np.max(np.abs(beta_new))), 1e-12),
             float(np.max(np.abs(prec_new - prec))) / max(float(np.max(np.abs(prec_new))), 1e-12),
@@ -264,15 +269,13 @@ def _iterate_modes(prior, data, tol, max_iters, vb_corrected):
     return {"beta": beta, "precision": prec, "converged": converged}
 
 
-def modes_exact_iterative(prior: IndependentPrior, data: DesignData,
-                          tol: float = 1e-10, max_iters: int = 1000) -> dict:
+def modes_exact_iterative(prior: IndependentPrior, data: DesignData, tol: float = 1e-10) -> dict:
     """Joint mode of the exact independent-prior posterior by fixed-point
     iteration on the stationarity conditions."""
-    return _iterate_modes(prior, data, tol, max_iters, vb_corrected=False)
+    return _iterate_modes(prior, data, tol, vb_corrected=False)
 
 
-def modes_vb_iterative(prior: IndependentPrior, data: DesignData,
-                       tol: float = 1e-10, max_iters: int = 1000) -> dict:
+def modes_vb_iterative(prior: IndependentPrior, data: DesignData, tol: float = 1e-10) -> dict:
     """Joint mode of the VB posterior via the lambda-corrected iteration,
     lambda = 1 + (M+1)/(T + prior dof - M - 1)."""
-    return _iterate_modes(prior, data, tol, max_iters, vb_corrected=True)
+    return _iterate_modes(prior, data, tol, vb_corrected=True)

@@ -122,11 +122,16 @@ def set_fields(obj, **values):
         object.__setattr__(obj, name, value)
 
 
-def check_finite_fields(obj):
-    """Raise ValueError naming the first field of dataclass ``obj`` that is inf or nan."""
-    for name, value in vars(obj).items():
+def check_fields(obj):
+    """Raise ValueError naming the first field of dataclass ``obj`` that is inf or nan,
+    or is annotated int and holds no integer (a numpy integer is one, a bool is not)."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+        if f.type in ("int", int) and not integer:
+            raise ValueError(f"{f.name} must be an integer, got {value!r}")
         if not np.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
+            raise ValueError(f"{f.name} must be finite, got {value}")
 
 
 def check_wishart_dof(dof, m):

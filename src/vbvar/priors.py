@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mvdist import check_finite_fields, check_wishart_dof, set_fields, spd_inverse
-from .vardata import DesignData, InsufficientObservationsError
+from .mvdist import check_fields, check_wishart_dof, set_fields, spd_inverse
+from .vardata import DesignData, InsufficientObservationsError, lag_columns
 
 __all__ = [
     "ConjugatePrior",
@@ -137,7 +137,7 @@ class MinnesotaConfig:
     dof_offset: int = 2
 
     def __post_init__(self):
-        check_finite_fields(self)
+        check_fields(self)
         if self.overall_tightness <= 0:
             raise ValueError("overall_tightness must be positive")
         if not 0 < self.cross_tightness <= 1:
@@ -161,19 +161,19 @@ def _ar_residual_variances(data: DesignData) -> np.ndarray:
     d = data.lag_order
     if t < d + 2:
         raise InsufficientObservationsError(f"need T_raw >= 2d+2 for AR({d}) pre-fits")
+    var = lag_columns(m, d)[1]
     out = np.empty(m)
     for j in range(m):
-        # own lags of variable j: columns 1 + (l-1)*M + j of X, l = 1..d
-        cols = [0] + [1 + (lag - 1) * m + j for lag in range(1, d + 1)]
+        # the intercept and the own lags of variable j, lag 1 first
+        cols = np.concatenate(([0], 1 + np.flatnonzero(var == j)))
         xj = data.X[:, cols]
         yj = data.Y[:, j]
-        dof = t - len(cols)
         coef, _, rank, _ = np.linalg.lstsq(xj, yj, rcond=None)
         if rank < len(cols):
             out[j] = float(np.var(yj, ddof=1))
         else:
             resid = yj - xj @ coef
-            out[j] = float(resid @ resid / dof)
+            out[j] = float(resid @ resid / (t - len(cols)))
         if out[j] <= 0:
             out[j] = 1.0
     return out
@@ -181,8 +181,7 @@ def _ar_residual_variances(data: DesignData) -> np.ndarray:
 
 def _mean_coefficients(m: int, d: int, own_lag_mean: float) -> np.ndarray:
     g = np.zeros((m * d + 1, m))
-    for j in range(m):
-        g[1 + j, j] = own_lag_mean
+    np.fill_diagonal(g[1:1 + m], own_lag_mean)
     return g
 
 
@@ -190,16 +189,11 @@ def minnesota_conjugate(data: DesignData, cfg: MinnesotaConfig) -> ConjugatePrio
     """Minnesota-style conjugate prior: diagonal row covariance, AR-based scales."""
     m, d = data.n_vars, data.lag_order
     s2 = _ar_residual_variances(data)
-    diag = np.empty(m * d + 1)
-    diag[0] = cfg.intercept_scale**2
-    for lag in range(1, d + 1):
-        for j in range(m):
-            diag[1 + (lag - 1) * m + j] = (
-                cfg.overall_tightness**2 / (lag ** (2 * cfg.lag_decay) * s2[j])
-            )
+    lag, var = lag_columns(m, d)
+    lags = cfg.overall_tightness**2 / (lag ** (2.0 * cfg.lag_decay) * s2[var])
     return ConjugatePrior(
         mean_G=_mean_coefficients(m, d, cfg.own_lag_mean),
-        row_cov=np.diag(diag),
+        row_cov=np.diag(np.concatenate(([cfg.intercept_scale**2], lags))),
         scale=np.diag(s2),
         dof=m + cfg.dof_offset,
     )
@@ -212,27 +206,16 @@ def minnesota_independent(data: DesignData, cfg: MinnesotaConfig) -> Independent
     discount to cross-variable lag entries.
     """
     m, d = data.n_vars, data.lag_order
-    p = m * d + 1
     s2 = _ar_residual_variances(data)
-    blocks = np.zeros((m * p, m * p))
-    for eq in range(m):
-        diag = np.empty(p)
-        diag[0] = cfg.intercept_scale**2 * s2[eq]
-        for lag in range(1, d + 1):
-            for j in range(m):
-                cross = 1.0 if j == eq else cfg.cross_tightness
-                diag[1 + (lag - 1) * m + j] = (
-                    cfg.overall_tightness**2
-                    * cross**2
-                    * (s2[eq] / s2[j])
-                    / lag ** (2 * cfg.lag_decay)
-                )
-        sl = slice(eq * p, (eq + 1) * p)
-        blocks[sl, sl] = np.diag(diag)
-    mean_g = _mean_coefficients(m, d, cfg.own_lag_mean)
+    lag, var = lag_columns(m, d)
+    cross = np.where(var == np.arange(m)[:, None], 1.0, cfg.cross_tightness)
+    # row eq: the diagonal of equation eq's block
+    table = np.column_stack((cfg.intercept_scale**2 * s2,
+                             cfg.overall_tightness**2 * cross**2 * (s2[:, None] / s2[var])
+                             / lag ** (2.0 * cfg.lag_decay)))
     return IndependentPrior(
-        mean_b=mean_g.flatten(order="F"),
-        cov=blocks,
+        mean_b=_mean_coefficients(m, d, cfg.own_lag_mean).flatten(order="F"),
+        cov=np.diag(table.ravel()),
         scale=np.diag(s2),
         dof=m + cfg.dof_offset,
     )

@@ -24,6 +24,7 @@ __all__ = [
     "DesignData",
     "load_csv",
     "build_design",
+    "lag_columns",
     "regressor_row",
     "simulate_var",
     "z_block",
@@ -82,8 +83,7 @@ class DesignData:
         last row of X; just (1,) at lag order 0."""
         if self.lag_order == 0:
             return np.ones(1)
-        lags = self.X[-1, 1:1 + self.n_vars * (self.lag_order - 1)]
-        return np.concatenate(([1.0], self.Y[-1], lags))
+        return np.concatenate(([1.0], self.Y[-1], self.X[-1, 1:-self.n_vars]))
 
     def residuals(self, beta) -> np.ndarray:
         """Y - X Gamma for beta = vec(Gamma), the p x M coefficient matrix
@@ -176,13 +176,16 @@ def build_design(values, lag_order: int) -> DesignData:
         raise InsufficientObservationsError(
             f"need more than d={d} observations, have {t_raw}"
         )
-    t_eff = t_raw - d
-    y = values[d:]
-    x = np.empty((t_eff, m * d + 1))
-    x[:, 0] = 1.0
-    for lag in range(1, d + 1):
-        x[:, 1 + (lag - 1) * m: 1 + lag * m] = values[d - lag: t_raw - lag]
-    return DesignData(Y=y, X=x, lag_order=d)
+    lag, var = lag_columns(m, d)
+    x = np.hstack((np.ones((t_raw - d, 1)), values[np.arange(d, t_raw)[:, None] - lag, var]))
+    return DesignData(Y=values[d:], X=x, lag_order=d)
+
+
+def lag_columns(n_vars: int, lag_order: int) -> tuple:
+    """(lag, variable) index arrays of X's columns 1..p-1, the one statement
+    of the regressor layout: column 1 + (l-1)*M + j holds lag l of variable j."""
+    lag, var = np.divmod(np.arange(n_vars * lag_order), n_vars)
+    return lag + 1, var
 
 
 def regressor_row(x_next, p: int) -> np.ndarray:

@@ -117,6 +117,15 @@ class TestGibbsConfig:
         with pytest.raises(ValueError):
             GibbsConfig(n_draws=0, burn_in=0, seed=0)
 
+    @pytest.mark.parametrize("field", ["n_draws", "burn_in", "seed"])
+    @pytest.mark.parametrize("value", [1.5, 2.0, True], ids=["fraction", "float", "bool"])
+    def test_counts_and_seed_must_be_integers(self, field, value):
+        settings = {"n_draws": 300, "burn_in": 0, "seed": 1, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            GibbsConfig(**settings)
+        cfg = GibbsConfig(**{**settings, field: np.int64(1)})
+        assert getattr(cfg, field) == 1
+
     def test_negative_seed(self):
         with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
             GibbsConfig(n_draws=10, burn_in=0, seed=-1)

@@ -99,6 +99,12 @@ class TestFitVb:
         with pytest.raises(ValueError):
             fit_vb_independent(random_independent_prior(3, 4, seed=0), data)
 
+    @pytest.mark.parametrize("value", [2.5, 3.0, True], ids=["fraction", "float", "bool"])
+    def test_max_iters_must_be_an_integer(self, value):
+        with pytest.raises(ValueError, match="max_iters must be an integer"):
+            VbConfig(max_iters=value)
+        assert VbConfig(max_iters=np.int64(3)).max_iters == 3
+
     def test_non_convergence_flag(self):
         data = synthetic_design(3, 4, 200, seed=206)
         prior = random_independent_prior(3, 13, seed=207)
@@ -295,6 +301,16 @@ class TestModes:
         data = synthetic_design(2, 1, 40, seed=205)
         with pytest.raises(ValueError, match="dimensions disagree"):
             modes(random_independent_prior(3, 4, seed=0), data)
+
+    @pytest.mark.parametrize("modes", [modes_exact_iterative, modes_vb_iterative])
+    def test_factor_failure_raises(self, modes, monkeypatch):
+        # reported as VB and Gibbs report theirs, not as a bare LAPACK error
+        data = synthetic_design(2, 1, 40, seed=205)
+        prior = random_independent_prior(2, 3, seed=204)
+        monkeypatch.setattr(IndependentPrior, "precision_mean",
+                            property(lambda _: -1e6 * np.eye(2)))
+        with pytest.raises(NotPositiveDefiniteError, match="mode iteration 0"):
+            modes(prior, data)
 
     def test_vb_mode_below_exact_precision(self, scalar_case):
         # the VB precision mode shrinks toward zero relative to the exact one

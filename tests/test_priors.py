@@ -31,6 +31,12 @@ class TestMinnesotaConfig:
         with pytest.raises(ValueError):
             MinnesotaConfig(dof_offset=0)
 
+    @pytest.mark.parametrize("value", [2.5, 2.0, True], ids=["fraction", "float", "bool"])
+    def test_dof_offset_must_be_an_integer(self, value):
+        with pytest.raises(ValueError, match="dof_offset must be an integer"):
+            MinnesotaConfig(dof_offset=value)
+        assert MinnesotaConfig(dof_offset=np.int64(3)).dof_offset == 3
+
 
 class TestConjugateBuilder:
     def test_dof(self):
@@ -124,6 +130,71 @@ class TestIndependentBuilder:
         assert tight.cov[1, 1] == pytest.approx(loose.cov[1, 1])
         # equation 1, own lag (variable 1): entry p + 2
         assert tight.cov[p + 2, p + 2] == pytest.approx(loose.cov[p + 2, p + 2])
+
+
+class TestMinnesotaRule:
+    """Every entry of both builders against the module docstring's rule,
+    evaluated one scalar at a time in the rule's own operation order."""
+
+    M, D = 3, 3
+
+    def _case(self, lag_decay):
+        data = synthetic_design(self.M, self.D, 80, seed=10)
+        cfg = MinnesotaConfig(overall_tightness=0.2, cross_tightness=0.6, lag_decay=lag_decay,
+                              intercept_scale=50.0, own_lag_mean=-0.5)
+        return data, cfg, [float(v) for v in _ar_residual_variances(data)]
+
+    def _lag_terms(self):
+        # (position in 0..p-1, lag l, variable j), lag blocks after the intercept
+        return [(1 + (lag - 1) * self.M + j, lag, j)
+                for lag in range(1, self.D + 1) for j in range(self.M)]
+
+    def _mean(self):
+        g = np.zeros((self.M * self.D + 1, self.M))
+        for j in range(self.M):
+            g[1 + j, j] = -0.5
+        return g
+
+    # lambda3 = 2 (an integer) takes the integer power path of the scalar rule
+    @pytest.mark.parametrize("lag_decay", [1.3, 2])
+    def test_conjugate_entries(self, lag_decay):
+        data, cfg, s2 = self._case(lag_decay)
+        prior = minnesota_conjugate(data, cfg)
+        want = np.zeros(self.M * self.D + 1)
+        want[0] = cfg.intercept_scale**2
+        for k, lag, j in self._lag_terms():
+            want[k] = cfg.overall_tightness**2 / (lag ** (2 * cfg.lag_decay) * s2[j])
+        assert np.array_equal(prior.row_cov, np.diag(want))
+        assert np.array_equal(prior.scale, np.diag(s2))
+        assert np.array_equal(prior.mean_G, self._mean())
+        assert prior.dof == self.M + cfg.dof_offset
+
+    @pytest.mark.parametrize("lag_decay", [1.3, 2])
+    def test_independent_entries(self, lag_decay):
+        data, cfg, s2 = self._case(lag_decay)
+        prior = minnesota_independent(data, cfg)
+        p = self.M * self.D + 1
+        want = np.zeros(self.M * p)
+        for eq in range(self.M):
+            want[eq * p] = cfg.intercept_scale**2 * s2[eq]
+            for k, lag, j in self._lag_terms():
+                cross = 1.0 if j == eq else cfg.cross_tightness
+                want[eq * p + k] = (cfg.overall_tightness**2 * cross**2 * (s2[eq] / s2[j])
+                                    / lag ** (2 * cfg.lag_decay))
+        assert np.array_equal(prior.cov, np.diag(want))
+        assert np.array_equal(prior.scale, np.diag(s2))
+        assert np.array_equal(prior.mean_b, self._mean().flatten(order="F"))
+        assert prior.dof == self.M + cfg.dof_offset
+
+    def test_own_lag_variances_use_own_lag_columns(self):
+        # the AR pre-fit of variable j regresses it on an intercept and its own d lags
+        data, _, s2 = self._case(1.0)
+        t = data.effective_T
+        for j in range(self.M):
+            xj = data.X[:, [0] + [1 + (lag - 1) * self.M + j for lag in range(1, self.D + 1)]]
+            coef = np.linalg.lstsq(xj, data.Y[:, j], rcond=None)[0]
+            resid = data.Y[:, j] - xj @ coef
+            assert s2[j] == pytest.approx(resid @ resid / (t - self.D - 1), rel=1e-12)
 
 
 class TestPriorTypes:

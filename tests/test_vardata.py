@@ -12,6 +12,7 @@ from vbvar.vardata import (
     InsufficientObservationsError,
     MissingValueError,
     build_design,
+    lag_columns,
     load_csv,
     z_block,
 )
@@ -90,6 +91,17 @@ class TestBuildDesign:
         # row t: (1, y'_{t-1}, y'_{t-2})
         np.testing.assert_allclose(d.X[0], [1.0, *raw[1], *raw[0]])
         np.testing.assert_allclose(d.Y[0], raw[2])
+
+    @pytest.mark.parametrize("m,d", [(1, 1), (2, 3), (3, 2)])
+    def test_lag_columns_layout(self, m, d):
+        # column 1 + (l-1)*M + j of X holds lag l of variable j
+        lag, var = lag_columns(m, d)
+        assert lag.tolist() == [l for l in range(1, d + 1) for _ in range(m)]
+        assert var.tolist() == list(range(m)) * d
+        raw = np.random.default_rng(m + d).standard_normal((d + 6, m))
+        x = build_design(raw, d).X
+        for col, (l, j) in enumerate(zip(lag, var), start=1):
+            assert np.array_equal(x[:, col], raw[d - l:len(raw) - l, j])
 
     def test_insufficient_observations(self):
         with pytest.raises(InsufficientObservationsError):
