@@ -11,14 +11,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
-from scipy.special import multigammaln
+from scipy.special import gammaln, multigammaln
 
 from .conjugate_exact import ConjugateExactPosterior, _log_evidence_head, fit_exact
 from .mvdist import (
     MatricNormal,
     UndefinedMomentError,
     WishartDist,
+    chol_inverse,
     chol_logdet,
     normal_wishart_predictive,
     spd_cholesky,
@@ -92,32 +92,29 @@ def _kl_dofs(n_vars, n_regressors, n_obs, prior_dof):
     return m, p, nub, t + p + nu0
 
 
-def kl_exact(n_vars: int, n_regressors: int, n_obs: int, prior_dof: float) -> float:
-    """Exact KL(q || p) for the conjugate VAR; data-independent.
-
-    Its terms cancel as T grows (ROADMAP item 2): relative error 1.2e-12 at (M, p, T, nu0)
-    = (3, 13, 196, 5), 3.9e-5 at T = 1e6, and the wrong sign at T = 1e12.
-    """
-    m, p, nub, nuq = _kl_dofs(n_vars, n_regressors, n_obs, prior_dof)
+def _kl_closed(m, p, nub, log_gamma):
+    """KL(q || p) = -Mp/2 (ln 2 + 1) + M/2 (nuq ln nuq - nub ln nub) - sum_j
+    [g(nuq/2 + a_j) - g(nub/2 + a_j)], a_j = (1 - j)/2, nuq = nub + p, g = log_gamma."""
+    nuq = nub + p
+    a = (1.0 - np.arange(1, m + 1)) / 2.0
     return (
         -m * p / 2.0 * (np.log(2.0) + 1.0)
         + m / 2.0 * (nuq * np.log(nuq) - nub * np.log(nub))
-        - (multigammaln(nuq / 2.0, m) - multigammaln(nub / 2.0, m))
+        - float(np.sum(log_gamma(nuq / 2.0 + a) - log_gamma(nub / 2.0 + a)))
     )
 
 
+def kl_exact(n_vars: int, n_regressors: int, n_obs: int, prior_dof: float) -> float:
+    """Exact KL(q || p) for the conjugate VAR; data-independent."""
+    m, p, nub, _ = _kl_dofs(n_vars, n_regressors, n_obs, prior_dof)
+    return _kl_closed(m, p, nub, gammaln)
+
+
 def kl_stirling(n_vars: int, n_regressors: int, n_obs: int, prior_dof: float) -> float:
-    """Stirling approximation to kl_exact."""
-    m, _, nub, nuq = _kl_dofs(n_vars, n_regressors, n_obs, prior_dof)
-    total = 0.0
-    for j in range(1, m + 1):
-        total += (
-            (nub - j) * np.log(nub - j + 1)
-            + nuq * np.log(nuq)
-            - (nuq - j) * np.log(nuq - j + 1)
-            - nub * np.log(nub)
-        )
-    return total / 2.0
+    """Stirling approximation to kl_exact: its closed form with Stirling's
+    ln Gamma(z) = (z - 1/2) ln z - z + 1/2 ln 2pi, whose constant cancels."""
+    m, p, nub, _ = _kl_dofs(n_vars, n_regressors, n_obs, prior_dof)
+    return _kl_closed(m, p, nub, lambda z: (z - 0.5) * np.log(z) - z)
 
 
 def elbo_conjugate(prior: ConjugatePrior, vb_post: ConjugateVbPosterior) -> float:
@@ -140,20 +137,16 @@ def elbo_conjugate(prior: ConjugatePrior, vb_post: ConjugateVbPosterior) -> floa
 def _log_joint_conjugate(prior, data, coef, precision, prec_chol):
     """ln p(Y, Gamma, Sigma^-1) for given parameter values; the per-draw
     reference for :func:`_mc_elbo_terms`."""
-    x, y = data.X, data.Y
-    t, m = y.shape
-    resid = y - x @ coef
-    logdet_prec = 2.0 * np.sum(np.log(np.diag(prec_chol)))
+    t, m = data.Y.shape
+    resid = data.Y - data.X @ coef
     lp_y = (
         -m * t / 2.0 * np.log(2.0 * np.pi)
-        + t / 2.0 * logdet_prec
+        + t / 2.0 * chol_logdet(prec_chol)
         - 0.5 * float(np.sum(precision * (resid.T @ resid)))
     )
     # p(Gamma | Sigma) = MN(prior mean, Sigma, prior row_cov)
-    sigma = cho_solve((prec_chol, True), np.eye(m))
-    lp_g = MatricNormal(prior.mean_G, (sigma + sigma.T) / 2.0, prior.row_cov).logpdf(coef)
-    s0_inv = cho_solve(cho_factor(prior.scale, lower=True), np.eye(m))
-    lp_w = WishartDist((s0_inv + s0_inv.T) / 2.0, prior.dof).logpdf(precision)
+    lp_g = MatricNormal(prior.mean_G, chol_inverse(prec_chol), prior.row_cov).logpdf(coef)
+    lp_w = WishartDist(prior.scale_inv, prior.dof).logpdf(precision)
     return lp_y + lp_g + lp_w
 
 
