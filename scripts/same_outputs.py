@@ -79,6 +79,9 @@ COMMANDS = [
     ("fit conjugate M=7 d=4", ["vbvar", "fit", "--prior", "conjugate", "--data", "{m7}",
                                "--lags", "4", "--out", "report.json"]),
     ("kl", ["vbvar", "kl", "--M", "3", "--p", "13", "--T", "196", "--nu0", "5"]),
+    # where the KL's closed form cancels; at T = 196 the printed 6 decimals cannot move
+    ("kl at T=1e12", ["vbvar", "kl", "--M", "20", "--p", "41", "--T", "1000000000000",
+                      "--nu0", "22"]),
     ("fit independent, no seed", ["vbvar", "fit", "--prior", "independent",
                                   "--data", "{m3}", "--lags", "2"]),
     ("compare --config", ["vbvar", "compare", "--config", "{cfg}", "--out", "report.json"]),

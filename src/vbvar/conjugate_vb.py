@@ -148,9 +148,9 @@ def kl_exact(n_vars: int, n_regressors: int, n_obs: int, prior_dof: float) -> fl
 
 
 def kl_stirling(n_vars: int, n_regressors: int, n_obs: int, prior_dof: float) -> float:
-    """Stirling approximation to kl_exact, as accurate: both forms with Stirling's
-    ln Gamma(z) = (z - 1/2) ln z - z + 1/2 ln 2pi, whose constant cancels, so the
-    series' B_k(x) is cut to x^k - (k/2) x^(k-1)."""
+    """Stirling approximation to kl_exact, evaluated to the same accuracy: both
+    forms with Stirling's ln Gamma(z) = (z - 1/2) ln z - z + 1/2 ln 2pi, whose
+    constant cancels, so the series' B_k(x) is cut to x^k - (k/2) x^(k-1)."""
     return _kl(_kl_dofs(n_vars, n_regressors, n_obs, prior_dof),
                lambda z: (z - 0.5) * np.log(z) - z, _BERNOULLI[:2])
 

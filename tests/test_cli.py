@@ -44,6 +44,14 @@ class TestKlCommand:
         out = capsys.readouterr().out.splitlines()
         assert out[0] == "kl_exact    1.873518"
 
+    def test_large_t_holds_its_digits(self, capsys):
+        # the closed form's cancelling terms once printed -0.018469 and -0.042969
+        # here, for a true value of 4.3e-9
+        assert main(["kl", "--M", "20", "--p", "41", "--T", "1000000000000",
+                     "--nu0", "22"]) == 0
+        assert capsys.readouterr().out.splitlines() == ["kl_exact    0.000000",
+                                                        "kl_stirling 0.000000"]
+
     def test_grows_with_m(self, capsys):
         vals = []
         for m, p in [(3, 13), (7, 29)]:

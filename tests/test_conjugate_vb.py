@@ -1,12 +1,19 @@
 """Closed-form VB for the conjugate VAR: ELBO, KL, predictive, modes, ratios."""
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy import optimize
+from scipy.special import gammaln
 
 from conftest import intercept_only_design, random_conjugate_prior, synthetic_design
+from vbvar import conjugate_vb as cvb
 from vbvar.conjugate_exact import fit_exact, joint_mode, log_marginal_likelihood
 from vbvar.conjugate_vb import (
+    _kl_closed,
+    _kl_series,
     _log_joint_conjugate,
     _mc_elbo_terms,
     elbo_conjugate,
@@ -117,6 +124,90 @@ class TestKlStirling:
             for p in (1, 4, 11):
                 for t in (30, 196, 1000):
                     assert kl_stirling(m, p, t, m + 2.0) > 0
+
+
+def _stirling(log):
+    """Stirling's ln Gamma(z) without 1/2 ln 2pi, with the given ln."""
+    return lambda z: (z - 0.5) * log(z) - z
+
+
+def _kl_mpmath(m, p, t, nu0, log_gamma):
+    """The conjugate KL closed form in 80-digit mpmath, ln Gamma by ``log_gamma``."""
+    with mpmath.workdps(80):
+        nub = mpmath.mpf(t) + mpmath.mpf(nu0)
+        nuq = nub + p
+        total = (-m * p * (mpmath.log(2) + 1) / 2
+                 + m * (nuq * mpmath.log(nuq) - nub * mpmath.log(nub)) / 2)
+        for j in range(1, m + 1):
+            a = mpmath.mpf(1 - j) / 2
+            total -= log_gamma(nuq / 2 + a) - log_gamma(nub / 2 + a)
+        return total
+
+
+def _on_series_branch(m, p, t, nu0):
+    nub = t + nu0
+    return (p + m) / nub <= cvb._SERIES_MAX_X and nub >= cvb._SERIES_MIN_DOF
+
+
+# (M, p, nu0) from the smallest model to Mp = 6440
+KL_GRID = [(1, 1, 1.5), (1, 2, 2.5), (2, 5, 3.5), (3, 7, 4.5), (3, 13, 5.0), (5, 11, 6.5),
+           (7, 29, 9.0), (10, 21, 11.5), (10, 41, 11.5), (20, 41, 22.0), (20, 81, 21.5),
+           (40, 161, 41.5)]
+
+
+def _grid_obs(m, p, nu0):
+    """T from M (where (p + M)/nub > 0.5) up to 1e12, with T on each side of the
+    series' bound on (p + M)/nub and of its floor on nub."""
+    ts = {m, 100, 196, 10**3, 10**4, 10**6, 10**9, 10**12}
+    for nub in ((p + m) / cvb._SERIES_MAX_X, cvb._SERIES_MIN_DOF):
+        edge = int(np.ceil(nub - nu0))
+        ts.update({edge - 1, edge})
+    return sorted(t for t in ts if t >= 0 and t + nu0 > m - 1)
+
+
+class TestKlAccuracy:
+    @pytest.mark.parametrize("m,p,nu0", KL_GRID, ids=[f"M{m}p{p}" for m, p, _ in KL_GRID])
+    @pytest.mark.parametrize("kl,log_gamma", [(kl_exact, mpmath.loggamma),
+                                              (kl_stirling, _stirling(mpmath.log))],
+                             ids=["exact", "stirling"])
+    def test_mpmath_oracle(self, kl, log_gamma, m, p, nu0):
+        # the closed form alone lost every digit by T = 1e12, with the wrong sign
+        branches = set()
+        for t in _grid_obs(m, p, nu0):
+            series = _on_series_branch(m, p, t, nu0)
+            branches.add(series)
+            want = _kl_mpmath(m, p, t, nu0, log_gamma)
+            rel = float(abs((kl(m, p, t, nu0) - want) / want))
+            assert rel <= (5e-16 if series else 5e-13), (t, rel)
+        assert branches == {True, False}
+
+    @given(st.integers(1, 40).flatmap(lambda m: st.tuples(st.just(m), st.integers(1, 4 * m + 1))),
+           st.floats(0.2, 0.35))
+    @settings(max_examples=200, deadline=None)
+    def test_closed_and_series_agree_near_switch(self, dims, x):
+        m, p = dims
+        nub = (p + m) / x
+        assume(nub >= cvb._SERIES_MIN_DOF)
+        for log_gamma, bern in [(gammaln, cvb._BERNOULLI),
+                                (_stirling(np.log), cvb._BERNOULLI[:2])]:
+            series = _kl_series(m, p, nub, bern)
+            assert _kl_closed(m, p, nub, log_gamma) == pytest.approx(series, rel=2e-12)
+
+    def test_stirling_closed_branch_matches_per_j_loop(self):
+        def per_j_loop(m, p, t, nu0):
+            # kl_stirling's former evaluation, the same expression rearranged
+            nub, nuq = t + nu0, t + p + nu0
+            total = 0.0
+            for j in range(1, m + 1):
+                total += ((nub - j) * np.log(nub - j + 1) + nuq * np.log(nuq)
+                          - (nuq - j) * np.log(nuq - j + 1) - nub * np.log(nub))
+            return total / 2.0
+
+        for m, p, nu0 in KL_GRID:
+            for t in (m, 2 * (p + m), int(np.ceil((p + m) / cvb._SERIES_MAX_X - nu0)) - 1):
+                assert not _on_series_branch(m, p, t, nu0)
+                assert kl_stirling(m, p, t, nu0) == pytest.approx(per_j_loop(m, p, t, nu0),
+                                                                  rel=1e-12)
 
 
 class TestElbo:
