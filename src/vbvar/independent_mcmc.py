@@ -101,27 +101,18 @@ class GibbsDraws:
 
 def gibbs_run(prior: IndependentPrior, data: DesignData, cfg: GibbsConfig) -> GibbsDraws:
     """Alternate beta | Sigma^-1 and Sigma^-1 | beta draws; deterministic given seed."""
-    beta_step = _CoefficientStep(prior, data)
-    m, p = data.n_vars, data.n_regressors
+    draw_beta = _dense_beta_draw(prior, data)
+    m = data.n_vars
     rng = np.random.default_rng(cfg.seed)
 
     prec = prior.precision_mean
     nub = data.effective_T + prior.dof
     n_kept = cfg.n_draws - cfg.burn_in
-    beta_draws = np.empty((n_kept, m * p))
+    beta_draws = np.empty((n_kept, prior.mean_b.size))
     prec_draws = np.empty((n_kept, m, m))
     for it in range(cfg.n_draws):
         try:
-            lb, mean_b = beta_step(prec)
-            beta = mean_b + lapack_checked(
-                lapack.dtrtrs(lb, rng.standard_normal(m * p), lower=1, trans=1), "trtrs")
-            resid = data.residuals(beta)
-            scale = prior.scale + resid.T @ resid
-            # potri fills only the lower triangle of scale^-1, all that potrf reads
-            scale_inv = lapack_checked(lapack.dpotri(np.linalg.cholesky(scale), lower=1),
-                                       "potri")
-            prec = bartlett_draw(lapack_checked(lapack.dpotrf(scale_inv, lower=1, clean=1),
-                                                "potrf"), nub, rng)
+            beta, prec = _gibbs_sweep(draw_beta, prior, data, prec, nub, rng)
         except np.linalg.LinAlgError as exc:
             raise NotPositiveDefiniteError(
                 f"Cholesky failure in Gibbs conditional at iteration {it}"
@@ -131,6 +122,32 @@ def gibbs_run(prior: IndependentPrior, data: DesignData, cfg: GibbsConfig) -> Gi
             prec_draws[it - cfg.burn_in] = prec
     return GibbsDraws(beta_draws=beta_draws, precision_draws=prec_draws,
                       seed=cfg.seed, burn_in=cfg.burn_in)
+
+
+def _dense_beta_draw(prior, data):
+    """draw(P, rng): beta | Sigma^-1 = P, Y from the Cholesky factor L of the
+    conditional precision, mean + L^-T z with z ~ N(0, I_Mp)."""
+    beta_step = _CoefficientStep(prior, data)
+    mp = prior.mean_b.size
+
+    def draw(prec, rng):
+        lb, mean_b = beta_step(prec)
+        return mean_b + lapack_checked(
+            lapack.dtrtrs(lb, rng.standard_normal(mp), lower=1, trans=1), "trtrs")
+    return draw
+
+
+def _gibbs_sweep(draw_beta, prior, data, prec, nub, rng):
+    """One sweep from Sigma^-1 = prec: beta | Sigma^-1, Y by ``draw_beta``,
+    then Sigma^-1 | beta, Y ~ W((S0 + E'E)^-1, nub).  Returns (beta, Sigma^-1);
+    a failed factorisation raises np.linalg.LinAlgError."""
+    beta = draw_beta(prec, rng)
+    resid = data.residuals(beta)
+    scale = prior.scale + resid.T @ resid
+    # potri fills only the lower triangle of scale^-1, all that potrf reads
+    scale_inv = lapack_checked(lapack.dpotri(np.linalg.cholesky(scale), lower=1), "potri")
+    return beta, bartlett_draw(lapack_checked(lapack.dpotrf(scale_inv, lower=1, clean=1),
+                                              "potrf"), nub, rng)
 
 
 def _batch_means_se(series: np.ndarray) -> np.ndarray:

@@ -12,6 +12,9 @@ from conftest import (
 )
 from vbvar.independent_mcmc import (
     GibbsConfig,
+    _batch_means_se,
+    _dense_beta_draw,
+    _gibbs_sweep,
     _log_joint_independent,
     gibbs_run,
     lnml_ris,
@@ -19,8 +22,9 @@ from vbvar.independent_mcmc import (
     summarize_draws,
 )
 from vbvar.independent_vb import elbo_independent, fit_vb_independent
-from vbvar.mvdist import NotPositiveDefiniteError
+from vbvar.mvdist import NotPositiveDefiniteError, WishartDist
 from vbvar.priors import IndependentPrior, MinnesotaConfig, minnesota_independent
+from vbvar.vardata import DesignData
 
 
 @pytest.fixture(scope="module")
@@ -106,6 +110,49 @@ class TestGibbsRun:
             4 * s["precision_mean_se"][0, 0]
         assert s["beta_var"][0] == pytest.approx(toy_grid["beta_var"], rel=0.05)
         assert s["precision_var"][0, 0] == pytest.approx(toy_grid["h_var"], rel=0.05)
+
+
+def _joint_distribution_chain(prior, x, n_steps, seed):
+    """Geweke's (2004) successive-conditional simulator: from theta drawn
+    from the prior, alternate Y ~ p(Y | theta) at fixed regressors X with
+    one Gibbs sweep theta ~ K(theta, . | Y).  When the sweep leaves the
+    posterior invariant, the prior is the chain's stationary law."""
+    rng = np.random.default_rng(seed)
+    m, p = prior.n_vars, prior.n_regressors
+    t = x.shape[0]
+    beta = prior.mean_b + np.linalg.cholesky(prior.cov) @ rng.standard_normal(m * p)
+    prec = WishartDist(prior.scale_inv, prior.dof).sample(rng)
+    betas, precs = np.empty((n_steps, m * p)), np.empty((n_steps, m, m))
+    for k in range(n_steps):
+        # rows of E are N(0, Sigma): e = L^-T z for Sigma^-1 = L L'
+        e = np.linalg.solve(np.linalg.cholesky(prec).T, rng.standard_normal((m, t))).T
+        data = DesignData(Y=x @ beta.reshape((p, m), order="F") + e, X=x,
+                          lag_order=(p - 1) // m)
+        beta, prec = _gibbs_sweep(_dense_beta_draw(prior, data), prior, data, prec,
+                                  t + prior.dof, rng)
+        betas[k], precs[k] = beta, prec
+    return betas, precs
+
+
+class TestJointDistribution:
+    """The Gibbs sweep against its prior by the joint-distribution test: the
+    chain means of beta, beta^2 and Sigma^-1 must match the prior's moments
+    within Z_MAX batch-means standard errors.  A Wishart dof off by 2 or
+    coefficient noise scaled by 1.15 gives |z| far above it."""
+
+    N_STEPS = 20_000
+    Z_MAX = 5.0
+
+    def test_chain_keeps_the_prior(self):
+        x = synthetic_design(2, 1, 11, seed=1301).X
+        prior = random_independent_prior(2, 3, seed=1302)
+        betas, precs = _joint_distribution_chain(prior, x, self.N_STEPS, seed=1304)
+        iu = np.triu_indices(2)
+        stats = np.column_stack((betas, betas**2, precs[:, iu[0], iu[1]]))
+        want = np.concatenate((prior.mean_b, prior.mean_b**2 + np.diag(prior.cov),
+                               prior.precision_mean[iu]))
+        z = (stats.mean(axis=0) - want) / _batch_means_se(stats)
+        assert np.abs(z).max() < self.Z_MAX, z
 
 
 class TestGibbsConfig:
