@@ -3,19 +3,33 @@ simulation-based predictive density, and a reciprocal-importance-sampling
 log-marginal-likelihood estimator.
 
 The stacked regression uses Z_t = I_M kron x_t, so the conditional
-precision of beta is V0^-1 + Sigma^-1 kron X'X and the cross term is
-vec(X' Y Sigma^-1); the coefficient step shared with VB
-(``independent_vb._CoefficientStep``) assembles both from X'X and X'Y
-directly instead of looping over the block-diagonal Z_t.  The prior's
-inverse and determinants are cached on the prior; none of them is
-refactored per draw.
+precision of beta is Q = V0^-1 + Sigma^-1 kron X'X and the cross term is
+vec(X' Y Sigma^-1).  The prior's inverse and determinants are cached on the
+prior; none of them is refactored per draw.
 
-The per-draw path calls LAPACK through ``scipy.linalg.lapack`` rather than
-scipy's wrappers, which cost several times the routine at small M p: trtrs
-for the coefficient noise, then numpy's Cholesky of the conditional scale,
-potri and potrf for the lower factor of its inverse.  Every ``info`` is
-checked, and a failure raises :class:`NotPositiveDefiniteError` naming the
-iteration.
+Each Gibbs sweep (``_gibbs_sweep``) draws beta | Sigma^-1 by one of two
+routes, chosen once per chain from the prior:
+
+- dense: the coefficient step shared with VB
+  (``independent_vb._CoefficientStep``) assembles Q from X'X and X'Y and
+  factors it, then LAPACK trtrs applies the noise; O((Mp)^3) per draw.
+- PCG (``_PcgBetaDraw``): when V0^-1 is diagonal (``cov_inv_diag``, as
+  under the Minnesota prior) and Mp >= _PCG_MIN_MP, perturb-then-solve by
+  preconditioned conjugate gradients on the Kronecker structure of Q, with
+  no Mp x Mp matrix; O(p^2 M + p M^2) per product.  It draws 2 Mp normals
+  where the dense route draws Mp, so the two routes give different streams.
+  The crossover _PCG_MIN_MP = 300 is measured.  Under the Minnesota
+  default lambda2 = 1, PCG converges in one or two iterations and is the
+  faster route from below Mp = 203.  A tighter lambda2 takes tens of
+  iterations, and 300 is the smallest Mp at which two-lag models are no
+  slower on PCG for every lambda2 down to 0.1.
+
+Both routes then draw Sigma^-1 | beta the same way: numpy's Cholesky of the
+scale, then LAPACK potri and potrf for the lower factor of its inverse,
+through ``scipy.linalg.lapack`` rather than scipy's wrappers, which cost
+several times the routine at small M p.  Every ``info`` is checked, and a
+failure, or PCG missing its tolerance, raises
+:class:`NotPositiveDefiniteError` naming the iteration.
 """
 
 from __future__ import annotations
@@ -52,6 +66,12 @@ __all__ = [
 MIN_PREDICTIVE_DRAWS = 100
 # batches of the batch-means standard errors
 BATCH_MEANS_BATCHES = 20
+
+# gibbs_run draws beta by PCG when V0^-1 is diagonal and Mp is at least this
+_PCG_MIN_MP = 300
+# PCG stops at this relative residual, and raises after this many iterations
+_PCG_RTOL = 1e-13
+_PCG_MAX_ITERS = 500
 
 
 @dataclass(frozen=True)
@@ -100,8 +120,14 @@ class GibbsDraws:
 
 
 def gibbs_run(prior: IndependentPrior, data: DesignData, cfg: GibbsConfig) -> GibbsDraws:
-    """Alternate beta | Sigma^-1 and Sigma^-1 | beta draws; deterministic given seed."""
-    draw_beta = _dense_beta_draw(prior, data)
+    """Alternate beta | Sigma^-1 and Sigma^-1 | beta draws; deterministic given seed.
+
+    beta is drawn by the dense Cholesky route, or by perturb-then-solve PCG
+    when the prior's V0^-1 is diagonal and Mp >= _PCG_MIN_MP (300, the
+    measured crossover; see the module docstring).  A failed factorisation,
+    or PCG missing its tolerance within its iteration cap, raises
+    :class:`NotPositiveDefiniteError` naming the iteration."""
+    draw_beta = _beta_draw(prior, data)
     m = data.n_vars
     rng = np.random.default_rng(cfg.seed)
 
@@ -115,13 +141,20 @@ def gibbs_run(prior: IndependentPrior, data: DesignData, cfg: GibbsConfig) -> Gi
             beta, prec = _gibbs_sweep(draw_beta, prior, data, prec, nub, rng)
         except np.linalg.LinAlgError as exc:
             raise NotPositiveDefiniteError(
-                f"Cholesky failure in Gibbs conditional at iteration {it}"
-            ) from exc
+                f"Gibbs conditional failed at iteration {it}: {exc}") from exc
         if it >= cfg.burn_in:
             beta_draws[it - cfg.burn_in] = beta
             prec_draws[it - cfg.burn_in] = prec
     return GibbsDraws(beta_draws=beta_draws, precision_draws=prec_draws,
                       seed=cfg.seed, burn_in=cfg.burn_in)
+
+
+def _beta_draw(prior, data):
+    """gibbs_run's beta | Sigma^-1 draw: :class:`_PcgBetaDraw` when V0^-1 is
+    diagonal and Mp >= _PCG_MIN_MP, the dense Cholesky draw otherwise."""
+    if prior.cov_inv_diag is not None and prior.mean_b.size >= _PCG_MIN_MP:
+        return _PcgBetaDraw(prior, data)
+    return _dense_beta_draw(prior, data)
 
 
 def _dense_beta_draw(prior, data):
@@ -137,10 +170,98 @@ def _dense_beta_draw(prior, data):
     return draw
 
 
+class _PcgBetaDraw:
+    """draw(P, rng): beta | Sigma^-1 = P, Y for a diagonal V0^-1 = D, by
+    perturb-then-solve (Papandreou & Yuille 2010) without forming the
+    Mp x Mp conditional precision Q = D + P kron A, A = X'X.
+
+    D, as a p x M table, is fitted by s_p s_M' (squared), the least-squares
+    fit of ln D by row plus column effects; the fit is exact under the
+    Minnesota rule with lambda2 = 1.  With S = diag(vec(s_p s_M')) and the
+    eigendecompositions A / s_p s_p' = U Lambda U' (once) and
+    P / s_M s_M' = R Omega R' (per draw), the two p x M slabs z1, Z2 of one
+    standard-normal draw give
+
+        eta = D^1/2 z1 + S_p U Lambda^1/2 Z2 Omega^1/2 R' S_M ~ N(0, Q),
+
+    so the solution of Q beta = V0^-1 b0 + vec(X'Y P) + eta is the
+    conditional draw.  The solve is preconditioned conjugate gradients on
+    Q vec(B) = vec(D o B + A B P), O(p^2 M + p M^2) per product, with the
+    preconditioner (S^2 + P kron A)^-1 = S^-1 (I + Omega kron Lambda)^-1 S^-1
+    in the joint eigenbasis.  Missing _PCG_RTOL within _PCG_MAX_ITERS raises
+    np.linalg.LinAlgError with the residual reached.  Every product is
+    numpy's: mixing numpy's and scipy's BLAS makes single calls erratic."""
+
+    def __init__(self, prior, data):
+        m, p = data.n_vars, data.n_regressors
+        if prior.n_vars != m or prior.n_regressors != p:
+            raise ValueError("prior and data dimensions disagree")
+        self.d = prior.cov_inv_diag.reshape((p, m), order="F")
+        self.sqrt_d = np.sqrt(self.d)
+        log_d = np.log(self.d)
+        s_p = np.exp(log_d.mean(axis=1) / 2.0)
+        self.s_m = np.exp((log_d.mean(axis=0) - log_d.mean()) / 2.0)
+        self.s = np.outer(s_p, self.s_m)
+        self.prior_term = prior.cov_inv_mean.reshape((p, m), order="F")
+        self.xtx = data.X.T @ data.X
+        self.xty = data.X.T @ data.Y
+        lam, self.u = np.linalg.eigh(self.xtx / np.outer(s_p, s_p))
+        # X'X is positive semi-definite; clip round-off below zero
+        self.lam = np.maximum(lam, 0.0)
+        self.noise_left = s_p[:, None] * self.u * np.sqrt(self.lam)
+
+    def __call__(self, prec, rng):
+        omega, r = self.eig(prec)
+        eta = self.noise(rng.standard_normal((2, *self.d.shape)), omega, r)
+        return self.solve(self.prior_term + self.xty @ prec + eta, prec, omega, r).flatten(
+            order="F")
+
+    def eig(self, prec):
+        """(Omega, R) of P / s_M s_M' = R Omega R'; P not positive definite
+        raises np.linalg.LinAlgError."""
+        omega, r = np.linalg.eigh(prec / np.outer(self.s_m, self.s_m))
+        if omega[0] <= 0.0:
+            raise np.linalg.LinAlgError("Sigma^-1 is not positive definite")
+        return omega, r
+
+    def noise(self, z, omega, r):
+        """eta = D^1/2 z1 + S_p U Lambda^1/2 Z2 Omega^1/2 R' S_M for z = (z1, Z2)."""
+        return self.sqrt_d * z[0] + self.noise_left @ z[1] @ (
+            self.s_m[:, None] * r * np.sqrt(omega)).T
+
+    def solve(self, rhs, prec, omega, r):
+        """Q^-1 rhs for a p x M right-hand side, by preconditioned CG from 0."""
+        u, s = self.u, self.s
+        shift = 1.0 + self.lam[:, None] * omega
+
+        def precondition(g):
+            return u @ ((u.T @ (g / s) @ r) / shift) @ r.T / s
+
+        goal = _PCG_RTOL * np.linalg.norm(rhs)
+        x = np.zeros_like(rhs)
+        res = rhs.copy()
+        direction = precondition(res)
+        rz = np.vdot(res, direction)
+        for _ in range(_PCG_MAX_ITERS):
+            q = self.d * direction + self.xtx @ direction @ prec
+            alpha = rz / np.vdot(direction, q)
+            x += alpha * direction
+            res -= alpha * q
+            res_norm = np.linalg.norm(res)
+            if res_norm <= goal:
+                return x
+            z = precondition(res)
+            rz, rz_old = np.vdot(res, z), rz
+            direction = z + (rz / rz_old) * direction
+        raise np.linalg.LinAlgError(
+            f"PCG reached relative residual {res_norm / np.linalg.norm(rhs):.2e}, not "
+            f"{_PCG_RTOL:g}, in {_PCG_MAX_ITERS} iterations")
+
+
 def _gibbs_sweep(draw_beta, prior, data, prec, nub, rng):
     """One sweep from Sigma^-1 = prec: beta | Sigma^-1, Y by ``draw_beta``,
     then Sigma^-1 | beta, Y ~ W((S0 + E'E)^-1, nub).  Returns (beta, Sigma^-1);
-    a failed factorisation raises np.linalg.LinAlgError."""
+    a failed factorisation or PCG solve raises np.linalg.LinAlgError."""
     beta = draw_beta(prec, rng)
     resid = data.residuals(beta)
     scale = prior.scale + resid.T @ resid

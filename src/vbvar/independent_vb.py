@@ -8,9 +8,10 @@ Omega has entries tr(Vq[m,n block] X'X).  The prior's V0^-1, S0^-1 and
 log-determinants are cached on the prior; each iteration factors the
 coefficient precision and the scale once each and inverts each factor once.
 
-Gibbs, coordinate-ascent VB and both mode iterations share one coefficient
-step, :class:`_CoefficientStep`: the Gaussian conditional of beta given
-Sigma^-1 = P, at a drawn P, at E_q[Sigma^-1] or at lambda * Sigma-hat^-1.
+Coordinate-ascent VB, both mode iterations and the dense route of the Gibbs
+sampler share one coefficient step, :class:`_CoefficientStep`: the Gaussian
+conditional of beta given Sigma^-1 = P, at E_q[Sigma^-1], at
+lambda * Sigma-hat^-1 or at a drawn P.
 Each starts at the prior mean of Sigma^-1.  The step calls LAPACK potrf and
 potrs directly, the routines under scipy's cho_factor and cho_solve, and
 raises np.linalg.LinAlgError on a nonzero ``info``, as cho_factor did.
@@ -106,7 +107,10 @@ class _CoefficientStep:
     """beta | Sigma^-1 = P, Y ~ N(mean, (V0^-1 + P kron X'X)^-1) for one
     prior and data set: X'X and X'Y are formed once and the Mp x Mp
     precision is assembled in one reused buffer.  The buffer is C-ordered,
-    so potrf factors an F-ordered copy and leaves the buffer as it was."""
+    so potrf factors an F-ordered copy and leaves the buffer as it was.
+
+    Gibbs uses it only on its dense route; a diagonal V0^-1 at large Mp is
+    drawn without this buffer (``independent_mcmc._PcgBetaDraw``)."""
 
     def __init__(self, prior: IndependentPrior, data: DesignData):
         m, p = data.n_vars, data.n_regressors

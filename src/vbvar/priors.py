@@ -81,6 +81,8 @@ class IndependentPrior:
     Construction validates both SPD blocks and caches, read-only, what every
     fitting routine needs of them: ``cov_inv`` (V0^-1), ``cov_inv_mean``
     (V0^-1 b0), ``logdet_cov``, ``scale_inv`` (S0^-1) and ``logdet_scale``.
+    ``cov_inv_diag`` is the diagonal of ``cov_inv`` when ``cov_inv`` has no
+    off-diagonal nonzero, as under the Minnesota prior, and None otherwise.
     """
 
     mean_b: np.ndarray
@@ -92,6 +94,7 @@ class IndependentPrior:
     logdet_cov: float = field(init=False, repr=False, compare=False)
     scale_inv: np.ndarray = field(init=False, repr=False, compare=False)
     logdet_scale: float = field(init=False, repr=False, compare=False)
+    cov_inv_diag: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         b = np.asarray(self.mean_b, dtype=float).reshape(-1)
@@ -103,9 +106,13 @@ class IndependentPrior:
         if np.asarray(self.cov).shape != (b.size, b.size):
             raise ValueError("cov shape inconsistent with mean_b")
         check_wishart_dof(self.dof, m)
+        # an SPD matrix has no zero on its diagonal, so Mp nonzeros mean no
+        # off-diagonal one; np.diag returns a read-only view
+        diag = np.diag(cov_inv) if np.count_nonzero(cov_inv) == b.size else None
         set_fields(self, mean_b=b, cov=self.cov, scale=self.scale,
                    cov_inv=cov_inv, cov_inv_mean=cov_inv @ b, logdet_cov=logdet_cov,
-                   scale_inv=scale_inv, logdet_scale=logdet_scale, dof=float(self.dof))
+                   scale_inv=scale_inv, logdet_scale=logdet_scale, dof=float(self.dof),
+                   cov_inv_diag=diag)
 
     @property
     def n_vars(self) -> int:

@@ -1,7 +1,13 @@
 """Gibbs sampler for the independent-prior VAR and the RIS marginal likelihood."""
 
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
 from conftest import (
@@ -10,21 +16,23 @@ from conftest import (
     random_independent_prior,
     synthetic_design,
 )
+import vbvar.independent_mcmc as imc
 from vbvar.independent_mcmc import (
     GibbsConfig,
     _batch_means_se,
-    _dense_beta_draw,
+    _beta_draw,
     _gibbs_sweep,
+    _PcgBetaDraw,
     _log_joint_independent,
     gibbs_run,
     lnml_ris,
     predictive_gibbs,
     summarize_draws,
 )
-from vbvar.independent_vb import elbo_independent, fit_vb_independent
+from vbvar.independent_vb import _CoefficientStep, elbo_independent, fit_vb_independent
 from vbvar.mvdist import NotPositiveDefiniteError, WishartDist
 from vbvar.priors import IndependentPrior, MinnesotaConfig, minnesota_independent
-from vbvar.vardata import DesignData
+from vbvar.vardata import DesignData, build_design
 
 
 @pytest.fixture(scope="module")
@@ -128,31 +136,160 @@ def _joint_distribution_chain(prior, x, n_steps, seed):
         e = np.linalg.solve(np.linalg.cholesky(prec).T, rng.standard_normal((m, t))).T
         data = DesignData(Y=x @ beta.reshape((p, m), order="F") + e, X=x,
                           lag_order=(p - 1) // m)
-        beta, prec = _gibbs_sweep(_dense_beta_draw(prior, data), prior, data, prec,
+        beta, prec = _gibbs_sweep(_beta_draw(prior, data), prior, data, prec,
                                   t + prior.dof, rng)
         betas[k], precs[k] = beta, prec
     return betas, precs
+
+
+def _diagonal_prior(base, seed, decades):
+    """base with its coefficient covariance replaced by a random diagonal
+    whose entries span about ``decades`` powers of ten."""
+    rng = np.random.default_rng(seed)
+    cov = np.diag(10.0 ** rng.uniform(-decades / 2, decades / 2, base.mean_b.size))
+    return IndependentPrior(base.mean_b, cov, base.scale, base.dof)
 
 
 class TestJointDistribution:
     """The Gibbs sweep against its prior by the joint-distribution test: the
     chain means of beta, beta^2 and Sigma^-1 must match the prior's moments
     within Z_MAX batch-means standard errors.  A Wishart dof off by 2 or
-    coefficient noise scaled by 1.15 gives |z| far above it."""
+    coefficient noise scaled by 1.15 gives |z| far above it on either
+    route."""
 
     N_STEPS = 20_000
     Z_MAX = 5.0
 
-    def test_chain_keeps_the_prior(self):
-        x = synthetic_design(2, 1, 11, seed=1301).X
+    @pytest.mark.parametrize("route", ["dense", "pcg"])
+    def test_chain_keeps_the_prior(self, route, monkeypatch):
+        data = synthetic_design(2, 1, 11, seed=1301)
         prior = random_independent_prior(2, 3, seed=1302)
-        betas, precs = _joint_distribution_chain(prior, x, self.N_STEPS, seed=1304)
+        if route == "pcg":
+            prior = _diagonal_prior(prior, seed=1303, decades=3)
+            monkeypatch.setattr(imc, "_PCG_MIN_MP", 0)
+        assert isinstance(_beta_draw(prior, data), _PcgBetaDraw) == (route == "pcg")
+        betas, precs = _joint_distribution_chain(prior, data.X, self.N_STEPS, seed=1304)
         iu = np.triu_indices(2)
         stats = np.column_stack((betas, betas**2, precs[:, iu[0], iu[1]]))
         want = np.concatenate((prior.mean_b, prior.mean_b**2 + np.diag(prior.cov),
                                prior.precision_mean[iu]))
         z = (stats.mean(axis=0) - want) / _batch_means_se(stats)
         assert np.abs(z).max() < self.Z_MAX, z
+
+
+def _random_spd(n, rng):
+    a = rng.standard_normal((n, n))
+    return a @ a.T / n + 0.1 * np.eye(n)
+
+
+def _dense_precision(prior, data, prec):
+    """V0^-1 + P kron X'X as a dense Mp x Mp matrix."""
+    return prior.cov_inv + np.kron(prec, data.X.T @ data.X)
+
+
+def _pcg_mean(prior, data, prec):
+    """The PCG solution at zero noise, Q^-1 (V0^-1 b0 + vec(X'Y P)), as vec."""
+    draw = _PcgBetaDraw(prior, data)
+    omega, r = draw.eig(prec)
+    return draw.solve(draw.prior_term + draw.xty @ prec, prec, omega, r).flatten(order="F")
+
+
+def _perfbench_design(n_vars, lags, t_raw, monkeypatch):
+    """The benchmark's own input for its first model at its reference seed."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    wl = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up while it is being executed
+    monkeypatch.setitem(sys.modules, spec.name, wl)
+    spec.loader.exec_module(wl)
+    series = wl.simulate_var(wl.Model(n_vars, lags, t_raw), wl.model_seed(wl.REFERENCE_SEED, 0))
+    return build_design(series, lags)
+
+
+class TestPcgDraw:
+    """The perturb-then-solve draw of a diagonal-V0^-1 prior: its noise has
+    covariance Q = V0^-1 + P kron X'X exactly, and its solve is the dense
+    conditional mean to round-off."""
+
+    @pytest.mark.parametrize("n_vars,lags", [(1, 1), (2, 1), (3, 2)])
+    def test_noise_covariance_is_the_precision(self, n_vars, lags):
+        data = synthetic_design(n_vars, lags, 40, seed=1310 + n_vars)
+        prior = _diagonal_prior(random_independent_prior(n_vars, data.n_regressors, 1311),
+                                seed=1312, decades=6)
+        prec = _random_spd(n_vars, np.random.default_rng(1313))
+        draw = _PcgBetaDraw(prior, data)
+        omega, r = draw.eig(prec)
+        mp = prior.mean_b.size
+        # column k of the linear map from the 2 Mp normals to vec(eta)
+        basis = np.eye(2 * mp).reshape(2 * mp, 2, *draw.d.shape)
+        lmap = np.column_stack([draw.noise(z, omega, r).flatten(order="F") for z in basis])
+        q = _dense_precision(prior, data, prec)
+        assert np.abs(lmap @ lmap.T - q).max() <= 1e-12 * np.abs(q).max()
+
+    @given(n_vars=st.integers(1, 4), lags=st.integers(1, 3),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_solve_matches_dense_mean(self, n_vars, lags, seed):
+        rng = np.random.default_rng(seed)
+        data = synthetic_design(n_vars, lags, 60, seed=int(rng.integers(2**31)))
+        mp = n_vars * data.n_regressors
+        # Minnesota's V0^-1 spans 5.8e-5 to 176 at the benchmark's Mp = 820
+        prior = IndependentPrior(0.1 * rng.standard_normal(mp),
+                                 np.diag(10.0 ** rng.uniform(-2.3, 4.3, mp)),
+                                 _random_spd(n_vars, rng), n_vars + 2.0)
+        prec = _random_spd(n_vars, rng)
+        want = _CoefficientStep(prior, data)(prec)[1]
+        got = _pcg_mean(prior, data, prec)
+        assert np.linalg.norm(got - want) <= 1e-11 * np.linalg.norm(want)
+
+    def test_solve_matches_dense_mean_at_mp_820(self, monkeypatch):
+        data = _perfbench_design(20, 2, 300, monkeypatch)
+        prior = minnesota_independent(data, MinnesotaConfig())
+        assert prior.mean_b.size == 820 and isinstance(_beta_draw(prior, data), _PcgBetaDraw)
+        coef = np.linalg.lstsq(data.X, data.Y, rcond=None)[0]
+        resid = data.Y - data.X @ coef
+        prec = (data.effective_T + prior.dof) * np.linalg.inv(prior.scale + resid.T @ resid)
+        prec = (prec + prec.T) / 2.0
+        want = _CoefficientStep(prior, data)(prec)[1]
+        got = _pcg_mean(prior, data, prec)
+        assert np.linalg.norm(got - want) <= 1e-11 * np.linalg.norm(want)
+
+    def test_indefinite_precision_raises(self, monkeypatch):
+        data = synthetic_design(2, 1, 40, seed=101)
+        prior = _diagonal_prior(random_independent_prior(2, 3, seed=102), seed=103, decades=6)
+        monkeypatch.setattr(imc, "_PCG_MIN_MP", 0)
+        monkeypatch.setattr(IndependentPrior, "precision_mean", property(lambda _: -np.eye(2)))
+        with pytest.raises(NotPositiveDefiniteError, match="iteration 0: Sigma"):
+            gibbs_run(prior, data, GibbsConfig(n_draws=10, burn_in=0, seed=3))
+
+    def test_iteration_cap_raises(self, monkeypatch):
+        data = synthetic_design(2, 1, 40, seed=101)
+        prior = _diagonal_prior(random_independent_prior(2, 3, seed=102), seed=103, decades=6)
+        monkeypatch.setattr(imc, "_PCG_MIN_MP", 0)
+        monkeypatch.setattr(imc, "_PCG_MAX_ITERS", 1)
+        with pytest.raises(NotPositiveDefiniteError,
+                           match=r"iteration 0: PCG reached relative residual .* in 1 iter"):
+            gibbs_run(prior, data, GibbsConfig(n_draws=10, burn_in=0, seed=3))
+
+
+class TestRouting:
+    """gibbs_run draws by PCG only for a diagonal V0^-1 at Mp >= _PCG_MIN_MP."""
+
+    def test_non_diagonal_prior_stays_dense(self):
+        data = synthetic_design(10, 3, 80, seed=1320)
+        prior = random_independent_prior(10, data.n_regressors, seed=1321)
+        assert prior.mean_b.size >= imc._PCG_MIN_MP and prior.cov_inv_diag is None
+        assert not isinstance(_beta_draw(prior, data), _PcgBetaDraw)
+
+    @pytest.mark.parametrize("n_vars,lags,t_raw,pcg", [
+        (3, 2, 200, False),  # fit-small-export, Mp = 21
+        (7, 4, 400, False),  # criterion 6 and `fit` at M = 7, d = 4, Mp = 203
+        (12, 2, 200, True),  # Mp = 300
+    ])
+    def test_minnesota_route_by_size(self, n_vars, lags, t_raw, pcg):
+        data = synthetic_design(n_vars, lags, t_raw, seed=1322)
+        prior = minnesota_independent(data, MinnesotaConfig())
+        assert isinstance(_beta_draw(prior, data), _PcgBetaDraw) == pcg
 
 
 class TestGibbsConfig:

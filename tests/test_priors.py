@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import synthetic_design
+from conftest import random_independent_prior, synthetic_design
 from vbvar.conjugate_exact import fit_exact
 from vbvar.priors import (
     ConjugatePrior,
@@ -256,6 +256,20 @@ class TestIndependentPriorCache:
             assert sign == 1.0
             assert logdet == pytest.approx(want_logdet, abs=1e-10 * max(1.0, abs(want_logdet)))
         np.testing.assert_allclose(prior.cov_inv_mean, prior.cov_inv @ prior.mean_b)
+        if diagonal or mp == 1:
+            assert prior.cov_inv_diag.tobytes() == np.diag(prior.cov_inv).tobytes()
+            assert not prior.cov_inv_diag.flags.writeable
+        else:
+            assert prior.cov_inv_diag is None
+
+    @pytest.mark.parametrize("n_vars,lags", [(1, 1), (3, 2), (7, 4)])
+    def test_cov_inv_diag_of_builders(self, n_vars, lags):
+        # Minnesota's V0^-1 is diagonal; the tests' random prior is dense
+        data = synthetic_design(n_vars, lags, 120, seed=1330)
+        prior = minnesota_independent(data, MinnesotaConfig(cross_tightness=0.5))
+        assert prior.cov_inv_diag.tobytes() == np.diag(prior.cov_inv).tobytes()
+        dense = random_independent_prior(n_vars, data.n_regressors, seed=1331)
+        assert dense.cov_inv_diag is None
 
     def test_diagonal_rejects_nonpositive(self):
         with pytest.raises(ValueError, match="positive definite"):
