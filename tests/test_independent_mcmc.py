@@ -182,11 +182,6 @@ def _random_spd(n, rng):
     return a @ a.T / n + 0.1 * np.eye(n)
 
 
-def _dense_precision(prior, data, prec):
-    """V0^-1 + P kron X'X as a dense Mp x Mp matrix."""
-    return prior.cov_inv + np.kron(prec, data.X.T @ data.X)
-
-
 def _pcg_mean(prior, data, prec):
     """The PCG solution at zero noise, Q^-1 (V0^-1 b0 + vec(X'Y P)), as vec."""
     draw = _PcgBetaDraw(prior, data)
@@ -223,7 +218,7 @@ class TestPcgDraw:
         # column k of the linear map from the 2 Mp normals to vec(eta)
         basis = np.eye(2 * mp).reshape(2 * mp, 2, *draw.d.shape)
         lmap = np.column_stack([draw.noise(z, omega, r).flatten(order="F") for z in basis])
-        q = _dense_precision(prior, data, prec)
+        q = prior.cov_inv + np.kron(prec, data.X.T @ data.X)
         assert np.abs(lmap @ lmap.T - q).max() <= 1e-12 * np.abs(q).max()
 
     @given(n_vars=st.integers(1, 4), lags=st.integers(1, 3),
