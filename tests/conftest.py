@@ -1,6 +1,10 @@
 """Shared fixtures and helpers: synthetic VAR designs and random priors, and
 a dense grid quadrature oracle for the scalar (M=1) model."""
 
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -10,6 +14,23 @@ from vbvar.vardata import DesignData, build_design, simulate_var
 
 def synthetic_design(n_vars, lag_order, t_raw, seed):
     return build_design(simulate_var(n_vars, lag_order, t_raw, seed), lag_order)
+
+
+def perfbench_design(n_vars, lags, t_raw, monkeypatch):
+    """The benchmark's own input for its first model at its reference seed."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    wl = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up while it is being executed
+    monkeypatch.setitem(sys.modules, spec.name, wl)
+    spec.loader.exec_module(wl)
+    series = wl.simulate_var(wl.Model(n_vars, lags, t_raw), wl.model_seed(wl.REFERENCE_SEED, 0))
+    return build_design(series, lags)
+
+
+def random_spd(n, rng):
+    a = rng.standard_normal((n, n))
+    return a @ a.T / n + 0.1 * np.eye(n)
 
 
 def random_conjugate_prior(n_vars, n_regressors, seed, dof_offset=2):

@@ -1,8 +1,5 @@
 """Gibbs sampler for the independent-prior VAR and the RIS marginal likelihood."""
 
-import importlib.util
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,10 +10,13 @@ from scipy.linalg import cho_factor, cho_solve, solve_triangular
 from conftest import (
     grid_posterior_scalar,
     intercept_only_design,
+    perfbench_design,
     random_independent_prior,
+    random_spd,
     synthetic_design,
 )
 import vbvar.independent_mcmc as imc
+import vbvar.independent_vb as ivb
 from vbvar.independent_mcmc import (
     GibbsConfig,
     _batch_means_se,
@@ -32,7 +32,7 @@ from vbvar.independent_mcmc import (
 from vbvar.independent_vb import _CoefficientStep, elbo_independent, fit_vb_independent
 from vbvar.mvdist import NotPositiveDefiniteError, WishartDist
 from vbvar.priors import IndependentPrior, MinnesotaConfig, minnesota_independent
-from vbvar.vardata import DesignData, build_design
+from vbvar.vardata import DesignData
 
 
 @pytest.fixture(scope="module")
@@ -166,7 +166,7 @@ class TestJointDistribution:
         prior = random_independent_prior(2, 3, seed=1302)
         if route == "pcg":
             prior = _diagonal_prior(prior, seed=1303, decades=3)
-            monkeypatch.setattr(imc, "_PCG_MIN_MP", 0)
+            monkeypatch.setattr(ivb, "_KRONECKER_MIN_MP", 0)
         assert isinstance(_beta_draw(prior, data), _PcgBetaDraw) == (route == "pcg")
         betas, precs = _joint_distribution_chain(prior, data.X, self.N_STEPS, seed=1304)
         iu = np.triu_indices(2)
@@ -177,28 +177,11 @@ class TestJointDistribution:
         assert np.abs(z).max() < self.Z_MAX, z
 
 
-def _random_spd(n, rng):
-    a = rng.standard_normal((n, n))
-    return a @ a.T / n + 0.1 * np.eye(n)
-
-
 def _pcg_mean(prior, data, prec):
     """The PCG solution at zero noise, Q^-1 (V0^-1 b0 + vec(X'Y P)), as vec."""
     draw = _PcgBetaDraw(prior, data)
-    omega, r = draw.eig(prec)
-    return draw.solve(draw.prior_term + draw.xty @ prec, prec, omega, r).flatten(order="F")
-
-
-def _perfbench_design(n_vars, lags, t_raw, monkeypatch):
-    """The benchmark's own input for its first model at its reference seed."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    wl = importlib.util.module_from_spec(spec)
-    # its dataclasses look their module up while it is being executed
-    monkeypatch.setitem(sys.modules, spec.name, wl)
-    spec.loader.exec_module(wl)
-    series = wl.simulate_var(wl.Model(n_vars, lags, t_raw), wl.model_seed(wl.REFERENCE_SEED, 0))
-    return build_design(series, lags)
+    _, r, shift = draw.basis.eig(prec)
+    return draw.solve(draw.basis.rhs(prec), prec, r, shift).flatten(order="F")
 
 
 class TestPcgDraw:
@@ -211,12 +194,12 @@ class TestPcgDraw:
         data = synthetic_design(n_vars, lags, 40, seed=1310 + n_vars)
         prior = _diagonal_prior(random_independent_prior(n_vars, data.n_regressors, 1311),
                                 seed=1312, decades=6)
-        prec = _random_spd(n_vars, np.random.default_rng(1313))
+        prec = random_spd(n_vars, np.random.default_rng(1313))
         draw = _PcgBetaDraw(prior, data)
-        omega, r = draw.eig(prec)
+        omega, r, _ = draw.basis.eig(prec)
         mp = prior.mean_b.size
         # column k of the linear map from the 2 Mp normals to vec(eta)
-        basis = np.eye(2 * mp).reshape(2 * mp, 2, *draw.d.shape)
+        basis = np.eye(2 * mp).reshape(2 * mp, 2, *draw.basis.d.shape)
         lmap = np.column_stack([draw.noise(z, omega, r).flatten(order="F") for z in basis])
         q = prior.cov_inv + np.kron(prec, data.X.T @ data.X)
         assert np.abs(lmap @ lmap.T - q).max() <= 1e-12 * np.abs(q).max()
@@ -231,14 +214,14 @@ class TestPcgDraw:
         # Minnesota's V0^-1 spans 5.8e-5 to 176 at the benchmark's Mp = 820
         prior = IndependentPrior(0.1 * rng.standard_normal(mp),
                                  np.diag(10.0 ** rng.uniform(-2.3, 4.3, mp)),
-                                 _random_spd(n_vars, rng), n_vars + 2.0)
-        prec = _random_spd(n_vars, rng)
+                                 random_spd(n_vars, rng), n_vars + 2.0)
+        prec = random_spd(n_vars, rng)
         want = _CoefficientStep(prior, data)(prec)[1]
         got = _pcg_mean(prior, data, prec)
         assert np.linalg.norm(got - want) <= 1e-11 * np.linalg.norm(want)
 
     def test_solve_matches_dense_mean_at_mp_820(self, monkeypatch):
-        data = _perfbench_design(20, 2, 300, monkeypatch)
+        data = perfbench_design(20, 2, 300, monkeypatch)
         prior = minnesota_independent(data, MinnesotaConfig())
         assert prior.mean_b.size == 820 and isinstance(_beta_draw(prior, data), _PcgBetaDraw)
         coef = np.linalg.lstsq(data.X, data.Y, rcond=None)[0]
@@ -252,7 +235,7 @@ class TestPcgDraw:
     def test_indefinite_precision_raises(self, monkeypatch):
         data = synthetic_design(2, 1, 40, seed=101)
         prior = _diagonal_prior(random_independent_prior(2, 3, seed=102), seed=103, decades=6)
-        monkeypatch.setattr(imc, "_PCG_MIN_MP", 0)
+        monkeypatch.setattr(ivb, "_KRONECKER_MIN_MP", 0)
         monkeypatch.setattr(IndependentPrior, "precision_mean", property(lambda _: -np.eye(2)))
         with pytest.raises(NotPositiveDefiniteError, match="iteration 0: Sigma"):
             gibbs_run(prior, data, GibbsConfig(n_draws=10, burn_in=0, seed=3))
@@ -260,7 +243,7 @@ class TestPcgDraw:
     def test_iteration_cap_raises(self, monkeypatch):
         data = synthetic_design(2, 1, 40, seed=101)
         prior = _diagonal_prior(random_independent_prior(2, 3, seed=102), seed=103, decades=6)
-        monkeypatch.setattr(imc, "_PCG_MIN_MP", 0)
+        monkeypatch.setattr(ivb, "_KRONECKER_MIN_MP", 0)
         monkeypatch.setattr(imc, "_PCG_MAX_ITERS", 1)
         with pytest.raises(NotPositiveDefiniteError,
                            match=r"iteration 0: PCG reached relative residual .* in 1 iter"):
@@ -268,12 +251,12 @@ class TestPcgDraw:
 
 
 class TestRouting:
-    """gibbs_run draws by PCG only for a diagonal V0^-1 at Mp >= _PCG_MIN_MP."""
+    """gibbs_run draws by PCG only for a diagonal V0^-1 at Mp >= _KRONECKER_MIN_MP."""
 
     def test_non_diagonal_prior_stays_dense(self):
         data = synthetic_design(10, 3, 80, seed=1320)
         prior = random_independent_prior(10, data.n_regressors, seed=1321)
-        assert prior.mean_b.size >= imc._PCG_MIN_MP and prior.cov_inv_diag is None
+        assert prior.mean_b.size >= ivb._KRONECKER_MIN_MP and prior.cov_inv_diag is None
         assert not isinstance(_beta_draw(prior, data), _PcgBetaDraw)
 
     @pytest.mark.parametrize("n_vars,lags,t_raw,pcg", [

@@ -2,13 +2,19 @@
 
 from dataclasses import replace
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import optimize, stats
 
 from conftest import (
     intercept_only_design,
+    perfbench_design,
     random_independent_prior,
+    random_spd,
     synthetic_design,
 )
 import vbvar.independent_vb as ivb
@@ -22,7 +28,7 @@ from vbvar.independent_vb import (
     predictive_vb_independent,
 )
 from vbvar.mvdist import NotPositiveDefiniteError, WishartDist
-from vbvar.priors import IndependentPrior
+from vbvar.priors import IndependentPrior, MinnesotaConfig, minnesota_independent
 from vbvar.vardata import z_block
 
 
@@ -41,6 +47,18 @@ def log_posterior(prior, data, beta, precision) -> float:
     prec = np.asarray(precision, dtype=float)
     return _log_joint_independent(prior, data, np.asarray(beta, dtype=float).reshape(-1),
                                   prec, np.linalg.cholesky(prec))
+
+
+def _route(prior, data):
+    step = ivb._coefficient_step(prior, data)
+    return "kronecker" if isinstance(step, ivb._KroneckerStep) else "dense"
+
+
+def _force_route(monkeypatch, prior, data, route):
+    """Send VB and the mode iterations down ``route`` whatever Mp is; the
+    Kronecker route still needs a separable diagonal V0^-1."""
+    monkeypatch.setattr(ivb, "_KRONECKER_MIN_MP", 0 if route == "kronecker" else 10**9)
+    assert _route(prior, data) == route
 
 
 def scalar_vb_fixed_point(prior, data):
@@ -111,16 +129,20 @@ class TestFitVb:
         vb = fit_vb_independent(prior, data, VbConfig(max_iters=1))
         assert not vb.converged
 
-    def test_elbo_decrease_is_not_convergence(self, scalar_case, monkeypatch):
+    @pytest.mark.parametrize("route", ["dense", "kronecker"])
+    def test_elbo_decrease_is_not_convergence(self, scalar_case, monkeypatch, route):
         prior, data = scalar_case
+        _force_route(monkeypatch, prior, data, route)
         values = iter([-10.0, -10.5, -11.0, -11.5])
         monkeypatch.setattr(ivb, "_elbo", lambda *args: next(values))
         vb = fit_vb_independent(prior, data, VbConfig(max_iters=4))
         assert not vb.converged
         assert vb.elbo_trace == (-10.0, -10.5)
 
-    def test_round_off_decrease_still_converges(self, scalar_case, monkeypatch):
+    @pytest.mark.parametrize("route", ["dense", "kronecker"])
+    def test_round_off_decrease_still_converges(self, scalar_case, monkeypatch, route):
         prior, data = scalar_case
+        _force_route(monkeypatch, prior, data, route)
         values = iter([-10.0, -10.0 - 1e-13])
         monkeypatch.setattr(ivb, "_elbo", lambda *args: next(values))
         assert fit_vb_independent(prior, data, VbConfig(max_iters=2)).converged
@@ -318,3 +340,140 @@ class TestModes:
         exact = modes_exact_iterative(prior, data)
         vb = modes_vb_iterative(prior, data)
         assert vb["precision"][0, 0] < exact["precision"][0, 0]
+
+
+# the Kronecker route equals the dense one to this relative error
+ROUTES_RTOL = 1e-12
+
+
+def _rel(got, want):
+    want = np.asarray(want, dtype=float)
+    return float(np.abs(np.asarray(got, dtype=float) - want).max() / np.abs(want).max())
+
+
+def _assert_steps_agree(prior, data, prec):
+    """Each output of the Kronecker step, and its dense V, against the dense
+    step's at P."""
+    dense = ivb._CoefficientStep(prior, data)
+    kron = ivb._KroneckerStep(ivb._KroneckerBasis(prior, data))
+    want, got = dense.moments(prec), kron.moments(prec)
+    for name, g, w in zip(("mean", "ln|V|", "Omega", "tr(V0^-1 V)"), got, want):
+        assert _rel(g, w) <= ROUTES_RTOL, name
+    assert _rel(kron.mean(prec), want[0]) <= ROUTES_RTOL
+    cov = kron.cov()
+    assert np.array_equal(cov, cov.T)
+    assert _rel(cov, dense.cov()) <= ROUTES_RTOL
+
+
+def _fits(prior, data):
+    return (fit_vb_independent(prior, data), modes_exact_iterative(prior, data),
+            modes_vb_iterative(prior, data))
+
+
+def _assert_fits_agree(dense, kron):
+    """VB and both mode iterations, from :func:`_fits` on each route, agree to
+    ROUTES_RTOL with the same iteration counts."""
+    (vb_d, *modes_d), (vb_k, *modes_k) = dense, kron
+    assert (vb_k.iterations, vb_k.converged) == (vb_d.iterations, vb_d.converged)
+    for name in ("mean_b", "cov_b", "scale_q", "elbo_trace"):
+        assert _rel(getattr(vb_k, name), getattr(vb_d, name)) <= ROUTES_RTOL, name
+    for d, k in zip(modes_d, modes_k):
+        assert (k["iterations"], k["converged"]) == (d["iterations"], d["converged"])
+        assert _rel(k["beta"], d["beta"]) <= ROUTES_RTOL
+        assert _rel(k["precision"], d["precision"]) <= ROUTES_RTOL
+
+
+class TestKroneckerStep:
+    """The closed-form step for a separable diagonal V0^-1 equals the dense
+    Cholesky step, and VB and the mode iterations give the same fits on
+    either route."""
+
+    @given(n_vars=st.integers(1, 4), lags=st.integers(1, 3),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_matches_dense_step(self, n_vars, lags, seed):
+        rng = np.random.default_rng(seed)
+        data = synthetic_design(n_vars, lags, 60, seed=int(rng.integers(2**31)))
+        p = data.n_regressors
+        # row and column effects each span up to 6 decades; Minnesota's D
+        # spans 6.5 at the benchmark's Mp = 820
+        d = np.outer(10.0 ** rng.uniform(-3, 3, p), 10.0 ** rng.uniform(-3, 3, n_vars))
+        prior = IndependentPrior(0.1 * rng.standard_normal(n_vars * p),
+                                 np.diag(1.0 / d.flatten(order="F")),
+                                 random_spd(n_vars, rng), n_vars + 2.0)
+        _assert_steps_agree(prior, data, random_spd(n_vars, rng))
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            runs = {}
+            for route in ("dense", "kronecker"):
+                _force_route(monkeypatch, prior, data, route)
+                runs[route] = _fits(prior, data)
+        _assert_fits_agree(runs["dense"], runs["kronecker"])
+
+    def test_matches_dense_step_at_mp_820(self, monkeypatch):
+        data = perfbench_design(20, 2, 300, monkeypatch)
+        prior = minnesota_independent(data, MinnesotaConfig())
+        assert prior.mean_b.size == 820 and _route(prior, data) == "kronecker"
+        coef = np.linalg.lstsq(data.X, data.Y, rcond=None)[0]
+        resid = data.Y - data.X @ coef
+        prec = (data.effective_T + prior.dof) * np.linalg.inv(prior.scale + resid.T @ resid)
+        _assert_steps_agree(prior, data, (prec + prec.T) / 2.0)
+        kron = _fits(prior, data)
+        _force_route(monkeypatch, prior, data, "dense")
+        _assert_fits_agree(_fits(prior, data), kron)
+
+    def test_indefinite_precision_raises_in_vb(self, scalar_case, monkeypatch):
+        prior, data = scalar_case
+        _force_route(monkeypatch, prior, data, "kronecker")
+        monkeypatch.setattr(IndependentPrior, "precision_mean", property(lambda _: -np.eye(1)))
+        with pytest.raises(NotPositiveDefiniteError, match="^Cholesky failure in VB update$"):
+            fit_vb_independent(prior, data)
+
+    @pytest.mark.parametrize("modes", [modes_exact_iterative, modes_vb_iterative])
+    def test_indefinite_precision_raises_in_modes(self, modes, scalar_case, monkeypatch):
+        prior, data = scalar_case
+        _force_route(monkeypatch, prior, data, "kronecker")
+        monkeypatch.setattr(IndependentPrior, "precision_mean",
+                            property(lambda _: -1e6 * np.eye(1)))
+        with pytest.raises(NotPositiveDefiniteError,
+                           match="^Cholesky failure in mode iteration 0$"):
+            modes(prior, data)
+
+
+class TestKroneckerRouting:
+    """VB and the mode iterations take the Kronecker route only for a
+    separable diagonal V0^-1 at Mp >= _KRONECKER_MIN_MP."""
+
+    @pytest.mark.parametrize("n_vars,lags,t_raw,cross,route", [
+        (12, 2, 200, 1.0, "kronecker"),  # Mp = 300
+        (12, 2, 200, 0.5, "dense"),      # lambda2 < 1: D is not separable
+        (3, 2, 200, 1.0, "dense"),       # Mp = 21
+        (7, 4, 400, 1.0, "dense"),       # Mp = 203
+        (7, 4, 400, 0.5, "dense"),
+    ])
+    def test_minnesota_route(self, n_vars, lags, t_raw, cross, route):
+        data = synthetic_design(n_vars, lags, t_raw, seed=1801)
+        prior = minnesota_independent(data, MinnesotaConfig(cross_tightness=cross))
+        assert _route(prior, data) == route
+
+    def test_non_diagonal_prior_stays_dense(self):
+        data = synthetic_design(10, 3, 80, seed=1802)
+        prior = random_independent_prior(10, data.n_regressors, seed=1803)
+        assert prior.mean_b.size >= ivb._KRONECKER_MIN_MP and prior.cov_inv_diag is None
+        assert _route(prior, data) == "dense"
+
+    def test_separable_tolerance_sits_in_the_gap(self):
+        # Minnesota with lambda2 = 1 fits to round-off over the
+        # hyperparameter grid; lambda2 = 0.999 misses by far more than the
+        # tolerance
+        worst = 0.0
+        for n_vars, lags in ((3, 40), (11, 3), (20, 2)):
+            data = synthetic_design(n_vars, lags, 300, seed=1804)
+            assert 363 <= n_vars * data.n_regressors <= 820
+            for l1, l3, l4 in itertools.product((0.05, 0.2, 1.0), (0.0, 1.0, 2.0, 3.0),
+                                                (1.0, 100.0, 1e4)):
+                cfg = MinnesotaConfig(overall_tightness=l1, lag_decay=l3, intercept_scale=l4)
+                prior = minnesota_independent(data, cfg)
+                worst = max(worst, ivb._KroneckerBasis(prior, data).separable_error)
+            near = minnesota_independent(data, MinnesotaConfig(cross_tightness=0.999))
+            assert ivb._KroneckerBasis(near, data).separable_error >= 1e-3
+        assert worst <= ivb._SEPARABLE_RTOL / 10
