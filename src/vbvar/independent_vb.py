@@ -258,8 +258,7 @@ class _KroneckerStep:
     separable V0^-1 = D = S^2, from a :class:`_KroneckerBasis`.  With
     delta_ji = 1 / (1 + lambda_j omega_i):
 
-    - mean = S^-1 (R kron U) Delta (R kron U)' S^-1 r, then one step of
-      iterative refinement against Q = D + P kron X'X;
+    - mean = S^-1 (R kron U) Delta (R kron U)' S^-1 r;
     - ln |V| = -ln |D| - sum ln(1 + lambda_j omega_i);
     - Omega = S_M^-1 R diag(sum_j lambda_j delta_ji) R' S_M^-1;
     - diag V = S^-2 o (U o U) Delta (R o R)', which gives tr(D V).
@@ -273,17 +272,9 @@ class _KroneckerStep:
 
     def mean(self, prec):
         """The conditional mean at P."""
-        _, r, shift = self.basis.eig(prec)
-        return self._mean(prec, r, shift)
-
-    def _mean(self, prec, r, shift):
-        # the refinement restores the digits the transforms lose when D
-        # spreads over many decades; it costs two products
         b = self.basis
-        g = b.rhs(prec)
-        x = b.solve(g, r, shift)
-        x += b.solve(g - (b.d * x + b.xtx @ x @ prec), r, shift)
-        return x.flatten(order="F")
+        _, r, shift = b.eig(prec)
+        return b.solve(b.rhs(prec), r, shift).flatten(order="F")
 
     def moments(self, prec):
         """(mean, ln |V|, Omega, tr(V0^-1 V)) at P; the basis state is kept
@@ -294,8 +285,9 @@ class _KroneckerStep:
         self._last = r, delta
         omega = (r * (b.lam @ delta)) @ r.T / np.outer(b.s_m, b.s_m)
         diag_v = (b.u * b.u) @ delta @ (r * r).T / b.s**2
-        return (self._mean(prec, r, shift), -b.logdet_d - float(np.sum(np.log(shift))),
-                omega, float(np.sum(b.d * diag_v)))
+        return (b.solve(b.rhs(prec), r, shift).flatten(order="F"),
+                -b.logdet_d - float(np.sum(np.log(shift))), omega,
+                float(np.sum(b.d * diag_v)))
 
     def cov(self):
         """The dense V of the last :meth:`moments` call, exactly symmetric:
