@@ -226,7 +226,9 @@ class _KroneckerBasis:
         self.xty = data.X.T @ data.Y
         self.jacobi = jacobi
         if jacobi:
-            self.lam, self.u = _jacobi_gram(data.X / self.s_p)
+            # gejsv needs as many rows as columns; zero rows leave X'X as it is
+            padding = np.zeros((max(p - data.X.shape[0], 0), p))
+            self.lam, self.u = _jacobi_gram(np.vstack((data.X / self.s_p, padding)))
         else:
             lam, self.u = np.linalg.eigh(self.xtx / np.outer(self.s_p, self.s_p))
             # X'X is positive semi-definite; clip round-off below zero

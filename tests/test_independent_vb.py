@@ -421,6 +421,16 @@ class TestKroneckerStep:
         _force_route(monkeypatch, prior, data, "dense")
         _assert_fits_agree(_fits(prior, data), kron)
 
+    def test_matches_dense_step_with_fewer_observations_than_regressors(self, monkeypatch):
+        # T = 60 observations of p = 121 regressors: X'X is singular
+        data = synthetic_design(3, 40, 100, seed=1805)
+        prior = minnesota_independent(data, MinnesotaConfig())
+        assert data.effective_T < data.n_regressors and _route(prior, data) == "kronecker"
+        _assert_steps_agree(prior, data, prior.precision_mean)
+        kron = _fits(prior, data)
+        _force_route(monkeypatch, prior, data, "dense")
+        _assert_fits_agree(_fits(prior, data), kron)
+
     def test_indefinite_precision_raises_in_vb(self, scalar_case, monkeypatch):
         prior, data = scalar_case
         _force_route(monkeypatch, prior, data, "kronecker")
