@@ -183,7 +183,7 @@ def _jacobi_gram(g):
     (LAPACK gejsv, JOBA = 'C'), accurate to round-off in every direction
     however widely the columns of G are scaled.  The left vectors are
     computed and dropped: asked for the right ones alone, gejsv takes a
-    shortcut that lost up to 4e-11 relative on tight Minnesota priors."""
+    shortcut that lost up to 5e-11 relative on tight Minnesota priors."""
     sva, _, v, work, _, info = lapack.dgejsv(g, joba=0)
     lapack_checked((None, info), "gejsv")
     return (sva * (work[0] / work[1])) ** 2, v

@@ -1,6 +1,5 @@
 """Gibbs sampler for the independent-prior VAR and the RIS marginal likelihood."""
 
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
