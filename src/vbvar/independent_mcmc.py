@@ -296,6 +296,13 @@ def predictive_gibbs(draws: GibbsDraws, x_next, rng: np.random.Generator) -> dic
     }
 
 
+def _prior_precision_rows(prior, db):
+    """V0^-1 times each row of ``db`` (or db @ V0^-1 for a vector).  A
+    diagonal V0^-1 scales by ``cov_inv_diag``: the dense product adds only
+    exact zeros to the same products, so both give the same bits."""
+    return db @ prior.cov_inv if prior.cov_inv_diag is None else db * prior.cov_inv_diag
+
+
 def _log_joint_independent(prior, data, beta, prec, lw) -> float:
     """ln p(y | beta, Sigma^-1) + ln p(beta) + ln p(Sigma^-1) at one draw."""
     t, m, p = data.effective_T, data.n_vars, data.n_regressors
@@ -306,7 +313,7 @@ def _log_joint_independent(prior, data, beta, prec, lw) -> float:
         - 0.5 * float(np.sum(prec * (resid.T @ resid)))
     )
     db = beta - prior.mean_b
-    quad = float(db @ prior.cov_inv @ db)
+    quad = float(_prior_precision_rows(prior, db) @ db)
     lp_b = -m * p / 2.0 * np.log(2.0 * np.pi) - 0.5 * prior.logdet_cov - 0.5 * quad
     lp_w = WishartDist(prior.scale_inv, prior.dof).logpdf(prec)
     return lp_y + lp_b + lp_w
@@ -350,7 +357,7 @@ def lnml_ris(
 
     # ln p(beta) + ln p(Sigma^-1)
     db = beta - prior.mean_b
-    quad = np.sum((db @ prior.cov_inv) * db, axis=1)
+    quad = np.sum(_prior_precision_rows(prior, db) * db, axis=1)
     lp_b = -mp / 2.0 * log_2pi - 0.5 * prior.logdet_cov - 0.5 * quad
     lp_w = WishartDist(prior.scale_inv, prior.dof).logpdf_chol(lw)
 

@@ -96,7 +96,25 @@ def chol_inverse(lower):
 
 def spd_inverse(a, name="matrix"):
     """(A^-1, ln |A|) for a symmetric positive-definite A, validated and
-    factored by :func:`spd_cholesky`."""
+    factored by :func:`spd_cholesky`.
+
+    A square A whose nonzeros are all on its diagonal d, each finite and
+    positive, is not factored.  On such an A potrf returns sqrt(d), trtri
+    inverts that and lauum squares it, each correctly rounded, and every
+    other term they form is an exact zero.  The route takes the same three
+    steps, so its inverse and its ln |A| = 2 sum ln sqrt(d) equal the
+    factorisation's bit for bit; 1/d and sum ln d would not.  Only the sign
+    of some off-diagonal zeros differs: potri leaves some as -0.0, in a
+    pattern that changes with the BLAS thread count, where the route has
+    +0.0.  Every other input, a zero, negative, nan or inf on the diagonal
+    included, is factored, so it raises as before.
+    """
+    a = np.atleast_2d(np.asarray(a, dtype=float))
+    if a.ndim == 2 and a.shape[0] == a.shape[1]:
+        d = np.diagonal(a)
+        if np.all(np.isfinite(d)) and np.all(d > 0) and np.count_nonzero(a) == d.size:
+            root = np.sqrt(d)
+            return np.diag((1.0 / root) ** 2), 2.0 * np.sum(np.log(root))
     lower = spd_cholesky(a, name)
     return chol_inverse(lower), chol_logdet(lower)
 

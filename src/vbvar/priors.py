@@ -39,7 +39,8 @@ class ConjugatePrior:
 
     Construction validates both SPD blocks and caches, read-only,
     ``row_cov_inv`` (V0^-1), ``logdet_row_cov``, ``scale_inv`` (S0^-1) and
-    ``logdet_scale``.
+    ``logdet_scale``.  Each block is factored once, except a diagonal one,
+    which :func:`~vbvar.mvdist.spd_inverse` inverts without a factorisation.
     """
 
     mean_G: np.ndarray
@@ -81,6 +82,9 @@ class IndependentPrior:
     Construction validates both SPD blocks and caches, read-only, what every
     fitting routine needs of them: ``cov_inv`` (V0^-1), ``cov_inv_mean``
     (V0^-1 b0), ``logdet_cov``, ``scale_inv`` (S0^-1) and ``logdet_scale``.
+    Each block is factored once, except a diagonal one, as ``cov`` is under
+    the Minnesota prior, which :func:`~vbvar.mvdist.spd_inverse` inverts
+    without a factorisation, to the same bits.
     ``cov_inv_diag`` is the diagonal of ``cov_inv`` when ``cov_inv`` has no
     off-diagonal nonzero, as under the Minnesota prior, and None otherwise.
     """

@@ -1,5 +1,7 @@
 """Gibbs sampler for the independent-prior VAR and the RIS marginal likelihood."""
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -427,3 +429,23 @@ class TestLnmlRis:
         want = -(mx + np.log(shifted.mean()))
         assert out["estimate"] == pytest.approx(want, rel=1e-12)
         assert out["ess"] == pytest.approx(shifted.sum() ** 2 / np.sum(shifted**2), rel=1e-9)
+
+    @pytest.mark.parametrize("shape", [(3, 2, 80), (20, 2, 300)])
+    def test_diagonal_prior_quadratic_matches_dense(self, shape, monkeypatch):
+        # cov_inv_diag = None forces the dense V0^-1 product in both functions
+        n_vars, lags, t_raw = shape
+        if n_vars == 20:
+            data = perfbench_design(n_vars, lags, t_raw, monkeypatch)
+        else:
+            data = synthetic_design(n_vars, lags, t_raw, seed=113)
+        prior = minnesota_independent(data, MinnesotaConfig())
+        assert prior.cov_inv_diag is not None
+        dense = copy.copy(prior)
+        object.__setattr__(dense, "cov_inv_diag", None)
+        vb = fit_vb_independent(prior, data)
+        draws = gibbs_run(prior, data, GibbsConfig(n_draws=40, burn_in=10, seed=114))
+        assert lnml_ris(draws, vb, prior, data) == lnml_ris(draws, vb, dense, data)
+        for beta, prec in zip(draws.beta_draws[:5], draws.precision_draws):
+            lw = np.linalg.cholesky(prec)
+            assert (_log_joint_independent(prior, data, beta, prec, lw)
+                    == _log_joint_independent(dense, data, beta, prec, lw))

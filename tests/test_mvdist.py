@@ -3,8 +3,12 @@ matric-normal samplers, and input checks."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, stats
 
+from conftest import perfbench_design
+import vbvar.mvdist as mvdist
 from vbvar.mvdist import (
     MatricNormal,
     MatricT,
@@ -12,9 +16,13 @@ from vbvar.mvdist import (
     UndefinedMomentError,
     WishartDist,
     bartlett_draw,
+    chol_inverse,
+    chol_logdet,
     normal_wishart_predictive,
     spd_cholesky,
+    spd_inverse,
 )
+from vbvar.priors import MinnesotaConfig, minnesota_independent
 
 
 def _rand_spd(rng, n, jitter=1.0):
@@ -47,6 +55,75 @@ class TestSpdCholesky:
         bad = np.stack([np.eye(2), np.array([[1.0, 2.0], [2.0, 1.0]])])
         with pytest.raises(NotPositiveDefiniteError, match="positive definite"):
             spd_cholesky(bad)
+
+
+def _factored(a, name="matrix"):
+    """(A^-1, ln |A|) by the factorisation route."""
+    lower = spd_cholesky(a, name)
+    return chol_inverse(lower), chol_logdet(lower)
+
+
+def _assert_same_inverse(got, want):
+    """The same bytes on the diagonal and in ln |A|.  Off the diagonal both
+    hold zeros: +0.0 on the diagonal route, where potri leaves some -0.0."""
+    (inv, logdet), (want_inv, want_logdet) = got, want
+    assert inv.shape == want_inv.shape and inv.flags.c_contiguous
+    assert np.diagonal(inv).tobytes() == np.diagonal(want_inv).tobytes()
+    assert np.array_equal(inv, want_inv)
+    assert not np.signbit(inv).any()
+    assert np.float64(logdet).tobytes() == np.float64(want_logdet).tobytes()
+
+
+class TestSpdInverse:
+    @given(st.lists(st.floats(min_value=-150.0, max_value=150.0), min_size=1, max_size=64))
+    @settings(max_examples=200, deadline=None)
+    def test_diagonal_matches_factorisation(self, exponents):
+        a = np.diag(10.0 ** np.array(exponents))
+        _assert_same_inverse(spd_inverse(a), _factored(a))
+
+    def test_diagonal_is_not_factored(self, monkeypatch):
+        a = np.diag([4.0, 0.5, 3.0])
+        want, want_1x1 = _factored(a), _factored([[2.0]])
+
+        def factor(*args):
+            raise AssertionError("a diagonal matrix was factored")
+
+        monkeypatch.setattr(mvdist, "spd_cholesky", factor)
+        _assert_same_inverse(spd_inverse(a), want)
+        _assert_same_inverse(spd_inverse([[2.0]]), want_1x1)
+
+    def test_non_diagonal_is_factored(self):
+        a = np.diag([4.0, 0.5, 3.0])
+        a[0, 2] = a[2, 0] = 1e-300
+        inv, logdet = spd_inverse(a)
+        want_inv, want_logdet = _factored(a)
+        assert inv.tobytes() == want_inv.tobytes() and logdet == want_logdet
+
+    def test_minnesota_prior_at_mp_820(self, monkeypatch):
+        prior = minnesota_independent(perfbench_design(20, 2, 300, monkeypatch),
+                                      MinnesotaConfig())
+        assert prior.cov.shape == (820, 820)
+        want_inv, want_logdet = _factored(prior.cov, "cov")
+        _assert_same_inverse((prior.cov_inv, prior.logdet_cov), (want_inv, want_logdet))
+        assert prior.cov_inv_diag.tobytes() == np.diag(want_inv).tobytes()
+        assert prior.cov_inv_mean.tobytes() == (want_inv @ prior.mean_b).tobytes()
+
+    # the symmetry check of an inf diagonal warns, on either route
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [0.0, -0.0, -1.0, np.nan, np.inf, -np.inf])
+    def test_invalid_diagonal_raises_as_factorisation(self, bad):
+        a = np.diag([2.0, bad, 3.0])
+        with pytest.raises(ValueError) as want:
+            _factored(a, "cov")
+        with pytest.raises(want.type) as got:
+            spd_inverse(a, "cov")
+        assert type(got.value) is want.type and str(got.value) == str(want.value)
+
+    def test_invalid_diagonal_errors(self):
+        with pytest.raises(NotPositiveDefiniteError, match="cov is not positive definite"):
+            spd_inverse(np.diag([2.0, -0.0]), "cov")
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            spd_inverse(np.diag([2.0, np.nan]), "cov")
 
 
 class TestWishart:
