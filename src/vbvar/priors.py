@@ -84,7 +84,7 @@ class IndependentPrior:
     (V0^-1 b0), ``logdet_cov``, ``scale_inv`` (S0^-1) and ``logdet_scale``.
     Each block is factored once, except a diagonal one, as ``cov`` is under
     the Minnesota prior, which :func:`~vbvar.mvdist.spd_inverse` inverts
-    without a factorisation, to the same bits.
+    without a factorisation, to the same values.
     ``cov_inv_diag`` is the diagonal of ``cov_inv`` when ``cov_inv`` has no
     off-diagonal nonzero, as under the Minnesota prior, and None otherwise.
     """
