@@ -7,7 +7,7 @@ The three input series are written once, by perfbench's own simulator
 (perfbench/workloads.simulate_var with seeds model_seed(7, i)), the models
 of the vb-sweep workload, together with a copy of the first series with a
 leading date column (read with --timestamps) and the JSON config files of
-CONFIGS, each pointing at the first series.  Each command in COMMANDS then
+CONFIGS, each pointing at the series it names.  Each command in COMMANDS then
 runs in both checkouts with PYTHONPATH=<checkout>/src, each run in its own
 empty working directory, so relative output paths land there.  Exit code, stdout, stderr
 and every file a run writes are compared byte for byte.  One line is
@@ -42,15 +42,19 @@ ROOT = Path(__file__).resolve().parents[1]
 # name -> (M, d, T_raw); the i-th model is simulated with model_seed(7, i)
 MODELS = {"m3": (3, 2, 200), "m7": (7, 4, 200), "m20": (20, 2, 300)}
 
-# name -> config-file values that differ from the CLI defaults; "data" is added.
-# "cfg_all" gives every key the library configs own (the Minnesota
-# hyperparameters and the VB stopping rule) a value of its own.
+# name -> config-file values that differ from the CLI defaults; "data" names
+# a series of MODELS (m3 when absent) and is written as its path.  "cfg_all"
+# gives every key the library configs own (the Minnesota hyperparameters and
+# the VB stopping rule) a value of its own.  "cfg_m20" is Mp = 820 with
+# lambda2 < 1: VB and the modes take the dense step, Gibbs the PCG draw on a
+# non-separable V0^-1.
 CONFIGS = {
     "cfg": {"prior": "independent", "lags": 2, "seed": 7, "lambda1": 0.3,
             "own_lag_mean": 0.5, "dof_offset": 3},
     "cfg_all": {"prior": "independent", "lags": 2, "seed": 7, "lambda1": 0.3, "lambda2": 0.5,
                 "lambda3": 2.0, "lambda4": 50.0, "own_lag_mean": 0.5, "dof_offset": 3,
                 "max_iters": 40, "tol": 1e-6},
+    "cfg_m20": {"prior": "independent", "lags": 2, "seed": 7, "lambda2": 0.5, "data": "m20"},
 }
 
 # largest max rel of a differing .json or .csv file that counts as round-off
@@ -60,7 +64,7 @@ EXPORTS = ["--export-draws", "draws.csv", "--export-elbo-trace", "trace.csv"]
 
 # (label, argv); "vbvar" runs the CLI, "demo" scripts/compare_methods.py,
 # {m3}, {m7}, {m20} stand for the input CSV paths, {m3_dated} for the dated
-# copy of {m3} and {cfg}, {cfg_all} for the config files
+# copy of {m3} and {cfg}, {cfg_all}, {cfg_m20} for the config files
 COMMANDS = [
     ("compare Mp=21", ["vbvar", "compare", "--data", "{m3}", "--lags", "2", "--seed", "7",
                        "--out", "report.json"]),
@@ -89,6 +93,9 @@ COMMANDS = [
                                              "--out", "report.json"]),
     ("fit --config, every library key", ["vbvar", "fit", "--config", "{cfg_all}",
                                          "--out", "report.json", *EXPORTS]),
+    ("compare --config Mp=820 lambda2=0.5", ["vbvar", "compare", "--config", "{cfg_m20}",
+                                             "--draws", "200", "--burn-in", "50",
+                                             "--out", "report.json"]),
     ("fit --timestamps", ["vbvar", "fit", "--data", "{m3_dated}", "--timestamps",
                           "--lags", "2", "--out", "report.json"]),
     ("demo script", ["demo", "--t", "120", "--draws", "1500", "--burn-in", "300",
@@ -114,8 +121,8 @@ def write_inputs(directory: Path) -> dict:
     paths["m3_dated"].write_text("\n".join(dated) + "\n", encoding="utf-8")
     for name, config in CONFIGS.items():
         paths[name] = directory / f"{name}.json"
-        paths[name].write_text(json.dumps({**config, "data": str(paths["m3"])}),
-                               encoding="utf-8")
+        series = paths[config.get("data", "m3")]
+        paths[name].write_text(json.dumps({**config, "data": str(series)}), encoding="utf-8")
     return paths
 
 
