@@ -2,30 +2,11 @@
 simulation-based predictive density, and a reciprocal-importance-sampling
 log-marginal-likelihood estimator.
 
-The stacked regression uses Z_t = I_M kron x_t, so the conditional
-precision of beta is Q = V0^-1 + Sigma^-1 kron X'X and the cross term is
-vec(X' Y Sigma^-1).  The prior's inverse and determinants are cached on the
-prior; none of them is refactored per draw.
-
-Each Gibbs sweep (``_gibbs_sweep``) draws beta | Sigma^-1 by one of two
-routes, chosen once per chain from the prior:
-
-- dense: the coefficient step shared with VB
-  (``independent_vb._CoefficientStep``) assembles Q from X'X and X'Y and
-  factors it, then LAPACK trtrs applies the noise; O((Mp)^3) per draw.
-- PCG (``_PcgBetaDraw``): when V0^-1 is diagonal (``cov_inv_diag``, as
-  under the Minnesota prior) and Mp >= ``independent_vb._KRONECKER_MIN_MP``,
-  perturb-then-solve by preconditioned conjugate gradients on the Kronecker
-  structure of Q, with no Mp x Mp matrix; O(p^2 M + p M^2) per product.
-  It shares the eigenbasis of VB's Kronecker step
-  (``independent_vb._KroneckerBasis``), whose exact solve for a separable
-  V0^-1 is its preconditioner.  It draws 2 Mp normals where the dense route
-  draws Mp, so the two routes give different streams.  The threshold, 300,
-  is the measured crossover of this draw.  Under the Minnesota default
-  lambda2 = 1, PCG converges in one or two iterations and is the faster
-  route from below Mp = 203.  A tighter lambda2 takes tens of iterations,
-  and 300 is the smallest Mp at which two-lag models are no slower on PCG
-  for every lambda2 down to 0.1.
+Each Gibbs sweep (``_gibbs_sweep``) draws beta | Sigma^-1 from the
+coefficient conditional shared with VB (:mod:`vbvar.conditional`), by its
+dense Cholesky route or, for a diagonal V0^-1 at large Mp, by its PCG route;
+the route is chosen once per chain from the prior.  The prior's inverse and
+determinants are cached on the prior; none of them is refactored per draw.
 
 Both routes then draw Sigma^-1 | beta the same way: numpy's Cholesky of the
 scale, then LAPACK potri and potrf for the lower factor of its inverse,
@@ -42,12 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import lapack, solve_triangular
 
-from .independent_vb import (
-    IndependentVbPosterior,
-    _CoefficientStep,
-    _kronecker_applies,
-    _KroneckerBasis,
-)
+from .conditional import _beta_draw
+from .independent_vb import IndependentVbPosterior
 from .mvdist import (
     NotPositiveDefiniteError,
     WishartDist,
@@ -74,10 +51,6 @@ __all__ = [
 MIN_PREDICTIVE_DRAWS = 100
 # batches of the batch-means standard errors
 BATCH_MEANS_BATCHES = 20
-
-# PCG stops at this relative residual, and raises after this many iterations
-_PCG_RTOL = 1e-13
-_PCG_MAX_ITERS = 500
 
 
 @dataclass(frozen=True)
@@ -129,11 +102,11 @@ def gibbs_run(prior: IndependentPrior, data: DesignData, cfg: GibbsConfig) -> Gi
     """Alternate beta | Sigma^-1 and Sigma^-1 | beta draws; deterministic given seed.
 
     beta is drawn by the dense Cholesky route, or by perturb-then-solve PCG
-    when the prior's V0^-1 is diagonal and Mp >= _KRONECKER_MIN_MP (300, the
-    measured crossover; see the module docstring).  A failed factorisation,
-    or PCG missing its tolerance within its iteration cap, raises
+    when the prior's V0^-1 is diagonal and Mp is large (see
+    :mod:`vbvar.conditional`).  A failed factorisation, or PCG missing its
+    tolerance within its iteration cap, raises
     :class:`NotPositiveDefiniteError` naming the iteration."""
-    draw_beta = _beta_draw(prior, data)
+    beta_step = _beta_draw(prior, data)
     m = data.n_vars
     rng = np.random.default_rng(cfg.seed)
 
@@ -144,7 +117,7 @@ def gibbs_run(prior: IndependentPrior, data: DesignData, cfg: GibbsConfig) -> Gi
     prec_draws = np.empty((n_kept, m, m))
     for it in range(cfg.n_draws):
         try:
-            beta, prec = _gibbs_sweep(draw_beta, prior, data, prec, nub, rng)
+            beta, prec = _gibbs_sweep(beta_step, prior, data, prec, nub, rng)
         except np.linalg.LinAlgError as exc:
             raise NotPositiveDefiniteError(
                 f"Gibbs conditional failed at iteration {it}: {exc}") from exc
@@ -155,91 +128,11 @@ def gibbs_run(prior: IndependentPrior, data: DesignData, cfg: GibbsConfig) -> Gi
                       seed=cfg.seed, burn_in=cfg.burn_in)
 
 
-def _beta_draw(prior, data):
-    """gibbs_run's beta | Sigma^-1 draw: :class:`_PcgBetaDraw` when V0^-1 is
-    diagonal and Mp >= _KRONECKER_MIN_MP, the dense Cholesky draw otherwise."""
-    if _kronecker_applies(prior):
-        return _PcgBetaDraw(prior, data)
-    return _dense_beta_draw(prior, data)
-
-
-def _dense_beta_draw(prior, data):
-    """draw(P, rng): beta | Sigma^-1 = P, Y from the Cholesky factor L of the
-    conditional precision, mean + L^-T z with z ~ N(0, I_Mp)."""
-    beta_step = _CoefficientStep(prior, data)
-    mp = prior.mean_b.size
-
-    def draw(prec, rng):
-        lb, mean_b = beta_step(prec)
-        return mean_b + lapack_checked(
-            lapack.dtrtrs(lb, rng.standard_normal(mp), lower=1, trans=1), "trtrs")
-    return draw
-
-
-class _PcgBetaDraw:
-    """draw(P, rng): beta | Sigma^-1 = P, Y for a diagonal V0^-1 = D, by
-    perturb-then-solve (Papandreou & Yuille 2010) without forming the
-    Mp x Mp conditional precision Q = D + P kron A, A = X'X.
-
-    With the :class:`~vbvar.independent_vb._KroneckerBasis` S, U, Lambda
-    (once) and R, Omega (per draw), the two p x M slabs z1, Z2 of one
-    standard-normal draw give
-
-        eta = D^1/2 z1 + S_p U Lambda^1/2 Z2 Omega^1/2 R' S_M ~ N(0, Q),
-
-    so the solution of Q beta = V0^-1 b0 + vec(X'Y P) + eta is the
-    conditional draw.  The solve is preconditioned conjugate gradients on
-    Q vec(B) = vec(D o B + A B P), O(p^2 M + p M^2) per product.  The
-    preconditioner is the basis' exact solve with S^2 in place of D, so CG
-    stops after one or two iterations when D is separable.  Missing
-    _PCG_RTOL within _PCG_MAX_ITERS raises np.linalg.LinAlgError with the
-    residual reached.  Every product is numpy's."""
-
-    def __init__(self, prior, data):
-        self.basis = basis = _KroneckerBasis(prior, data, jacobi=False)
-        self.sqrt_d = np.sqrt(basis.d)
-        self.noise_left = basis.s_p[:, None] * basis.u * np.sqrt(basis.lam)
-
-    def __call__(self, prec, rng):
-        omega, r, shift = self.basis.eig(prec)
-        eta = self.noise(rng.standard_normal((2, *self.sqrt_d.shape)), omega, r)
-        return self.solve(self.basis.rhs(prec) + eta, prec, r, shift).flatten(order="F")
-
-    def noise(self, z, omega, r):
-        """eta = D^1/2 z1 + S_p U Lambda^1/2 Z2 Omega^1/2 R' S_M for z = (z1, Z2)."""
-        return self.sqrt_d * z[0] + self.noise_left @ z[1] @ (
-            self.basis.s_m[:, None] * r * np.sqrt(omega)).T
-
-    def solve(self, rhs, prec, r, shift):
-        """Q^-1 rhs for a p x M right-hand side, by preconditioned CG from 0;
-        (r, shift) as returned by the basis' ``eig`` at P."""
-        basis = self.basis
-        goal = _PCG_RTOL * np.linalg.norm(rhs)
-        x = np.zeros_like(rhs)
-        res = rhs.copy()
-        direction = basis.solve(res, r, shift)
-        rz = np.vdot(res, direction)
-        for _ in range(_PCG_MAX_ITERS):
-            q = basis.d * direction + basis.xtx @ direction @ prec
-            alpha = rz / np.vdot(direction, q)
-            x += alpha * direction
-            res -= alpha * q
-            res_norm = np.linalg.norm(res)
-            if res_norm <= goal:
-                return x
-            z = basis.solve(res, r, shift)
-            rz, rz_old = np.vdot(res, z), rz
-            direction = z + (rz / rz_old) * direction
-        raise np.linalg.LinAlgError(
-            f"PCG reached relative residual {res_norm / np.linalg.norm(rhs):.2e}, not "
-            f"{_PCG_RTOL:g}, in {_PCG_MAX_ITERS} iterations")
-
-
-def _gibbs_sweep(draw_beta, prior, data, prec, nub, rng):
-    """One sweep from Sigma^-1 = prec: beta | Sigma^-1, Y by ``draw_beta``,
+def _gibbs_sweep(beta_step, prior, data, prec, nub, rng):
+    """One sweep from Sigma^-1 = prec: beta | Sigma^-1, Y by ``beta_step.draw``,
     then Sigma^-1 | beta, Y ~ W((S0 + E'E)^-1, nub).  Returns (beta, Sigma^-1);
     a failed factorisation or PCG solve raises np.linalg.LinAlgError."""
-    beta = draw_beta(prec, rng)
+    beta = beta_step.draw(prec, rng)
     resid = data.residuals(beta)
     scale = prior.scale + resid.T @ resid
     # potri fills only the lower triangle of scale^-1, all that potrf reads

@@ -2,31 +2,12 @@
 monitoring, VB predictive moments, and iterative joint-mode schemes for
 both the exact and the VB posterior.
 
-Per-observation sums exploit Z_t = I_M kron x_t: the coefficient-update
-precision is Q = V0^-1 + E[Sigma^-1] kron X'X and the scale-update
-correction Omega has entries tr(V[m,n block] X'X), V = Q^-1.  The prior's
-V0^-1, S0^-1 and log-determinants are cached on the prior.
-
 Coordinate-ascent VB and both mode iterations run one coefficient step per
-iteration, the Gaussian conditional of beta given Sigma^-1 = P, at
+iteration, the Gaussian conditional of beta given Sigma^-1 = P
+(:mod:`vbvar.conditional`, which describes its two routes), at
 E_q[Sigma^-1] or at lambda * Sigma-hat^-1; each starts at the prior mean of
-Sigma^-1.  A step returns the conditional mean, ln |V|, Omega and
-tr(V0^-1 V), by one of two routes chosen once per call from the prior:
-
-- dense (:class:`_CoefficientStep`): assembles Q, factors it by LAPACK
-  potrf and inverts the factor by potri; O((Mp)^3) per step.  LAPACK is
-  called directly, the routines under scipy's cho_factor and cho_solve, and
-  a nonzero ``info`` raises np.linalg.LinAlgError, as cho_factor did.
-- Kronecker (:class:`_KroneckerStep`): when V0^-1 = D is diagonal,
-  Mp >= _KRONECKER_MIN_MP and D is separable, D = S^2 with
-  S = S_M kron S_p (the Minnesota prior with lambda2 = 1), Q is
-  diagonalised by the eigenvectors of X'X and P scaled by S
-  (:class:`_KroneckerBasis`), and every output has a closed form in
-  O(M^3 + p^3 + Mp(M + p)).  VB forms the dense V once, after its loop.
-
-The dense route of the Gibbs sampler shares :class:`_CoefficientStep`, and
-its PCG route (``independent_mcmc._PcgBetaDraw``) shares the basis and the
-threshold.
+Sigma^-1.  The prior's V0^-1, S0^-1 and log-determinants are cached on the
+prior.
 """
 
 from __future__ import annotations
@@ -34,18 +15,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack
 from scipy.special import multigammaln
 
+from .conditional import _coefficient_step, _omega, _prior_trace
 from .mvdist import (
     NotPositiveDefiniteError,
     UndefinedMomentError,
     WishartDist,
     check_fields,
-    chol_inverse,
     chol_logdet,
-    kron_add,
-    lapack_checked,
     normal_wishart_predictive,
     set_fields,
     spd_cholesky,
@@ -115,228 +93,11 @@ class IndependentVbPosterior:
         return self.mean_b.reshape((self.n_regressors, self.n_vars), order="F")
 
 
-class _CoefficientStep:
-    """beta | Sigma^-1 = P, Y ~ N(mean, (V0^-1 + P kron X'X)^-1) for one
-    prior and data set, by dense Cholesky: X'X and X'Y are formed once and
-    the Mp x Mp precision is assembled in one reused buffer.  The buffer is
-    C-ordered, so potrf factors an F-ordered copy and leaves the buffer as
-    it was.
-
-    VB and the mode iterations use it unless the prior takes the Kronecker
-    route (:func:`_coefficient_step`); Gibbs uses it only on its dense
-    route."""
-
-    def __init__(self, prior: IndependentPrior, data: DesignData):
-        m, p = data.n_vars, data.n_regressors
-        if prior.n_vars != m or prior.n_regressors != p:
-            raise ValueError("prior and data dimensions disagree")
-        self.prior = prior
-        self.xtx = data.X.T @ data.X
-        self.xty = data.X.T @ data.Y
-        self._prec = np.empty((m * p, m * p))
-        self._cov = None
-
-    def __call__(self, prec):
-        """(lower Cholesky factor of the conditional precision, conditional
-        mean) at P, from LAPACK potrf and potrs; the strict upper triangle of
-        the factor is not zeroed.  A precision that is not positive definite
-        raises np.linalg.LinAlgError."""
-        kron_add(self._prec, self.prior.cov_inv, prec, self.xtx)
-        lower = lapack_checked(lapack.dpotrf(self._prec, lower=1, clean=0), "potrf")
-        rhs = self.prior.cov_inv_mean + (self.xty @ prec).flatten(order="F")
-        return lower, lapack_checked(lapack.dpotrs(lower, rhs, lower=1), "potrs")
-
-    def mean(self, prec):
-        """The conditional mean at P."""
-        return self(prec)[1]
-
-    def moments(self, prec):
-        """(mean, ln |V|, Omega, tr(V0^-1 V)) at P, with V = Q^-1 from the
-        factor; V is kept for :meth:`cov`."""
-        lower, mean = self(prec)
-        self._cov = chol_inverse(lower)
-        return (mean, -chol_logdet(lower),
-                _omega(self._cov, self.xtx, self.prior.n_vars, self.prior.n_regressors),
-                _prior_trace(self.prior, self._cov))
-
-    def cov(self):
-        """The dense V of the last :meth:`moments` call."""
-        return self._cov
-
-
-# The Kronecker routes (the VB and mode step, and Gibbs' PCG draw) need a
-# diagonal V0^-1 and Mp at least this; below it the dense routes are kept
-_KRONECKER_MIN_MP = 300
-# the VB and mode step take the Kronecker route only when the separable fit
-# S^2 reproduces D to this relative error; Minnesota with lambda2 = 1 fits
-# to about 1e-14, and lambda2 = 0.999 misses by 1e-3
-_SEPARABLE_RTOL = 1e-12
-
-
-def _kronecker_applies(prior) -> bool:
-    """Whether V0^-1 is diagonal and Mp >= _KRONECKER_MIN_MP."""
-    return prior.cov_inv_diag is not None and prior.mean_b.size >= _KRONECKER_MIN_MP
-
-
-def _jacobi_gram(g):
-    """(eigenvalues, eigenvectors) of G'G from the one-sided Jacobi SVD of G
-    (LAPACK gejsv, JOBA = 'C'), accurate to round-off in every direction
-    however widely the columns of G are scaled.  The left vectors are
-    computed and dropped: asked for the right ones alone, gejsv takes a
-    shortcut that lost up to 5e-11 relative on tight Minnesota priors."""
-    sva, _, v, work, _, info = lapack.dgejsv(g, joba=0)
-    lapack_checked((None, info), "gejsv")
-    return (sva * (work[0] / work[1])) ** 2, v
-
-
-class _KroneckerBasis:
-    """The joint eigenbasis of a diagonal V0^-1 = D and P kron A, A = X'X.
-
-    D, as a p x M table, is fitted by (s_p s_M')^2, the least-squares fit of
-    ln D by row plus column effects; ``separable_error`` = max |S^2 / D - 1|
-    is zero to round-off under the Minnesota rule with lambda2 = 1.  With
-    S = diag(vec(s_p s_M')) and the eigendecompositions
-    A / s_p s_p' = U Lambda U' (once) and P / s_M s_M' = R Omega R' (per
-    step),
-
-        S^2 + P kron A = S (R kron U) (I + Omega kron Lambda) (R kron U)' S.
-
-    By default both come from Jacobi SVDs (:func:`_jacobi_gram`), of
-    X S_p^-1 and of L' S_M^-1 with P = L L'.  Neither squares a scaled
-    matrix, so the basis keeps its digits when s_p or s_M spreads over many
-    decades, as under a tight Minnesota prior with a loose intercept.
-    ``jacobi=False`` takes both from numpy's eigh of the scaled matrices
-    instead, which loses up to 1e-5 relative there; the Gibbs PCG draw uses
-    it, which keeps its stream bit for bit.  Every product is numpy's:
-    mixing numpy's and scipy's BLAS makes single calls erratic."""
-
-    def __init__(self, prior: IndependentPrior, data: DesignData, jacobi: bool = True):
-        m, p = data.n_vars, data.n_regressors
-        if prior.n_vars != m or prior.n_regressors != p:
-            raise ValueError("prior and data dimensions disagree")
-        self.d = prior.cov_inv_diag.reshape((p, m), order="F")
-        log_d = np.log(self.d)
-        self.logdet_d = float(np.sum(log_d))
-        self.s_p = np.exp(log_d.mean(axis=1) / 2.0)
-        self.s_m = np.exp((log_d.mean(axis=0) - log_d.mean()) / 2.0)
-        self.s = np.outer(self.s_p, self.s_m)
-        self.separable_error = float(np.max(np.abs(self.s**2 / self.d - 1.0)))
-        self.prior_term = prior.cov_inv_mean.reshape((p, m), order="F")
-        self.xtx = data.X.T @ data.X
-        self.xty = data.X.T @ data.Y
-        self.jacobi = jacobi
-        if jacobi:
-            # gejsv needs as many rows as columns; zero rows leave X'X as it is
-            padding = np.zeros((max(p - data.X.shape[0], 0), p))
-            self.lam, self.u = _jacobi_gram(np.vstack((data.X / self.s_p, padding)))
-        else:
-            lam, self.u = np.linalg.eigh(self.xtx / np.outer(self.s_p, self.s_p))
-            # X'X is positive semi-definite; clip round-off below zero
-            self.lam = np.maximum(lam, 0.0)
-
-    def rhs(self, prec):
-        """V0^-1 b0 + vec(X'Y P) as a p x M table."""
-        return self.prior_term + self.xty @ prec
-
-    def eig(self, prec):
-        """(Omega, R, 1 + Lambda Omega') of P / s_M s_M' = R Omega R'; P not
-        positive definite raises np.linalg.LinAlgError."""
-        if self.jacobi:
-            omega, r = _jacobi_gram(np.linalg.cholesky(prec).T / self.s_m)
-        else:
-            omega, r = np.linalg.eigh(prec / np.outer(self.s_m, self.s_m))
-            if omega[0] <= 0.0:
-                raise np.linalg.LinAlgError("Sigma^-1 is not positive definite")
-        return omega, r, 1.0 + self.lam[:, None] * omega
-
-    def solve(self, g, r, shift):
-        """(S^2 + P kron A)^-1 g for a p x M table g."""
-        u, s = self.u, self.s
-        return u @ ((u.T @ (g / s) @ r) / shift) @ r.T / s
-
-
-class _KroneckerStep:
-    """The outputs of :meth:`_CoefficientStep.moments` in closed form for a
-    separable V0^-1 = D = S^2, from a :class:`_KroneckerBasis`.  With
-    delta_ji = 1 / (1 + lambda_j omega_i):
-
-    - mean = S^-1 (R kron U) Delta (R kron U)' S^-1 r;
-    - ln |V| = -ln |D| - sum ln(1 + lambda_j omega_i);
-    - Omega = S_M^-1 R diag(sum_j lambda_j delta_ji) R' S_M^-1;
-    - diag V = S^-2 o (U o U) Delta (R o R)', which gives tr(D V).
-
-    O(M^3 + p^3 + Mp(M + p)) per step, and no Mp x Mp matrix until
-    :meth:`cov`."""
-
-    def __init__(self, basis: _KroneckerBasis):
-        self.basis = basis
-        self._last = None
-
-    def mean(self, prec):
-        """The conditional mean at P."""
-        b = self.basis
-        _, r, shift = b.eig(prec)
-        return b.solve(b.rhs(prec), r, shift).flatten(order="F")
-
-    def moments(self, prec):
-        """(mean, ln |V|, Omega, tr(V0^-1 V)) at P; the basis state is kept
-        for :meth:`cov`."""
-        b = self.basis
-        _, r, shift = b.eig(prec)
-        delta = 1.0 / shift
-        self._last = r, delta
-        omega = (r * (b.lam @ delta)) @ r.T / np.outer(b.s_m, b.s_m)
-        diag_v = (b.u * b.u) @ delta @ (r * r).T / b.s**2
-        return (b.solve(b.rhs(prec), r, shift).flatten(order="F"),
-                -b.logdet_d - float(np.sum(np.log(shift))), omega,
-                float(np.sum(b.d * diag_v)))
-
-    def cov(self):
-        """The dense V of the last :meth:`moments` call, exactly symmetric:
-        V[(a,k), (b,l)] = sum_i R_ai R_bi (U Delta_i U')_kl / (s_ka s_lb),
-        with Delta_i the i-th column of Delta; O(M^3 p^2), not O((Mp)^3)."""
-        b = self.basis
-        r, delta = self._last
-        p, m = b.s.shape
-        blocks = (b.u * delta.T[:, None, :]) @ b.u.T
-        pairs = (r[:, None, :] * r[None, :, :]).reshape(m * m, m)
-        cov = (pairs @ blocks.reshape(m, p * p)).reshape(m, m, p, p).transpose(
-            0, 2, 1, 3).reshape(m * p, m * p)
-        inv_s = 1.0 / b.s.flatten(order="F")
-        cov *= inv_s[:, None]
-        cov *= inv_s
-        return (cov + cov.T) / 2.0
-
-
-def _coefficient_step(prior, data):
-    """The step of VB and the mode iterations: :class:`_KroneckerStep` when
-    V0^-1 is diagonal, Mp >= _KRONECKER_MIN_MP and the separable fit is
-    within _SEPARABLE_RTOL, :class:`_CoefficientStep` otherwise."""
-    if _kronecker_applies(prior):
-        basis = _KroneckerBasis(prior, data)
-        if basis.separable_error <= _SEPARABLE_RTOL:
-            return _KroneckerStep(basis)
-    return _CoefficientStep(prior, data)
-
-
-def _omega(cov_b: np.ndarray, xtx: np.ndarray, m: int, p: int) -> np.ndarray:
-    """Sum over t of Z_t cov_b Z_t': entries tr(cov_b[m-block, n-block] X'X)."""
-    return np.einsum("akbl,kl->ab", cov_b.reshape(m, p, m, p), xtx)
-
-
 # An ELBO step below -ELBO_FALL_TOL * max(1, |ELBO|) is a real decrease,
 # not round-off; coordinate ascent cannot produce one at a correct update.
 ELBO_FALL_TOL = 1e-11
 # the most fixed-point steps a mode solver takes
 MODE_MAX_ITERS = 1000
-
-
-def _prior_trace(prior, cov_b) -> float:
-    """tr(V0^-1 cov_b) as an elementwise sum with the cached V0^-1.  einsum
-    keeps this product, and the quadratic form in :func:`_elbo`, off numpy's
-    BLAS, whose thread pool would otherwise stall the next scipy
-    factorisation (numpy and scipy each load their own OpenBLAS)."""
-    return float(np.einsum("ij,ij->", prior.cov_inv, cov_b))
 
 
 def fit_vb_independent(

@@ -52,13 +52,18 @@ def spd_cholesky(a, name="matrix"):
     """Lower Cholesky factor of a symmetric positive-definite matrix, or of
     each matrix of a (..., M, M) stack.
 
-    Symmetry is checked per matrix to relative tolerance 1e-12;
-    factorization failure raises :class:`NotPositiveDefiniteError`.
+    Finiteness, then symmetry to relative tolerance 1e-12, is checked per
+    matrix; either failing, or the factorization failing, raises
+    :class:`NotPositiveDefiniteError`.
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
     if a.shape[-1] != a.shape[-2]:
         raise NotPositiveDefiniteError(f"{name} must be square, got {a.shape}")
-    scale = np.maximum(np.abs(a).max(axis=(-2, -1)), 1.0)
+    # the largest |entry| of each matrix is nan or inf when any entry is
+    largest = np.abs(a).max(axis=(-2, -1))
+    if not np.all(np.isfinite(largest)):
+        raise NotPositiveDefiniteError(f"{name} is not finite")
+    scale = np.maximum(largest, 1.0)
     if np.any(np.abs(a - np.swapaxes(a, -2, -1)).max(axis=(-2, -1)) > _SYM_RTOL * scale):
         raise NotPositiveDefiniteError(f"{name} is not symmetric")
     try:
@@ -107,7 +112,7 @@ def spd_inverse(a, name="matrix"):
     of some off-diagonal zeros differs: potri leaves some as -0.0, in a
     pattern that changes with the BLAS thread count, where the route has
     +0.0.  Every other input, a zero, negative, nan or inf on the diagonal
-    included, is factored, so it raises as before.
+    included, goes to :func:`spd_cholesky`, so it raises as that does.
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
     if a.ndim == 2 and a.shape[0] == a.shape[1]:

@@ -16,21 +16,19 @@ from conftest import (
     random_spd,
     synthetic_design,
 )
-import vbvar.independent_mcmc as imc
-import vbvar.independent_vb as ivb
+import vbvar.conditional as cond
+from vbvar.conditional import _beta_draw, _CoefficientStep, _KroneckerStep
 from vbvar.independent_mcmc import (
     GibbsConfig,
     _batch_means_se,
-    _beta_draw,
     _gibbs_sweep,
-    _PcgBetaDraw,
     _log_joint_independent,
     gibbs_run,
     lnml_ris,
     predictive_gibbs,
     summarize_draws,
 )
-from vbvar.independent_vb import _CoefficientStep, elbo_independent, fit_vb_independent
+from vbvar.independent_vb import elbo_independent, fit_vb_independent
 from vbvar.mvdist import NotPositiveDefiniteError, WishartDist
 from vbvar.priors import IndependentPrior, MinnesotaConfig, minnesota_independent
 from vbvar.vardata import DesignData
@@ -153,10 +151,10 @@ def _diagonal_prior(base, seed, decades):
 
 class TestJointDistribution:
     """The Gibbs sweep against its prior by the joint-distribution test: the
-    chain means of beta, beta^2 and Sigma^-1 must match the prior's moments
-    within Z_MAX batch-means standard errors.  A Wishart dof off by 2 or
-    coefficient noise scaled by 1.15 gives |z| far above it on either
-    route."""
+    chain means of beta, beta^2, Sigma^-1 and its squared entries must match
+    the prior's moments within Z_MAX batch-means standard errors.  A Wishart
+    dof off by 2 or coefficient noise scaled by 1.15 gives |z| far above it
+    on either route."""
 
     N_STEPS = 20_000
     Z_MAX = 5.0
@@ -167,22 +165,25 @@ class TestJointDistribution:
         prior = random_independent_prior(2, 3, seed=1302)
         if route == "pcg":
             prior = _diagonal_prior(prior, seed=1303, decades=3)
-            monkeypatch.setattr(ivb, "_KRONECKER_MIN_MP", 0)
-        assert isinstance(_beta_draw(prior, data), _PcgBetaDraw) == (route == "pcg")
+            monkeypatch.setattr(cond, "_KRONECKER_MIN_MP", 0)
+        assert isinstance(_beta_draw(prior, data), _KroneckerStep) == (route == "pcg")
         betas, precs = _joint_distribution_chain(prior, data.X, self.N_STEPS, seed=1304)
         iu = np.triu_indices(2)
-        stats = np.column_stack((betas, betas**2, precs[:, iu[0], iu[1]]))
+        w = precs[:, iu[0], iu[1]]
+        w_mean = prior.precision_mean[iu]
+        w_var = WishartDist(prior.scale_inv, prior.dof).var()[iu]
+        stats = np.column_stack((betas, betas**2, w, w**2))
         want = np.concatenate((prior.mean_b, prior.mean_b**2 + np.diag(prior.cov),
-                               prior.precision_mean[iu]))
+                               w_mean, w_var + w_mean**2))
         z = (stats.mean(axis=0) - want) / _batch_means_se(stats)
         assert np.abs(z).max() < self.Z_MAX, z
 
 
 def _pcg_mean(prior, data, prec):
     """The PCG solution at zero noise, Q^-1 (V0^-1 b0 + vec(X'Y P)), as vec."""
-    draw = _PcgBetaDraw(prior, data)
-    _, r, shift = draw.basis.eig(prec)
-    return draw.solve(draw.basis.rhs(prec), prec, r, shift).flatten(order="F")
+    step = _KroneckerStep(prior, data, jacobi=False)
+    _, r, shift = step.eig(prec)
+    return step.pcg(step.rhs(prec), prec, r, shift).flatten(order="F")
 
 
 class TestPcgDraw:
@@ -196,12 +197,12 @@ class TestPcgDraw:
         prior = _diagonal_prior(random_independent_prior(n_vars, data.n_regressors, 1311),
                                 seed=1312, decades=6)
         prec = random_spd(n_vars, np.random.default_rng(1313))
-        draw = _PcgBetaDraw(prior, data)
-        omega, r, _ = draw.basis.eig(prec)
+        step = _KroneckerStep(prior, data, jacobi=False)
+        omega, r, _ = step.eig(prec)
         mp = prior.mean_b.size
         # column k of the linear map from the 2 Mp normals to vec(eta)
-        basis = np.eye(2 * mp).reshape(2 * mp, 2, *draw.basis.d.shape)
-        lmap = np.column_stack([draw.noise(z, omega, r).flatten(order="F") for z in basis])
+        basis = np.eye(2 * mp).reshape(2 * mp, 2, *step.d.shape)
+        lmap = np.column_stack([step.noise(z, omega, r).flatten(order="F") for z in basis])
         q = prior.cov_inv + np.kron(prec, data.X.T @ data.X)
         assert np.abs(lmap @ lmap.T - q).max() <= 1e-12 * np.abs(q).max()
 
@@ -224,7 +225,7 @@ class TestPcgDraw:
     def test_solve_matches_dense_mean_at_mp_820(self, monkeypatch):
         data = perfbench_design(20, 2, 300, monkeypatch)
         prior = minnesota_independent(data, MinnesotaConfig())
-        assert prior.mean_b.size == 820 and isinstance(_beta_draw(prior, data), _PcgBetaDraw)
+        assert prior.mean_b.size == 820 and isinstance(_beta_draw(prior, data), _KroneckerStep)
         coef = np.linalg.lstsq(data.X, data.Y, rcond=None)[0]
         resid = data.Y - data.X @ coef
         prec = (data.effective_T + prior.dof) * np.linalg.inv(prior.scale + resid.T @ resid)
@@ -236,7 +237,7 @@ class TestPcgDraw:
     def test_indefinite_precision_raises(self, monkeypatch):
         data = synthetic_design(2, 1, 40, seed=101)
         prior = _diagonal_prior(random_independent_prior(2, 3, seed=102), seed=103, decades=6)
-        monkeypatch.setattr(ivb, "_KRONECKER_MIN_MP", 0)
+        monkeypatch.setattr(cond, "_KRONECKER_MIN_MP", 0)
         monkeypatch.setattr(IndependentPrior, "precision_mean", property(lambda _: -np.eye(2)))
         with pytest.raises(NotPositiveDefiniteError, match="iteration 0: Sigma"):
             gibbs_run(prior, data, GibbsConfig(n_draws=10, burn_in=0, seed=3))
@@ -244,31 +245,11 @@ class TestPcgDraw:
     def test_iteration_cap_raises(self, monkeypatch):
         data = synthetic_design(2, 1, 40, seed=101)
         prior = _diagonal_prior(random_independent_prior(2, 3, seed=102), seed=103, decades=6)
-        monkeypatch.setattr(ivb, "_KRONECKER_MIN_MP", 0)
-        monkeypatch.setattr(imc, "_PCG_MAX_ITERS", 1)
+        monkeypatch.setattr(cond, "_KRONECKER_MIN_MP", 0)
+        monkeypatch.setattr(cond, "_PCG_MAX_ITERS", 1)
         with pytest.raises(NotPositiveDefiniteError,
                            match=r"iteration 0: PCG reached relative residual .* in 1 iter"):
             gibbs_run(prior, data, GibbsConfig(n_draws=10, burn_in=0, seed=3))
-
-
-class TestRouting:
-    """gibbs_run draws by PCG only for a diagonal V0^-1 at Mp >= _KRONECKER_MIN_MP."""
-
-    def test_non_diagonal_prior_stays_dense(self):
-        data = synthetic_design(10, 3, 80, seed=1320)
-        prior = random_independent_prior(10, data.n_regressors, seed=1321)
-        assert prior.mean_b.size >= ivb._KRONECKER_MIN_MP and prior.cov_inv_diag is None
-        assert not isinstance(_beta_draw(prior, data), _PcgBetaDraw)
-
-    @pytest.mark.parametrize("n_vars,lags,t_raw,pcg", [
-        (3, 2, 200, False),  # fit-small-export, Mp = 21
-        (7, 4, 400, False),  # criterion 6 and `fit` at M = 7, d = 4, Mp = 203
-        (12, 2, 200, True),  # Mp = 300
-    ])
-    def test_minnesota_route_by_size(self, n_vars, lags, t_raw, pcg):
-        data = synthetic_design(n_vars, lags, t_raw, seed=1322)
-        prior = minnesota_independent(data, MinnesotaConfig())
-        assert isinstance(_beta_draw(prior, data), _PcgBetaDraw) == pcg
 
 
 class TestGibbsConfig:

@@ -17,6 +17,7 @@ from conftest import (
     random_spd,
     synthetic_design,
 )
+import vbvar.conditional as cond
 import vbvar.independent_vb as ivb
 from vbvar.independent_mcmc import _log_joint_independent
 from vbvar.independent_vb import (
@@ -50,14 +51,18 @@ def log_posterior(prior, data, beta, precision) -> float:
 
 
 def _route(prior, data):
-    step = ivb._coefficient_step(prior, data)
-    return "kronecker" if isinstance(step, ivb._KroneckerStep) else "dense"
+    step = cond._coefficient_step(prior, data)
+    return "kronecker" if isinstance(step, cond._KroneckerStep) else "dense"
+
+
+def _gibbs_route(prior, data):
+    return "pcg" if isinstance(cond._beta_draw(prior, data), cond._KroneckerStep) else "dense"
 
 
 def _force_route(monkeypatch, prior, data, route):
     """Send VB and the mode iterations down ``route`` whatever Mp is; the
     Kronecker route still needs a separable diagonal V0^-1."""
-    monkeypatch.setattr(ivb, "_KRONECKER_MIN_MP", 0 if route == "kronecker" else 10**9)
+    monkeypatch.setattr(cond, "_KRONECKER_MIN_MP", 0 if route == "kronecker" else 10**9)
     assert _route(prior, data) == route
 
 
@@ -354,8 +359,8 @@ def _rel(got, want):
 def _assert_steps_agree(prior, data, prec):
     """Each output of the Kronecker step, and its dense V, against the dense
     step's at P."""
-    dense = ivb._CoefficientStep(prior, data)
-    kron = ivb._KroneckerStep(ivb._KroneckerBasis(prior, data))
+    dense = cond._CoefficientStep(prior, data)
+    kron = cond._KroneckerStep(prior, data)
     want, got = dense.moments(prec), kron.moments(prec)
     for name, g, w in zip(("mean", "ln|V|", "Omega", "tr(V0^-1 V)"), got, want):
         assert _rel(g, w) <= ROUTES_RTOL, name
@@ -449,27 +454,35 @@ class TestKroneckerStep:
             modes(prior, data)
 
 
-class TestKroneckerRouting:
-    """VB and the mode iterations take the Kronecker route only for a
-    separable diagonal V0^-1 at Mp >= _KRONECKER_MIN_MP."""
+# (M, d, T_raw, lambda2, VB and mode route, Gibbs route)
+ROUTES = [
+    (12, 2, 200, 1.0, "kronecker", "pcg"),  # Mp = 300
+    (12, 2, 200, 0.5, "dense", "pcg"),      # lambda2 < 1: D is not separable
+    (3, 2, 200, 1.0, "dense", "dense"),     # Mp = 21, fit-small-export
+    (7, 4, 400, 1.0, "dense", "dense"),     # Mp = 203, criterion 6
+    (7, 4, 400, 0.5, "dense", "dense"),
+]
 
-    @pytest.mark.parametrize("n_vars,lags,t_raw,cross,route", [
-        (12, 2, 200, 1.0, "kronecker"),  # Mp = 300
-        (12, 2, 200, 0.5, "dense"),      # lambda2 < 1: D is not separable
-        (3, 2, 200, 1.0, "dense"),       # Mp = 21
-        (7, 4, 400, 1.0, "dense"),       # Mp = 203
-        (7, 4, 400, 0.5, "dense"),
-    ])
-    def test_minnesota_route(self, n_vars, lags, t_raw, cross, route):
+
+class TestKroneckerRouting:
+    """Both routers of the coefficient conditional: VB and the mode
+    iterations take the Kronecker route only for a separable diagonal V0^-1
+    at Mp >= _KRONECKER_MIN_MP, and the Gibbs draw takes PCG for any
+    diagonal V0^-1 there."""
+
+    # the ids name the VB route only
+    @pytest.mark.parametrize("n_vars,lags,t_raw,cross,route,gibbs", ROUTES,
+                             ids=["-".join(map(str, row[:5])) for row in ROUTES])
+    def test_minnesota_route(self, n_vars, lags, t_raw, cross, route, gibbs):
         data = synthetic_design(n_vars, lags, t_raw, seed=1801)
         prior = minnesota_independent(data, MinnesotaConfig(cross_tightness=cross))
-        assert _route(prior, data) == route
+        assert (_route(prior, data), _gibbs_route(prior, data)) == (route, gibbs)
 
     def test_non_diagonal_prior_stays_dense(self):
         data = synthetic_design(10, 3, 80, seed=1802)
         prior = random_independent_prior(10, data.n_regressors, seed=1803)
-        assert prior.mean_b.size >= ivb._KRONECKER_MIN_MP and prior.cov_inv_diag is None
-        assert _route(prior, data) == "dense"
+        assert prior.mean_b.size >= cond._KRONECKER_MIN_MP and prior.cov_inv_diag is None
+        assert (_route(prior, data), _gibbs_route(prior, data)) == ("dense", "dense")
 
     def test_separable_tolerance_sits_in_the_gap(self):
         # Minnesota with lambda2 = 1 fits to round-off over the
@@ -483,7 +496,7 @@ class TestKroneckerRouting:
                                                 (1.0, 100.0, 1e4)):
                 cfg = MinnesotaConfig(overall_tightness=l1, lag_decay=l3, intercept_scale=l4)
                 prior = minnesota_independent(data, cfg)
-                worst = max(worst, ivb._KroneckerBasis(prior, data).separable_error)
+                worst = max(worst, cond._KroneckerStep(prior, data).separable_error)
             near = minnesota_independent(data, MinnesotaConfig(cross_tightness=0.999))
-            assert ivb._KroneckerBasis(near, data).separable_error >= 1e-3
-        assert worst <= ivb._SEPARABLE_RTOL / 10
+            assert cond._KroneckerStep(near, data).separable_error >= 1e-3
+        assert worst <= cond._SEPARABLE_RTOL / 10

@@ -22,7 +22,7 @@ from vbvar.mvdist import (
     spd_cholesky,
     spd_inverse,
 )
-from vbvar.priors import MinnesotaConfig, minnesota_independent
+from vbvar.priors import IndependentPrior, MinnesotaConfig, minnesota_independent
 
 
 def _rand_spd(rng, n, jitter=1.0):
@@ -108,8 +108,8 @@ class TestSpdInverse:
         assert prior.cov_inv_diag.tobytes() == np.diag(want_inv).tobytes()
         assert prior.cov_inv_mean.tobytes() == (want_inv @ prior.mean_b).tobytes()
 
-    # the symmetry check of an inf diagonal warns, on either route
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    # a nan or inf is caught before the symmetry check, which would warn
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("bad", [0.0, -0.0, -1.0, np.nan, np.inf, -np.inf])
     def test_invalid_diagonal_raises_as_factorisation(self, bad):
         a = np.diag([2.0, bad, 3.0])
@@ -122,8 +122,17 @@ class TestSpdInverse:
     def test_invalid_diagonal_errors(self):
         with pytest.raises(NotPositiveDefiniteError, match="cov is not positive definite"):
             spd_inverse(np.diag([2.0, -0.0]), "cov")
-        with pytest.raises(ValueError, match="infs or NaNs"):
-            spd_inverse(np.diag([2.0, np.nan]), "cov")
+        for bad in (np.nan, np.inf):
+            with pytest.raises(NotPositiveDefiniteError, match="^cov is not finite$"):
+                spd_inverse(np.diag([2.0, bad]), "cov")
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_non_finite_entry_is_named(self):
+        stack = np.stack([np.eye(2), [[1.0, np.inf], [np.inf, 1.0]]])
+        with pytest.raises(NotPositiveDefiniteError, match="^precision draw is not finite$"):
+            spd_cholesky(stack, "precision draw")
+        with pytest.raises(NotPositiveDefiniteError, match="^cov is not finite$"):
+            IndependentPrior(np.zeros(2), np.diag([2.0, np.nan]), np.eye(1), 3.0)
 
 
 class TestWishart:
