@@ -119,15 +119,13 @@ class TestSpdInverse:
             spd_inverse(a, "cov")
         assert type(got.value) is want.type and str(got.value) == str(want.value)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_invalid_diagonal_errors(self):
         with pytest.raises(NotPositiveDefiniteError, match="cov is not positive definite"):
             spd_inverse(np.diag([2.0, -0.0]), "cov")
         for bad in (np.nan, np.inf):
             with pytest.raises(NotPositiveDefiniteError, match="^cov is not finite$"):
                 spd_inverse(np.diag([2.0, bad]), "cov")
-
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_non_finite_entry_is_named(self):
         stack = np.stack([np.eye(2), [[1.0, np.inf], [np.inf, 1.0]]])
         with pytest.raises(NotPositiveDefiniteError, match="^precision draw is not finite$"):
             spd_cholesky(stack, "precision draw")
