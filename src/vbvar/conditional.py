@@ -195,9 +195,9 @@ class _KroneckerStep:
     Gibbs draw keeps it, because the Jacobi basis changes its stream:
     ``compare`` at Mp = 820 moved by up to 0.25 relative, so the switch
     needs a seed gate over several seeds, not byte identity, and the
-    per-draw ``eig`` cost 170-220 us instead of 65-100 us.  Every product
-    is numpy's: mixing numpy's and scipy's BLAS makes single calls
-    erratic."""
+    per-draw ``eig`` took 170-220 us instead of 65-100 us (2 vCPUs).
+    Every product is numpy's: mixing numpy's and scipy's BLAS makes single
+    calls erratic."""
 
     def __init__(self, prior, data, jacobi=True):
         self.xtx, self.xty = _cross_products(prior, data)
