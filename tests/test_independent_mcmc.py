@@ -252,6 +252,26 @@ class TestPcgDraw:
             gibbs_run(prior, data, GibbsConfig(n_draws=10, burn_in=0, seed=3))
 
 
+class TestRouting:
+    """gibbs_run draws by PCG only for a diagonal V0^-1 at Mp >= _KRONECKER_MIN_MP."""
+
+    def test_non_diagonal_prior_stays_dense(self):
+        data = synthetic_design(10, 3, 80, seed=1320)
+        prior = random_independent_prior(10, data.n_regressors, seed=1321)
+        assert prior.mean_b.size >= cond._KRONECKER_MIN_MP and prior.cov_inv_diag is None
+        assert not isinstance(_beta_draw(prior, data), _KroneckerStep)
+
+    @pytest.mark.parametrize("n_vars,lags,t_raw,pcg", [
+        (3, 2, 200, False),  # fit-small-export, Mp = 21
+        (7, 4, 400, False),  # criterion 6 and `fit` at M = 7, d = 4, Mp = 203
+        (12, 2, 200, True),  # Mp = 300
+    ])
+    def test_minnesota_route_by_size(self, n_vars, lags, t_raw, pcg):
+        data = synthetic_design(n_vars, lags, t_raw, seed=1322)
+        prior = minnesota_independent(data, MinnesotaConfig())
+        assert isinstance(_beta_draw(prior, data), _KroneckerStep) == pcg
+
+
 class TestGibbsConfig:
     def test_burn_in_bound(self):
         with pytest.raises(ValueError):
