@@ -15,8 +15,8 @@ pairs the change won (a tie counts for neither side), the median ratio
 change/parent and the parent's interquartile range.  Runs with --trace 1 on the trace seeds give
 per-layer medians for each side.  With --claim, the output states whether
 the change won at least 9 in 10 pairs on that metric, with a median at
-most RATIO times the parent's and a median gap wider than the parent's
-IQR.
+most RATIO times the parent's (at least RATIO times, for a metric whose
+`better` is "higher") and a median gap wider than the parent's IQR.
 
 The file is rewritten after every pair, so an interrupted session keeps
 what it measured.  Plain standard library: no numpy is imported here.
@@ -70,6 +70,7 @@ def compare(parent: list, change: list, better: str) -> dict:
     ties = sum(c == p for p, c in zip(parent, change))
     ps, cs = quartiles(parent), quartiles(change)
     return {
+        "better": better,
         "parent": ps,
         "change": cs,
         "change_wins": wins,
@@ -81,15 +82,20 @@ def compare(parent: list, change: list, better: str) -> dict:
 
 
 def claim_summary(doc: dict, workload: str, metric: str, ratio: float) -> dict:
+    """Whether the claim on ``metric`` holds: the change wins 9 in 10 pairs,
+    its median is at most ``ratio`` times the parent's (at least, when
+    higher is better) and the medians differ by more than the parent's IQR."""
     m = doc["end_to_end"][workload]["metrics"][metric]
     gap = abs(m["parent"]["median"] - m["change"]["median"])
-    met = (m["change_wins"] >= 0.9 * m["pairs"] and m["median_ratio"] is not None
-           and m["median_ratio"] <= ratio and gap > m["parent_iqr"])
+    lower = m["better"] == "lower"
+    within = m["median_ratio"] is not None and (
+        m["median_ratio"] <= ratio if lower else m["median_ratio"] >= ratio)
+    met = m["change_wins"] >= 0.9 * m["pairs"] and within and gap > m["parent_iqr"]
     return {
         "metric": metric,
         "workload": workload,
-        "rule": f"change wins >= 9 of 10 pairs, median <= {ratio} x parent, "
-                "and median gap > parent IQR",
+        "rule": f"change wins >= 9 of 10 pairs, median {'<=' if lower else '>='} {ratio} "
+                "x parent, and median gap > parent IQR",
         "wins": m["change_wins"],
         "pairs": m["pairs"],
         "median_ratio": m["median_ratio"],
@@ -99,9 +105,18 @@ def claim_summary(doc: dict, workload: str, metric: str, ratio: float) -> dict:
 
 
 def git_head(checkout: Path):
-    proc = subprocess.run(["git", "rev-parse", "--short", "HEAD"], cwd=checkout,
-                          capture_output=True, text=True, check=False)
-    return proc.stdout.strip() or None
+    """The short commit of ``checkout`` when it is the top of a git work
+    tree; None otherwise, also for an exported tree that lies inside another
+    repository, whose HEAD is not the checkout's."""
+    def git(*args):
+        proc = subprocess.run(["git", "rev-parse", *args], cwd=checkout,
+                              capture_output=True, text=True, check=False)
+        return proc.stdout.strip() if proc.returncode == 0 else ""
+
+    top = git("--show-toplevel")
+    if not top or Path(top).resolve() != Path(checkout).resolve():
+        return None
+    return git("--short", "HEAD") or None
 
 
 def write(doc: dict, path: Path) -> None:

@@ -8,22 +8,31 @@ lambda * Sigma-hat^-1 and the Gibbs sweep draws from it at a drawn
 Sigma^-1.  Each evaluation is one of two route classes, chosen once per
 call from the prior; both give ``mean``, ``moments`` (mean, ln |V|, the
 scale-update correction Omega with entries tr(V[m,n block] X'X), and
-tr(V0^-1 V)), ``cov`` and ``draw(P, rng)``:
+tr(V0^-1 V)) and ``draw(P, rng)``.  ``moments`` also keeps V as the
+step's ``state``, a value object that a later call replaces but never
+changes; VB's posterior carries it as the covariance of q(beta).  Each
+route's state gives ``cov`` (the dense V), ``logpdf`` (ln N(beta; mean, V)
+over a stack of draws) and ``normal_part`` (Z V Z' for one regressor row,
+the normal part of the predictive):
 
 - dense (:class:`_CoefficientStep`): assembles Q, factors it by LAPACK
   potrf and inverts the factor by potri; O((Mp)^3) per step.  LAPACK is
   called directly, the routines under scipy's cho_factor and cho_solve, and
   a nonzero ``info`` raises np.linalg.LinAlgError, as cho_factor did.  A
-  draw is mean + L^-T z with z ~ N(0, I_Mp), by trtrs.
+  draw is mean + L^-T z with z ~ N(0, I_Mp), by trtrs.  Its state
+  (:class:`_DenseCovariance`) is V itself, which ``logpdf`` factors.
 - Kronecker (:class:`_KroneckerStep`), when V0^-1 = D is diagonal
   (``cov_inv_diag``, as under the Minnesota prior) and
   Mp >= _KRONECKER_MIN_MP.  Q is diagonalised by the eigenvectors of X'X
   and P scaled by a separable fit S^2 of D.  When D is separable to
   _SEPARABLE_RTOL (Minnesota with lambda2 = 1), the mean, ln |V|, Omega
   and tr(V0^-1 V) have closed forms in O(M^3 + p^3 + Mp(M + p)), and VB
-  and the modes take this route; VB forms the dense V once, after its
-  loop.  For any diagonal D, Gibbs draws by perturb-then-solve PCG on Q,
-  with no Mp x Mp matrix and the exact separable solve as preconditioner.
+  and the modes take this route.  Its state (:class:`_KroneckerCovariance`)
+  is the basis and the last step's eigenvectors and eigenvalues, in which
+  ``logpdf`` and ``normal_part`` have closed forms too, with no factor;
+  only ``cov`` forms an Mp x Mp matrix.  For any diagonal D, Gibbs draws
+  by perturb-then-solve PCG on Q, with no Mp x Mp matrix and the exact
+  separable solve as preconditioner.
   It draws 2 Mp normals where the dense draw takes Mp, so the two Gibbs
   routes give different streams.
 
@@ -36,10 +45,12 @@ slower on PCG for every lambda2 down to 0.1.
 
 from __future__ import annotations
 
-import numpy as np
-from scipy.linalg import lapack
+from dataclasses import dataclass
 
-from .mvdist import chol_inverse, chol_logdet, kron_add, lapack_checked
+import numpy as np
+from scipy.linalg import lapack, solve_triangular
+
+from .mvdist import chol_inverse, chol_logdet, kron_add, lapack_checked, spd_cholesky
 
 # The Kronecker route needs a diagonal V0^-1 and Mp at least this; below it
 # both routers take the dense route
@@ -118,7 +129,7 @@ class _CoefficientStep:
         self.xtx, self.xty = _cross_products(prior, data)
         self.prior = prior
         self._prec = np.empty((prior.mean_b.size, prior.mean_b.size))
-        self._cov = None
+        self.state = None
 
     def __call__(self, prec):
         """(lower Cholesky factor of the conditional precision, conditional
@@ -136,16 +147,13 @@ class _CoefficientStep:
 
     def moments(self, prec):
         """(mean, ln |V|, Omega, tr(V0^-1 V)) at P, with V = Q^-1 from the
-        factor; V is kept for :meth:`cov`."""
+        factor; V is kept as :attr:`state`."""
         lower, mean = self(prec)
-        self._cov = chol_inverse(lower)
+        self.state = _DenseCovariance(chol_inverse(lower), self.xtx)
+        cov = self.state.v
         return (mean, -chol_logdet(lower),
-                _omega(self._cov, self.xtx, self.prior.n_vars, self.prior.n_regressors),
-                _prior_trace(self.prior, self._cov))
-
-    def cov(self):
-        """The dense V of the last :meth:`moments` call."""
-        return self._cov
+                _omega(cov, self.xtx, self.prior.n_vars, self.prior.n_regressors),
+                _prior_trace(self.prior, cov))
 
     def draw(self, prec, rng):
         """A draw at P: mean + L^-T z with z ~ N(0, I_Mp), L the factor of Q."""
@@ -167,7 +175,8 @@ class _KroneckerStep:
         S^2 + P kron A = S (R kron U) (I + Omega kron Lambda) (R kron U)' S.
 
     For a separable D = S^2, with delta_ji = 1 / (1 + lambda_j omega_i),
-    :meth:`mean`, :meth:`moments` and :meth:`cov` are closed forms:
+    :meth:`mean` and :meth:`moments` are closed forms, as is every method of
+    the kept :class:`_KroneckerCovariance`:
 
     - mean = S^-1 (R kron U) Delta (R kron U)' S^-1 r;
     - ln |V| = -ln |D| - sum ln(1 + lambda_j omega_i);
@@ -221,7 +230,7 @@ class _KroneckerStep:
             self.lam = np.maximum(lam, 0.0)
         self.sqrt_d = np.sqrt(self.d)
         self.noise_left = self.s_p[:, None] * self.u * np.sqrt(self.lam)
-        self._last = None
+        self.state = None
 
     def rhs(self, prec):
         """V0^-1 b0 + vec(X'Y P) as a p x M table."""
@@ -249,31 +258,15 @@ class _KroneckerStep:
         return self.solve(self.rhs(prec), r, shift).flatten(order="F")
 
     def moments(self, prec):
-        """(mean, ln |V|, Omega, tr(V0^-1 V)) at P; the basis state is kept
-        for :meth:`cov`."""
+        """(mean, ln |V|, Omega, tr(V0^-1 V)) at P; V is kept as
+        :attr:`state`, in the basis."""
         _, r, shift = self.eig(prec)
-        delta = 1.0 / shift
-        self._last = r, delta
-        omega = (r * (self.lam @ delta)) @ r.T / np.outer(self.s_m, self.s_m)
-        diag_v = (self.u * self.u) @ delta @ (r * r).T / self.s**2
+        self.state = _KroneckerCovariance(self.u, self.s_p, self.s_m, self.logdet_d, r,
+                                          1.0 / shift)
+        diag_v = (self.u * self.u) @ self.state.delta @ (r * r).T / self.s**2
         return (self.solve(self.rhs(prec), r, shift).flatten(order="F"),
-                -self.logdet_d - float(np.sum(np.log(shift))), omega,
+                -self.logdet_d - float(np.sum(np.log(shift))), self.state.zvz(self.lam),
                 float(np.sum(self.d * diag_v)))
-
-    def cov(self):
-        """The dense V of the last :meth:`moments` call, exactly symmetric:
-        V[(a,k), (b,l)] = sum_i R_ai R_bi (U Delta_i U')_kl / (s_ka s_lb),
-        with Delta_i the i-th column of Delta; O(M^3 p^2), not O((Mp)^3)."""
-        r, delta = self._last
-        p, m = self.s.shape
-        blocks = (self.u * delta.T[:, None, :]) @ self.u.T
-        pairs = (r[:, None, :] * r[None, :, :]).reshape(m * m, m)
-        cov = (pairs @ blocks.reshape(m, p * p)).reshape(m, m, p, p).transpose(
-            0, 2, 1, 3).reshape(m * p, m * p)
-        inv_s = 1.0 / self.s.flatten(order="F")
-        cov *= inv_s[:, None]
-        cov *= inv_s
-        return (cov + cov.T) / 2.0
 
     def draw(self, prec, rng):
         """A draw at P by perturb-then-solve; PCG missing _PCG_RTOL within
@@ -310,3 +303,88 @@ class _KroneckerStep:
         raise np.linalg.LinAlgError(
             f"PCG reached relative residual {res_norm / np.linalg.norm(rhs):.2e}, not "
             f"{_PCG_RTOL:g}, in {_PCG_MAX_ITERS} iterations")
+
+
+@dataclass(frozen=True, eq=False)
+class _DenseCovariance:
+    """V as the dense route's :meth:`_CoefficientStep.moments` left it: V
+    itself, with X'X, whose order p splits V into M x M blocks of p x p."""
+
+    v: np.ndarray
+    xtx: np.ndarray
+
+    def cov(self):
+        """The dense V."""
+        return self.v
+
+    def logpdf(self, betas, mean):
+        """ln N(beta_i; mean, V) for each row beta_i of ``betas``: one
+        Cholesky factor L of V and one triangular solve L z_i = beta_i - mean
+        with every row as a right-hand side."""
+        lower = spd_cholesky(self.v, "cov_b")
+        z = solve_triangular(lower, (betas - mean).T, lower=True)
+        return (-mean.size / 2.0 * np.log(2.0 * np.pi) - 0.5 * chol_logdet(lower)
+                - 0.5 * np.sum(z * z, axis=0))
+
+    def normal_part(self, x):
+        """Z V Z' for one regressor row x, Z = I_M kron x'."""
+        p = self.xtx.shape[0]
+        return _omega(self.v, np.outer(x, x), self.v.shape[0] // p, p)
+
+
+@dataclass(frozen=True, eq=False)
+class _KroneckerCovariance:
+    """V as :meth:`_KroneckerStep.moments` left it, in the step's basis:
+
+        V = S^-1 (R kron U) Delta (R kron U)' S^-1,
+
+    with U, s_p, s_M and ln |D| fixed per fit and R, Delta = 1 / (1 +
+    Lambda Omega') from the step at the last P.  Only :meth:`cov` forms an
+    Mp x Mp matrix."""
+
+    u: np.ndarray
+    s_p: np.ndarray
+    s_m: np.ndarray
+    logdet_d: float
+    r: np.ndarray
+    delta: np.ndarray
+
+    def cov(self):
+        """The dense V, exactly symmetric:
+        V[(a,k), (b,l)] = sum_i R_ai R_bi (U Delta_i U')_kl / (s_ka s_lb),
+        with Delta_i the i-th column of Delta; O(M^3 p^2), not O((Mp)^3)."""
+        r, delta = self.r, self.delta
+        p, m = delta.shape
+        blocks = (self.u * delta.T[:, None, :]) @ self.u.T
+        pairs = (r[:, None, :] * r[None, :, :]).reshape(m * m, m)
+        cov = (pairs @ blocks.reshape(m, p * p)).reshape(m, m, p, p).transpose(
+            0, 2, 1, 3).reshape(m * p, m * p)
+        inv_s = 1.0 / np.outer(self.s_p, self.s_m).flatten(order="F")
+        cov *= inv_s[:, None]
+        cov *= inv_s
+        return (cov + cov.T) / 2.0
+
+    def logpdf(self, betas, mean):
+        """ln N(beta_i; mean, V) for each row beta_i of ``betas``, whitened in
+        the basis with no factor: for the p x M tables B_i and B of beta_i and
+        mean, W_i = U' (S o (B_i - B)) R gives the quadratic form
+        sum W_i^2 / Delta, and ln |V| = -ln |D| + sum ln Delta; O(Mp(M + p))
+        per row."""
+        p, m = self.delta.shape
+        tables = (betas - mean).reshape(-1, m, p).transpose(0, 2, 1)
+        w = self.u.T @ (np.outer(self.s_p, self.s_m) * tables) @ self.r
+        logdet = -self.logdet_d + float(np.sum(np.log(self.delta)))
+        return (-mean.size / 2.0 * np.log(2.0 * np.pi) - 0.5 * logdet
+                - 0.5 * np.sum(w * w / self.delta, axis=(1, 2)))
+
+    def normal_part(self, x):
+        """Z V Z' for one regressor row x, Z = I_M kron x'."""
+        c = self.u.T @ (x / self.s_p)
+        return self.zvz(c * c)
+
+    def zvz(self, weights):
+        """sum_t Z_t V Z_t' over regressor rows x_t whose squared coordinates
+        (U' x_t / s_p)^2 sum to ``weights``:
+        S_M^-1 R diag(weights' Delta) R' S_M^-1.  Over the rows of X the
+        weights are Lambda, which gives Omega."""
+        return (self.r * (weights @ self.delta)) @ self.r.T / np.outer(self.s_m, self.s_m)

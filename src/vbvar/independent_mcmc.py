@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack, solve_triangular
+from scipy.linalg import lapack
 
 from .conditional import _beta_draw
 from .independent_vb import IndependentVbPosterior
@@ -225,8 +225,11 @@ def lnml_ris(
     sample size of the weights.  A degenerate-weights warning flag is set
     when ESS falls below 5% of the draws.
 
-    All draws are handled together; ln p(y | beta, Sigma^-1) comes from
-    :meth:`DesignData.log_likelihood`.
+    All draws are handled together.  ln q(beta) comes from the VB fit's
+    ``coef_state``, the coefficient step's kept V: one Cholesky factor of
+    cov_b and one triangular solve on the dense route, a whitening in the
+    Kronecker basis with no factor and no Mp x Mp matrix on the other.
+    ln p(y | beta, Sigma^-1) comes from :meth:`DesignData.log_likelihood`.
     """
     n = draws.n_kept
     if n < 2:
@@ -237,10 +240,7 @@ def lnml_ris(
     precs = draws.precision_draws
     log_2pi = np.log(2.0 * np.pi)
 
-    # ln q(beta): one triangular solve with n right-hand sides
-    lq = spd_cholesky(vb_post.cov_b, "cov_b")
-    z = solve_triangular(lq, (beta - vb_post.mean_b).T, lower=True)
-    lq_b = -mp / 2.0 * log_2pi - 0.5 * chol_logdet(lq) - 0.5 * np.sum(z * z, axis=0)
+    lq_b = vb_post.coef_state.logpdf(beta, vb_post.mean_b)
     lw = spd_cholesky(precs, "precision draw")
     lq_w = vb_post.precision_density().logpdf_chol(lw)
 

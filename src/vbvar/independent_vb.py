@@ -13,11 +13,12 @@ prior.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.special import multigammaln
 
-from .conditional import _coefficient_step, _omega, _prior_trace
+from .conditional import _coefficient_step, _prior_trace
 from .mvdist import (
     NotPositiveDefiniteError,
     UndefinedMomentError,
@@ -60,18 +61,30 @@ class VbConfig:
 
 @dataclass(frozen=True)
 class IndependentVbPosterior:
-    """q(beta) = N(mean_b, cov_b), q(Sigma^-1) = W(scale_q^-1, dof)."""
+    """q(beta) = N(mean_b, cov_b), q(Sigma^-1) = W(scale_q^-1, dof).
+
+    ``coef_state`` holds cov_b as the last coefficient step left it (the
+    step's ``state``, :mod:`vbvar.conditional`): it scores q(beta) and gives
+    the predictive's normal part without the dense matrix.  :attr:`cov_b`
+    forms that matrix on first access, once, read-only."""
 
     mean_b: np.ndarray
-    cov_b: np.ndarray
+    coef_state: object
     scale_q: np.ndarray
     dof: float
     elbo_trace: tuple
     converged: bool
 
     def __post_init__(self):
-        set_fields(self, mean_b=self.mean_b, cov_b=self.cov_b, scale_q=self.scale_q,
+        set_fields(self, mean_b=self.mean_b, scale_q=self.scale_q,
                    elbo_trace=tuple(self.elbo_trace))
+
+    @cached_property
+    def cov_b(self) -> np.ndarray:
+        """The dense covariance of q(beta), from ``coef_state``."""
+        cov = self.coef_state.cov()
+        cov.setflags(write=False)
+        return cov
 
     @property
     def iterations(self) -> int:
@@ -136,7 +149,7 @@ def fit_vb_independent(
                 break
     return IndependentVbPosterior(
         mean_b=mean_b,
-        cov_b=beta_step.cov(),
+        coef_state=beta_step.state,
         scale_q=scale_q,
         dof=nub,
         elbo_trace=tuple(trace),
@@ -180,11 +193,11 @@ def _elbo(prior, data, mean_b, logdet_cov_b, trace_cov_b, logdet_scale_q, dof) -
 def predictive_vb_independent(vb_post: IndependentVbPosterior, x_next) -> dict:
     """One-step VB predictive moments: mean Z beta_q, normal part Z Vq Z'
     from q(beta) and t part from q(Sigma^-1) = W(scale_q^-1, dof), as the
-    :func:`mvdist.normal_wishart_predictive` record."""
-    m, p = vb_post.n_vars, vb_post.n_regressors
-    x = regressor_row(x_next, p)
+    :func:`mvdist.normal_wishart_predictive` record.  The normal part comes
+    from ``coef_state``, so the dense Vq is not formed."""
+    x = regressor_row(x_next, vb_post.n_regressors)
     return normal_wishart_predictive(x @ vb_post.coef_matrix(),
-                                     _omega(vb_post.cov_b, np.outer(x, x), m, p),
+                                     vb_post.coef_state.normal_part(x),
                                      vb_post.scale_q, vb_post.dof)
 
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import optimize, stats
+from scipy.linalg import solve_triangular
 
 from conftest import (
     intercept_only_design,
@@ -19,7 +20,13 @@ from conftest import (
 )
 import vbvar.conditional as cond
 import vbvar.independent_vb as ivb
-from vbvar.independent_mcmc import _log_joint_independent
+from vbvar.independent_mcmc import (
+    GibbsConfig,
+    _log_joint_independent,
+    _prior_precision_rows,
+    gibbs_run,
+    lnml_ris,
+)
 from vbvar.independent_vb import (
     VbConfig,
     elbo_independent,
@@ -28,7 +35,7 @@ from vbvar.independent_vb import (
     modes_vb_iterative,
     predictive_vb_independent,
 )
-from vbvar.mvdist import NotPositiveDefiniteError, WishartDist
+from vbvar.mvdist import NotPositiveDefiniteError, WishartDist, chol_logdet, spd_cholesky
 from vbvar.priors import IndependentPrior, MinnesotaConfig, minnesota_independent
 from vbvar.vardata import z_block
 
@@ -197,17 +204,26 @@ class TestElbo:
         rng = np.random.default_rng(212)
         q_prec = vb.precision_density()
         lb = np.linalg.cholesky(vb.cov_b)
-        n = 30_000
-        vals = np.empty(n)
+        n, m, p = 30_000, vb.n_vars, vb.n_regressors
+        betas, precs = np.empty((n, m * p)), np.empty((n, m, m))
         for i in range(n):
-            beta = vb.mean_b + lb @ rng.standard_normal(vb.mean_b.size)
-            prec = q_prec.sample(rng)
-            vals[i] = (
-                _log_joint_independent(prior, data, beta, prec,
-                                       np.linalg.cholesky(prec))
-                - stats.multivariate_normal.logpdf(beta, vb.mean_b, vb.cov_b)
-                - q_prec.logpdf(prec)
-            )
+            betas[i] = vb.mean_b + lb @ rng.standard_normal(vb.mean_b.size)
+            precs[i] = q_prec.sample(rng)
+        # each term over the whole stack: ln p(y, beta, Sigma^-1) from the
+        # library's likelihood and prior terms, ln q from scipy.stats alone
+        lw = np.linalg.cholesky(precs)
+        db = betas - prior.mean_b
+        log_joint = (
+            data.log_likelihood(betas.reshape(n, m, p).transpose(0, 2, 1), precs,
+                                chol_logdet(lw))
+            - m * p / 2.0 * np.log(2.0 * np.pi) - 0.5 * prior.logdet_cov
+            - 0.5 * np.sum(_prior_precision_rows(prior, db) * db, axis=1)
+            + WishartDist(prior.scale_inv, prior.dof).logpdf_chol(lw)
+        )
+        log_q = (stats.multivariate_normal.logpdf(betas, vb.mean_b, vb.cov_b)
+                 + stats.wishart.logpdf(precs.transpose(1, 2, 0), df=vb.dof,
+                                        scale=q_prec.scale))
+        vals = log_joint - log_q
         se = vals.std(ddof=1) / np.sqrt(n)
         assert abs(vals.mean() - vb.elbo_trace[-1]) < 4 * se
         assert abs(vals.mean() - elbo_independent(prior, vb, data)) < 4 * se
@@ -356,18 +372,45 @@ def _rel(got, want):
     return float(np.abs(np.asarray(got, dtype=float) - want).max() / np.abs(want).max())
 
 
+def _dense_forms(cov, betas, mean, x):
+    """ln N(beta_i; mean, V) for the rows of ``betas`` and Z V Z' at the
+    regressor row x, from the dense V: its Cholesky factor and a triangular
+    solve, and :func:`conditional._omega`."""
+    lower = spd_cholesky(cov, "cov_b")
+    z = solve_triangular(lower, (betas - mean).T, lower=True)
+    lq = (-mean.size / 2.0 * np.log(2.0 * np.pi) - 0.5 * chol_logdet(lower)
+          - 0.5 * np.sum(z * z, axis=0))
+    p = x.size
+    return lq, cond._omega(cov, np.outer(x, x), mean.size // p, p)
+
+
 def _assert_steps_agree(prior, data, prec):
-    """Each output of the Kronecker step, and its dense V, against the dense
-    step's at P."""
+    """Each output of the Kronecker step, and its kept V, against the dense
+    step's at P; on each route, the kept V's ln q(beta) over a stack of
+    draws and its predictive normal part against the dense forms of the
+    dense step's V, bit for bit on the dense route."""
     dense = cond._CoefficientStep(prior, data)
     kron = cond._KroneckerStep(prior, data)
     want, got = dense.moments(prec), kron.moments(prec)
     for name, g, w in zip(("mean", "ln|V|", "Omega", "tr(V0^-1 V)"), got, want):
         assert _rel(g, w) <= ROUTES_RTOL, name
     assert _rel(kron.mean(prec), want[0]) <= ROUTES_RTOL
-    cov = kron.cov()
+    cov = kron.state.cov()
     assert np.array_equal(cov, cov.T)
-    assert _rel(cov, dense.cov()) <= ROUTES_RTOL
+    assert _rel(cov, dense.state.cov()) <= ROUTES_RTOL
+
+    # draws of N(mean, c^2 V) for c from 0.5 to 3: at c = 1 alone, a
+    # relative error in Delta would leave ln q(beta) nearly unchanged
+    mean = want[0]
+    rng = np.random.default_rng(2101)
+    betas = mean + np.linspace(0.5, 3.0, 8)[:, None] * (
+        np.linalg.cholesky(dense.state.cov()) @ rng.standard_normal((mean.size, 8))).T
+    x = data.X[-1]
+    lq, normal = _dense_forms(dense.state.cov(), betas, mean, x)
+    assert np.array_equal(dense.state.logpdf(betas, mean), lq)
+    assert np.array_equal(dense.state.normal_part(x), normal)
+    assert _rel(kron.state.logpdf(betas, mean), lq) <= ROUTES_RTOL, "ln q(beta)"
+    assert _rel(kron.state.normal_part(x), normal) <= ROUTES_RTOL, "Z V Z'"
 
 
 def _fits(prior, data):
@@ -452,6 +495,86 @@ class TestKroneckerStep:
         with pytest.raises(NotPositiveDefiniteError,
                            match="^Cholesky failure in mode iteration 0$"):
             modes(prior, data)
+
+
+def _fit_keeping_step(prior, data):
+    """(VB fit, the coefficient step it ran)."""
+    steps = []
+
+    def keep(*args):
+        steps.append(cond._coefficient_step(*args))
+        return steps[-1]
+
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(ivb, "_coefficient_step", keep)
+        vb = fit_vb_independent(prior, data)
+    return vb, steps[0]
+
+
+class TestPosteriorState:
+    """The VB posterior carries the coefficient step's kept V (its
+    ``state``), not the dense cov_b: cov_b is formed on first access, once
+    and read-only, and no later fit or step changes a fitted posterior."""
+
+    @pytest.fixture(params=["dense", "kronecker"])
+    def case(self, request, monkeypatch):
+        # Mp = 21, fit-small-export's shape; the Minnesota prior is
+        # separable, so either route applies
+        data = synthetic_design(3, 2, 200, seed=2110)
+        prior = minnesota_independent(data, MinnesotaConfig())
+        _force_route(monkeypatch, prior, data, request.param)
+        draws = gibbs_run(prior, data, GibbsConfig(n_draws=120, burn_in=20, seed=2111))
+        return prior, data, draws
+
+    def test_cov_b_is_formed_once_and_read_only(self, case):
+        prior, data, _ = case
+        vb, step = _fit_keeping_step(prior, data)
+        # what fit_vb_independent formed after its loop before cov_b was lazy
+        eager = step.state.cov()
+        cov = vb.cov_b
+        assert vb.cov_b is cov and not cov.flags.writeable
+        with pytest.raises(ValueError):
+            cov[0, 0] = 1.0
+        assert cov.dtype == eager.dtype and cov.tobytes() == eager.tobytes()
+
+    def test_later_fits_and_steps_leave_it_alone(self, case):
+        prior, data, draws = case
+        vb, step = _fit_keeping_step(prior, data)
+        x = data.X[-1]
+        pred, ris = predictive_vb_independent(vb, x), lnml_ris(draws, vb, prior, data)
+        fit_vb_independent(replace(prior, dof=prior.dof + 3.0), data)
+        step.moments(2.0 * prior.precision_mean)
+        cond._coefficient_step(prior, data).moments(0.5 * prior.precision_mean)
+        again = predictive_vb_independent(vb, x)
+        assert all(np.array_equal(again[k], pred[k]) for k in pred)
+        assert lnml_ris(draws, vb, prior, data) == ris
+        # formed only now, after the other calls, it is the V of the fit
+        fresh = fit_vb_independent(prior, data)
+        assert vb.cov_b.tobytes() == fresh.cov_b.tobytes()
+
+    def test_dense_consumers_keep_their_bits(self):
+        # lnml_ris and the predictive at Mp = 21 equal the explicit forms
+        # they evaluated on cov_b, spd_cholesky and a triangular solve for
+        # ln q(beta) and _omega for Z Vq Z', bit for bit
+        data = synthetic_design(3, 2, 200, seed=2112)
+        prior = minnesota_independent(data, MinnesotaConfig())
+        assert prior.mean_b.size == 21 and _route(prior, data) == "dense"
+        vb = fit_vb_independent(prior, data)
+        draws = gibbs_run(prior, data, GibbsConfig(n_draws=200, burn_in=50, seed=2113))
+        x = data.X[-1]
+        lq, normal = _dense_forms(vb.cov_b, draws.beta_draws, vb.mean_b, x)
+        assert vb.coef_state.logpdf(draws.beta_draws, vb.mean_b).tobytes() == lq.tobytes()
+        assert predictive_vb_independent(vb, x)["normal_cov"].tobytes() == normal.tobytes()
+
+        class Explicit:
+            logpdf = staticmethod(lambda betas, mean: lq)
+            normal_part = staticmethod(lambda row: normal)
+
+        explicit = replace(vb, coef_state=Explicit())
+        assert lnml_ris(draws, vb, prior, data) == lnml_ris(draws, explicit, prior, data)
+        pred, want = predictive_vb_independent(vb, x), predictive_vb_independent(explicit, x)
+        assert all(np.asarray(pred[k]).tobytes() == np.asarray(want[k]).tobytes()
+                   for k in pred)
 
 
 # (M, d, T_raw, lambda2, VB and mode route, Gibbs route)

@@ -49,12 +49,15 @@ def test_ratio_tables_prints_both_tables():
     assert len(empirical_rows) == 2
 
 
+def _load_script(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def _load_same_outputs():
-    spec = importlib.util.spec_from_file_location("same_outputs",
-                                                  ROOT / "scripts" / "same_outputs.py")
-    same_outputs = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(same_outputs)
-    return same_outputs
+    return _load_script("same_outputs")
 
 
 def test_same_outputs_measures_numeric_drift():
@@ -101,3 +104,43 @@ def test_same_outputs_round_off_verdict():
     assert status == 1
     assert same_outputs.summary(["same", "same"]) == \
         ("2 of 2 commands byte-identical, 0 round-off (max rel <= 1e-12)", 0)
+
+
+def test_bench_pairs_claim_follows_better():
+    bench_pairs = _load_script("bench_pairs")
+
+    def claim(parent, factor, better, ratio):
+        change = [factor * v for v in parent]
+        doc = {"end_to_end": {"w": {"metrics": {
+            "m": bench_pairs.compare(parent, change, better)}}}}
+        return bench_pairs.claim_summary(doc, "w", "m", ratio)
+
+    parent = [0.5 + 0.001 * i for i in range(10)]
+    assert claim(parent, 0.9, "lower", 0.95)["met"]
+    assert not claim(parent, 0.97, "lower", 0.95)["met"]
+    # higher is better: the median must reach RATIO times the parent's
+    high = claim(parent, 1.2, "higher", 1.1)
+    assert high["met"] and high["wins"] == 10 and ">= 1.1 x parent" in high["rule"]
+    assert not claim(parent, 1.05, "higher", 1.1)["met"]
+    assert not claim(parent, 0.9, "higher", 0.95)["met"]
+
+
+def test_bench_pairs_git_head_only_at_the_top_of_a_work_tree(tmp_path):
+    bench_pairs = _load_script("bench_pairs")
+    repo = tmp_path / "repo"
+    (repo / ".benchmarks" / "parent").mkdir(parents=True)
+    (repo / "f").write_text("x")
+
+    def git(*args):
+        return subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@example.invalid",
+                               "-c", "commit.gpgsign=false", *args], cwd=repo,
+                              capture_output=True, text=True, check=True).stdout.strip()
+
+    git("init", "-q")
+    git("add", "f")
+    git("commit", "-q", "-m", "first")
+    assert bench_pairs.git_head(repo) == git("rev-parse", "--short", "HEAD")
+    # an exported tree nested in the repository has no commit of its own
+    assert bench_pairs.git_head(repo / ".benchmarks" / "parent") is None
+    (tmp_path / "plain").mkdir()
+    assert bench_pairs.git_head(tmp_path / "plain") is None

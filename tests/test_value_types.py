@@ -35,8 +35,9 @@ CASES = {
     "ConjugateExactPosterior": (lambda: fit_exact(CPRIOR, DATA), {"mean_G", "row_cov", "scale"}),
     "ConjugateVbPosterior": (lambda: fit_vb_conjugate(CPRIOR, DATA),
                              {"mean_G", "row_cov", "scale"}),
+    # cov_b is not a field: it is formed from the coefficient step's state
     "IndependentVbPosterior": (lambda: fit_vb_independent(IPRIOR, DATA),
-                               {"mean_b", "cov_b", "scale_q"}),
+                               {"mean_b", "scale_q"}),
     "GibbsDraws": (lambda: gibbs_run(IPRIOR, DATA, GibbsConfig(n_draws=5, burn_in=0, seed=4)),
                    {"beta_draws", "precision_draws"}),
     "DesignData": (lambda: DATA, {"Y", "X"}),
@@ -76,8 +77,9 @@ REMOVED = {
         "n_vars"),
     "ConjugateExactPosterior-dof": (ConjugateExactPosterior, CONJ_INPUTS, "dof"),
     "IndependentVbPosterior-n_vars": (
-        IndependentVbPosterior, dict(mean_b=np.zeros(6), cov_b=np.eye(6), scale_q=np.eye(2),
-                                     dof=10.0, elbo_trace=(), converged=True),
+        IndependentVbPosterior, dict(mean_b=np.zeros(6),
+                                     coef_state=fit_vb_independent(IPRIOR, DATA).coef_state,
+                                     scale_q=np.eye(2), dof=10.0, elbo_trace=(), converged=True),
         "n_vars"),
     **{f"ConjugateVbPosterior-{key}": (ConjugateVbPosterior, CONJ_INPUTS, key)
        for key in VB_DERIVED},
