@@ -11,9 +11,11 @@ scale-update correction Omega with entries tr(V[m,n block] X'X), and
 tr(V0^-1 V)) and ``draw(P, rng)``.  ``moments`` also keeps V as the
 step's ``state``, a value object that a later call replaces but never
 changes; VB's posterior carries it as the covariance of q(beta).  Each
-route's state gives ``cov`` (the dense V), ``logpdf`` (ln N(beta; mean, V)
-over a stack of draws) and ``normal_part`` (Z V Z' for one regressor row,
-the normal part of the predictive):
+route's state holds the ln |V| and tr(V0^-1 V) that ``moments`` returned
+(``logdet``, ``prior_trace``: the ELBO reads them there) and gives ``cov``
+(the dense V), ``logpdf`` (ln N(beta; mean, V) over a stack of draws) and
+``normal_part`` (Z V Z' for one regressor row, the normal part of the
+predictive):
 
 - dense (:class:`_CoefficientStep`): assembles Q, factors it by LAPACK
   potrf and inverts the factor by potri; O((Mp)^3) per step.  LAPACK is
@@ -147,13 +149,14 @@ class _CoefficientStep:
 
     def moments(self, prec):
         """(mean, ln |V|, Omega, tr(V0^-1 V)) at P, with V = Q^-1 from the
-        factor; V is kept as :attr:`state`."""
+        factor; V, ln |V| and tr(V0^-1 V) are kept as :attr:`state`."""
         lower, mean = self(prec)
-        self.state = _DenseCovariance(chol_inverse(lower), self.xtx)
-        cov = self.state.v
-        return (mean, -chol_logdet(lower),
+        cov = chol_inverse(lower)
+        self.state = _DenseCovariance(cov, self.xtx, -chol_logdet(lower),
+                                      _prior_trace(self.prior, cov))
+        return (mean, self.state.logdet,
                 _omega(cov, self.xtx, self.prior.n_vars, self.prior.n_regressors),
-                _prior_trace(self.prior, cov))
+                self.state.prior_trace)
 
     def draw(self, prec, rng):
         """A draw at P: mean + L^-T z with z ~ N(0, I_Mp), L the factor of Q."""
@@ -259,14 +262,15 @@ class _KroneckerStep:
 
     def moments(self, prec):
         """(mean, ln |V|, Omega, tr(V0^-1 V)) at P; V is kept as
-        :attr:`state`, in the basis."""
+        :attr:`state`, in the basis, with ln |V| and tr(V0^-1 V)."""
         _, r, shift = self.eig(prec)
-        self.state = _KroneckerCovariance(self.u, self.s_p, self.s_m, self.logdet_d, r,
-                                          1.0 / shift)
-        diag_v = (self.u * self.u) @ self.state.delta @ (r * r).T / self.s**2
-        return (self.solve(self.rhs(prec), r, shift).flatten(order="F"),
-                -self.logdet_d - float(np.sum(np.log(shift))), self.state.zvz(self.lam),
-                float(np.sum(self.d * diag_v)))
+        delta = 1.0 / shift
+        diag_v = (self.u * self.u) @ delta @ (r * r).T / self.s**2
+        self.state = _KroneckerCovariance(self.u, self.s_p, self.s_m, self.logdet_d, r, delta,
+                                          -self.logdet_d - float(np.sum(np.log(shift))),
+                                          float(np.sum(self.d * diag_v)))
+        return (self.solve(self.rhs(prec), r, shift).flatten(order="F"), self.state.logdet,
+                self.state.zvz(self.lam), self.state.prior_trace)
 
     def draw(self, prec, rng):
         """A draw at P by perturb-then-solve; PCG missing _PCG_RTOL within
@@ -308,10 +312,13 @@ class _KroneckerStep:
 @dataclass(frozen=True, eq=False)
 class _DenseCovariance:
     """V as the dense route's :meth:`_CoefficientStep.moments` left it: V
-    itself, with X'X, whose order p splits V into M x M blocks of p x p."""
+    itself, with X'X, whose order p splits V into M x M blocks of p x p,
+    and the ln |V| and tr(V0^-1 V) that ``moments`` returned with it."""
 
     v: np.ndarray
     xtx: np.ndarray
+    logdet: float
+    prior_trace: float
 
     def cov(self):
         """The dense V."""
@@ -339,8 +346,9 @@ class _KroneckerCovariance:
         V = S^-1 (R kron U) Delta (R kron U)' S^-1,
 
     with U, s_p, s_M and ln |D| fixed per fit and R, Delta = 1 / (1 +
-    Lambda Omega') from the step at the last P.  Only :meth:`cov` forms an
-    Mp x Mp matrix."""
+    Lambda Omega') from the step at the last P, and the ln |V| and
+    tr(V0^-1 V) that ``moments`` returned with them.  Only :meth:`cov` forms
+    an Mp x Mp matrix."""
 
     u: np.ndarray
     s_p: np.ndarray
@@ -348,6 +356,8 @@ class _KroneckerCovariance:
     logdet_d: float
     r: np.ndarray
     delta: np.ndarray
+    logdet: float
+    prior_trace: float
 
     def cov(self):
         """The dense V, exactly symmetric:

@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 from scipy.special import multigammaln
 
-from .conditional import _coefficient_step, _prior_trace
+from .conditional import _coefficient_step
 from .mvdist import (
     NotPositiveDefiniteError,
     UndefinedMomentError,
@@ -64,9 +64,11 @@ class IndependentVbPosterior:
     """q(beta) = N(mean_b, cov_b), q(Sigma^-1) = W(scale_q^-1, dof).
 
     ``coef_state`` holds cov_b as the last coefficient step left it (the
-    step's ``state``, :mod:`vbvar.conditional`): it scores q(beta) and gives
-    the predictive's normal part without the dense matrix.  :attr:`cov_b`
-    forms that matrix on first access, once, read-only."""
+    step's ``state``, :mod:`vbvar.conditional`), with its ln |cov_b| and
+    tr(V0^-1 cov_b): it scores q(beta), gives the predictive's normal part
+    and the ELBO's cov_b terms without the dense matrix.  :attr:`cov_b`
+    forms that matrix on first access, once, read-only; no library code
+    reads it."""
 
     mean_b: np.ndarray
     coef_state: object
@@ -164,12 +166,17 @@ def elbo_independent(
 ) -> float:
     """Closed-form ELBO, valid after any scale update, not only at the fixed point.
 
+    ln |cov_b| and tr(V0^-1 cov_b) are read from ``coef_state``, where the
+    last coefficient step kept them, so no Mp x Mp matrix is formed or
+    factored; only the M x M scale_q is.  For a posterior that
+    :func:`fit_vb_independent` returned, the value equals its
+    ``elbo_trace[-1]``.
+
     The leading constant is M*p/2, which the Monte-Carlo check confirms;
     the source display prints p/2, and the two coincide for M = 1.
     """
-    return _elbo(prior, data, vb_post.mean_b,
-                 chol_logdet(spd_cholesky(vb_post.cov_b, "cov_b")),
-                 _prior_trace(prior, vb_post.cov_b),
+    state = vb_post.coef_state
+    return _elbo(prior, data, vb_post.mean_b, state.logdet, state.prior_trace,
                  chol_logdet(spd_cholesky(vb_post.scale_q, "scale_q")), vb_post.dof)
 
 

@@ -167,31 +167,58 @@ class TestFitVb:
             fit_vb_independent(prior, data)
 
 
+def _assert_closed_form_matches(prior, data, vb):
+    """elbo_independent reads the kept state, forms no cov_b and equals the
+    trace's last value; both match, to 1e-12 relative, the closed form
+    evaluated on the dense cov_b, its Cholesky factor and _prior_trace."""
+    closed = elbo_independent(prior, vb, data)
+    assert "cov_b" not in vars(vb)
+    assert closed == vb.elbo_trace[-1]
+    dense = ivb._elbo(prior, data, vb.mean_b, chol_logdet(spd_cholesky(vb.cov_b, "cov_b")),
+                      cond._prior_trace(prior, vb.cov_b),
+                      chol_logdet(spd_cholesky(vb.scale_q, "scale_q")), vb.dof)
+    assert closed == pytest.approx(dense, rel=1e-12, abs=0.0)
+
+
 class TestElbo:
-    def test_closed_form_matches_trace(self, scalar_case):
+    @pytest.mark.parametrize("route", ["dense", "kronecker"])
+    def test_closed_form_matches_trace(self, scalar_case, route, monkeypatch):
         prior, data = scalar_case
+        _force_route(monkeypatch, prior, data, route)
         vb = fit_vb_independent(prior, data,
                                 VbConfig(max_iters=5000, elbo_rel_tol=1e-16))
-        closed = elbo_independent(prior, vb, data)
-        assert closed == pytest.approx(vb.elbo_trace[-1], rel=1e-8)
+        _assert_closed_form_matches(prior, data, vb)
 
     def test_closed_form_matches_trace_multivariate(self):
+        # a non-diagonal V0^-1: only the dense route applies
         data = synthetic_design(2, 2, 60, seed=208)
         prior = random_independent_prior(2, 5, seed=209)
         vb = fit_vb_independent(prior, data, VbConfig(elbo_rel_tol=1e-13))
-        assert elbo_independent(prior, vb, data) == \
-            pytest.approx(vb.elbo_trace[-1], rel=1e-8)
+        assert _route(prior, data) == "dense"
+        _assert_closed_form_matches(prior, data, vb)
 
-    @pytest.mark.parametrize("max_iters", [1, 2, 3, 5, 50])
-    def test_closed_form_matches_trace_at_any_stop(self, max_iters):
+    # the dense rows keep their non-diagonal prior; the Kronecker rows take
+    # the Minnesota prior of the same data, and one the benchmark's Mp = 820
+    @pytest.mark.parametrize("max_iters,route", [
+        *(pytest.param(n, "dense", id=str(n)) for n in (1, 2, 3, 5, 50)),
+        *(pytest.param(n, "kronecker", id=f"kronecker-{n}") for n in (1, 2, 3, 5, 50)),
+        pytest.param(3, "mp820", id="kronecker-mp820"),
+    ])
+    def test_closed_form_matches_trace_at_any_stop(self, max_iters, route, monkeypatch):
         # the closed form needs only the scale update, which ends every
         # iteration, so it holds after an unconverged stop too
-        data = synthetic_design(3, 2, 120, seed=5)
-        prior = random_independent_prior(3, 7, seed=6)
+        if route == "mp820":
+            data = perfbench_design(20, 2, 300, monkeypatch)
+            prior = minnesota_independent(data, MinnesotaConfig())
+            assert prior.mean_b.size == 820 and _route(prior, data) == "kronecker"
+        else:
+            data = synthetic_design(3, 2, 120, seed=5)
+            prior = (random_independent_prior(3, 7, seed=6) if route == "dense"
+                     else minnesota_independent(data, MinnesotaConfig()))
+            _force_route(monkeypatch, prior, data, route)
         vb = fit_vb_independent(prior, data, VbConfig(max_iters=max_iters))
         assert vb.iterations <= max_iters
-        assert elbo_independent(prior, vb, data) == \
-            pytest.approx(vb.elbo_trace[-1], rel=1e-12)
+        _assert_closed_form_matches(prior, data, vb)
 
     @pytest.mark.parametrize("max_iters", [VbConfig.max_iters, 1],
                              ids=["default", "max_iters=1"])
@@ -394,6 +421,9 @@ def _assert_steps_agree(prior, data, prec):
     want, got = dense.moments(prec), kron.moments(prec)
     for name, g, w in zip(("mean", "ln|V|", "Omega", "tr(V0^-1 V)"), got, want):
         assert _rel(g, w) <= ROUTES_RTOL, name
+    # each kept state holds the ln |V| and tr(V0^-1 V) its moments returned
+    for step, moments in ((dense, want), (kron, got)):
+        assert (step.state.logdet, step.state.prior_trace) == (moments[1], moments[3])
     assert _rel(kron.mean(prec), want[0]) <= ROUTES_RTOL
     cov = kron.state.cov()
     assert np.array_equal(cov, cov.T)
