@@ -5,6 +5,7 @@ moments, joint mode, log marginal likelihood, and predictive moments.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import cho_solve
@@ -36,7 +37,11 @@ __all__ = [
 @dataclass(frozen=True)
 class ConjugateExactPosterior:
     """Gamma | Sigma, Y ~ MN(mean_G, Sigma, row_cov); Sigma^-1 | Y ~ W(scale^-1, dof)
-    with dof = n_obs + prior_dof."""
+    with dof = n_obs + prior_dof.
+
+    ln |row_cov| and ln |scale| are cached properties, each from one
+    factorisation on first access; :func:`fit_exact` sets ln |row_cov| from
+    its factor of the posterior precision row_cov^-1 instead."""
 
     mean_G: np.ndarray
     row_cov: np.ndarray
@@ -46,6 +51,16 @@ class ConjugateExactPosterior:
 
     def __post_init__(self):
         set_fields(self, mean_G=self.mean_G, row_cov=self.row_cov, scale=self.scale)
+
+    @cached_property
+    def logdet_row_cov(self) -> float:
+        """ln |row_cov|."""
+        return chol_logdet(spd_cholesky(self.row_cov, "row_cov"))
+
+    @cached_property
+    def logdet_scale(self) -> float:
+        """ln |scale|."""
+        return chol_logdet(spd_cholesky(self.scale, "scale"))
 
     @property
     def n_vars(self) -> int:
@@ -65,7 +80,8 @@ def fit_exact(prior: ConjugatePrior, data: DesignData) -> ConjugateExactPosterio
     """Closed-form normal-Wishart posterior update.
 
     Uses the prior's cached V0^-1; the posterior precision is factored once
-    and that factor gives both the mean (a solve) and the row covariance.
+    and that factor gives the mean (a solve), the row covariance and its
+    log-determinant.
     """
     x, y = data.X, data.Y
     p, m = prior.mean_G.shape
@@ -77,13 +93,16 @@ def fit_exact(prior: ConjugatePrior, data: DesignData) -> ConjugateExactPosterio
     resid = y - x @ mean_g
     dg = mean_g - prior.mean_G
     scale = resid.T @ resid + prior.scale + dg.T @ (v0_inv @ dg)
-    return ConjugateExactPosterior(
+    post = ConjugateExactPosterior(
         mean_G=mean_g,
         row_cov=chol_inverse(lower),
         scale=(scale + scale.T) / 2.0,
         n_obs=data.effective_T,
         prior_dof=prior.dof,
     )
+    # the cached property's slot, filled from the factor at hand
+    vars(post)["logdet_row_cov"] = -chol_logdet(lower)
+    return post
 
 
 def marginal_coefficients(post: ConjugateExactPosterior) -> MatricT:
@@ -93,13 +112,14 @@ def marginal_coefficients(post: ConjugateExactPosterior) -> MatricT:
 
 def _log_evidence_head(prior: ConjugatePrior, post: ConjugateExactPosterior) -> float:
     """The leading terms shared by the log marginal likelihood and the
-    conjugate ELBO: -MT/2 ln pi and the row-covariance and scale log-dets."""
+    conjugate ELBO: -MT/2 ln pi and the row-covariance and scale log-dets,
+    read from the posterior's cached properties."""
     m = post.n_vars
     t = post.n_obs
     return (
         -m * t / 2.0 * np.log(np.pi)
-        + m / 2.0 * (chol_logdet(spd_cholesky(post.row_cov, "row_cov")) - prior.logdet_row_cov)
-        - post.dof / 2.0 * chol_logdet(spd_cholesky(post.scale, "scale"))
+        + m / 2.0 * (post.logdet_row_cov - prior.logdet_row_cov)
+        - post.dof / 2.0 * post.logdet_scale
         + prior.dof / 2.0 * prior.logdet_scale
     )
 

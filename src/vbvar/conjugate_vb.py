@@ -50,8 +50,11 @@ class ConjugateVbPosterior(ConjugateExactPosterior):
     @classmethod
     def from_exact(cls, post: ConjugateExactPosterior) -> ConjugateVbPosterior:
         """Closed-form VB posterior of a fitted exact posterior; no
-        iteration.  Shares mean_G, row_cov and scale with ``post``."""
-        return cls(post.mean_G, post.row_cov, post.scale, post.n_obs, post.prior_dof)
+        iteration.  Shares mean_G, row_cov and scale with ``post``, and
+        their log-determinants, so neither matrix is factored again."""
+        vb = cls(post.mean_G, post.row_cov, post.scale, post.n_obs, post.prior_dof)
+        vars(vb).update(logdet_row_cov=post.logdet_row_cov, logdet_scale=post.logdet_scale)
+        return vb
 
     @property
     def dof_q(self) -> float:

@@ -14,7 +14,7 @@ from vbvar.conjugate_exact import (
     marginal_coefficients,
     predictive_exact,
 )
-from vbvar.conjugate_vb import fit_vb_conjugate, predictive_vb_conjugate
+from vbvar.conjugate_vb import ConjugateVbPosterior, fit_vb_conjugate, predictive_vb_conjugate
 from vbvar.mvdist import UndefinedMomentError
 from vbvar.priors import ConjugatePrior
 from vbvar.vardata import DesignData
@@ -159,6 +159,21 @@ class TestLogMarginalLikelihood:
 
         val, _ = integrate.dblquad(joint, 1e-8, 60.0, -15.0, 15.0)
         assert lnml == pytest.approx(np.log(val), abs=1e-5)
+
+    def test_log_dets_come_from_the_fit(self):
+        # ln |row_cov| is -ln |V0^-1 + X'X| from the fit's factor: the
+        # factor of row_cov gives it to round-off; the VB posterior shares both
+        data = synthetic_design(3, 2, 80, seed=2201)
+        prior = random_conjugate_prior(3, 7, seed=2202)
+        post = fit_exact(prior, data)
+        vb = ConjugateVbPosterior.from_exact(post)
+        assert (vb.logdet_row_cov, vb.logdet_scale) == (post.logdet_row_cov, post.logdet_scale)
+        rebuilt = ConjugateExactPosterior(post.mean_G, post.row_cov, post.scale, post.n_obs,
+                                          post.prior_dof)
+        assert post.logdet_row_cov == pytest.approx(rebuilt.logdet_row_cov, rel=1e-12)
+        assert post.logdet_scale == rebuilt.logdet_scale
+        assert post.logdet_row_cov == pytest.approx(np.linalg.slogdet(post.row_cov)[1],
+                                                    rel=1e-12)
 
     def test_inflated_prior_scale_lowers_lnml(self):
         data = synthetic_design(2, 1, 80, seed=15)

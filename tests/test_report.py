@@ -74,6 +74,20 @@ class TestConjugateReport:
         conjugate_report(prior, medium_design, medium_design.next_regressors())
         assert len(calls) == 1
 
+    def test_factors_each_posterior_matrix_once(self, medium_design, monkeypatch):
+        # the fit's factor of the posterior precision gives ln |row_cov|, and
+        # the lnML and the ELBO share one factor of the posterior scale
+        from vbvar import conjugate_exact, conjugate_vb
+
+        names = []
+        original = conjugate_exact.spd_cholesky
+        for module in (conjugate_exact, conjugate_vb):
+            monkeypatch.setattr(module, "spd_cholesky",
+                                lambda a, name="matrix": names.append(name) or original(a, name))
+        prior = minnesota_conjugate(medium_design, MinnesotaConfig())
+        conjugate_report(prior, medium_design, medium_design.next_regressors())
+        assert names == ["posterior precision", "scale"]
+
     def test_text_renders(self, conj_report):
         text = conj_report.to_text()
         assert "conjugate VAR" in text
