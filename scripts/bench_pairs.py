@@ -8,7 +8,10 @@ For each workload and seed, perfbench/run.py runs once in each checkout,
 one after the other; the parent goes first on the 1st, 3rd, ... seed and
 the change on the others, so a slow phase of the machine does not always
 fall on the same side.  Workloads and run length are the `workloads` and
-`run_seconds` of the change's BENCHMARK.json.  Each run's result JSON (its
+`run_seconds` of the change's BENCHMARK.json.  Each side is recorded by its
+commit, when the checkout is the top of a git work tree, and by a sha256 over
+its src/vbvar/*.py, which also ties an exported or uncommitted tree to the
+code it ran.  Each run's result JSON (its
 last output line) is read, and the output file gets, per workload and
 end-to-end metric, the runs, median and quartiles of each side, how many
 pairs the change won (a tie counts for neither side), the median ratio
@@ -25,6 +28,7 @@ what it measured.  Plain standard library: no numpy is imported here.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import statistics
@@ -119,6 +123,15 @@ def git_head(checkout: Path):
     return git("--short", "HEAD") or None
 
 
+def source_digest(checkout: Path) -> str:
+    """sha256 over the checkout's src/vbvar/*.py in name order: each file's
+    name and the sha256 of its bytes."""
+    digest = hashlib.sha256()
+    for path in sorted((Path(checkout) / "src" / "vbvar").glob("*.py")):
+        digest.update(path.name.encode() + b"\0" + hashlib.sha256(path.read_bytes()).digest())
+    return digest.hexdigest()
+
+
 def write(doc: dict, path: Path) -> None:
     tmp = path.with_suffix(".tmp")
     tmp.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
@@ -142,6 +155,8 @@ def main(argv=None) -> int:
     doc = {
         "parent_commit": git_head(sides["parent"]),
         "change_commit": git_head(sides["change"]),
+        "parent_source_sha256": source_digest(sides["parent"]),
+        "change_source_sha256": source_digest(sides["change"]),
         "environment": None,
         "method": (f"python3 perfbench/run.py --workload W --seed S --seconds {seconds:g}"
                    " in the parent and the change checkout. End to end (--trace 0): seeds "

@@ -144,3 +144,27 @@ def test_bench_pairs_git_head_only_at_the_top_of_a_work_tree(tmp_path):
     assert bench_pairs.git_head(repo / ".benchmarks" / "parent") is None
     (tmp_path / "plain").mkdir()
     assert bench_pairs.git_head(tmp_path / "plain") is None
+
+
+def test_bench_pairs_source_digest_follows_the_library_files(tmp_path):
+    bench_pairs = _load_script("bench_pairs")
+    trees = []
+    for name in ("a", "b"):
+        lib = tmp_path / name / "src" / "vbvar"
+        lib.mkdir(parents=True)
+        (lib / "__init__.py").write_text("")
+        (lib / "core.py").write_text("x = 1\n")
+        trees.append(tmp_path / name)
+    a, b = trees
+    digest = bench_pairs.source_digest(a)
+    assert len(digest) == 64 and bench_pairs.source_digest(b) == digest
+    # files other than src/vbvar/*.py do not count
+    (b / "src" / "vbvar" / "notes.txt").write_text("y")
+    (b / "README.md").write_text("y")
+    assert bench_pairs.source_digest(b) == digest
+    (b / "src" / "vbvar" / "core.py").write_text("x = 2\n")
+    assert bench_pairs.source_digest(b) != digest
+    # nor does a renamed file keep the digest
+    (b / "src" / "vbvar" / "core.py").write_text("x = 1\n")
+    (b / "src" / "vbvar" / "core.py").rename(b / "src" / "vbvar" / "main.py")
+    assert bench_pairs.source_digest(b) != digest
