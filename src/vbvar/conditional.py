@@ -266,7 +266,7 @@ class _KroneckerStep:
         _, r, shift = self.eig(prec)
         delta = 1.0 / shift
         diag_v = (self.u * self.u) @ delta @ (r * r).T / self.s**2
-        self.state = _KroneckerCovariance(self.u, self.s_p, self.s_m, self.logdet_d, r, delta,
+        self.state = _KroneckerCovariance(self.u, self.s_p, self.s_m, r, delta,
                                           -self.logdet_d - float(np.sum(np.log(shift))),
                                           float(np.sum(self.d * diag_v)))
         return (self.solve(self.rhs(prec), r, shift).flatten(order="F"), self.state.logdet,
@@ -345,15 +345,14 @@ class _KroneckerCovariance:
 
         V = S^-1 (R kron U) Delta (R kron U)' S^-1,
 
-    with U, s_p, s_M and ln |D| fixed per fit and R, Delta = 1 / (1 +
-    Lambda Omega') from the step at the last P, and the ln |V| and
-    tr(V0^-1 V) that ``moments`` returned with them.  Only :meth:`cov` forms
-    an Mp x Mp matrix."""
+    with U, s_p and s_M fixed per fit and R, Delta = 1 / (1 + Lambda Omega')
+    from the step at the last P, and the ln |V| = -ln |D| - sum ln(1 +
+    Lambda Omega') and tr(V0^-1 V) that ``moments`` returned with them.
+    Only :meth:`cov` forms an Mp x Mp matrix."""
 
     u: np.ndarray
     s_p: np.ndarray
     s_m: np.ndarray
-    logdet_d: float
     r: np.ndarray
     delta: np.ndarray
     logdet: float
@@ -378,13 +377,11 @@ class _KroneckerCovariance:
         """ln N(beta_i; mean, V) for each row beta_i of ``betas``, whitened in
         the basis with no factor: for the p x M tables B_i and B of beta_i and
         mean, W_i = U' (S o (B_i - B)) R gives the quadratic form
-        sum W_i^2 / Delta, and ln |V| = -ln |D| + sum ln Delta; O(Mp(M + p))
-        per row."""
+        sum W_i^2 / Delta, with the kept ln |V|; O(Mp(M + p)) per row."""
         p, m = self.delta.shape
         tables = (betas - mean).reshape(-1, m, p).transpose(0, 2, 1)
         w = self.u.T @ (np.outer(self.s_p, self.s_m) * tables) @ self.r
-        logdet = -self.logdet_d + float(np.sum(np.log(self.delta)))
-        return (-mean.size / 2.0 * np.log(2.0 * np.pi) - 0.5 * logdet
+        return (-mean.size / 2.0 * np.log(2.0 * np.pi) - 0.5 * self.logdet
                 - 0.5 * np.sum(w * w / self.delta, axis=(1, 2)))
 
     def normal_part(self, x):
