@@ -6,13 +6,13 @@ with mean = V (V0^-1 b0 + vec(X'Y P)), since Z_t = I_M kron x_t.  VB's
 q(beta) update evaluates it at E_q[Sigma^-1], the mode iterations at
 lambda * Sigma-hat^-1 and the Gibbs sweep draws from it at a drawn
 Sigma^-1.  Each evaluation is one of two route classes, chosen once per
-call from the prior; both give ``mean``, ``moments`` (mean, ln |V|, the
-scale-update correction Omega with entries tr(V[m,n block] X'X), and
-tr(V0^-1 V)) and ``draw(P, rng)``.  ``moments`` also keeps V as the
-step's ``state``, a value object that a later call replaces but never
-changes; VB's posterior carries it as the covariance of q(beta).  Each
-route's state holds the ln |V| and tr(V0^-1 V) that ``moments`` returned
-(``logdet``, ``prior_trace``: the ELBO reads them there) and gives ``cov``
+call from the prior; both give ``mean``, ``moments`` (mean, the
+scale-update correction Omega with entries tr(V[m,n block] X'X), and V as
+a state) and ``draw(P, rng)``.  The step keeps nothing: each ``moments``
+call returns a new state, a value object that nothing changes, and VB's
+posterior carries the last one as the covariance of q(beta).  Each route's
+state holds ln |V| and tr(V0^-1 V) (``logdet``, ``prior_trace``: the ELBO
+reads them there) and gives ``cov``
 (the dense V), ``logpdf`` (ln N(beta; mean, V) over a stack of draws) and
 ``normal_part`` (Z V Z' for one regressor row, the normal part of the
 predictive):
@@ -131,7 +131,6 @@ class _CoefficientStep:
         self.xtx, self.xty = _cross_products(prior, data)
         self.prior = prior
         self._prec = np.empty((prior.mean_b.size, prior.mean_b.size))
-        self.state = None
 
     def __call__(self, prec):
         """(lower Cholesky factor of the conditional precision, conditional
@@ -148,15 +147,12 @@ class _CoefficientStep:
         return self(prec)[1]
 
     def moments(self, prec):
-        """(mean, ln |V|, Omega, tr(V0^-1 V)) at P, with V = Q^-1 from the
-        factor; V, ln |V| and tr(V0^-1 V) are kept as :attr:`state`."""
+        """(mean, Omega, state) at P, with V = Q^-1 from the factor and the
+        state a :class:`_DenseCovariance` of V, ln |V| and tr(V0^-1 V)."""
         lower, mean = self(prec)
         cov = chol_inverse(lower)
-        self.state = _DenseCovariance(cov, self.xtx, -chol_logdet(lower),
-                                      _prior_trace(self.prior, cov))
-        return (mean, self.state.logdet,
-                _omega(cov, self.xtx, self.prior.n_vars, self.prior.n_regressors),
-                self.state.prior_trace)
+        state = _DenseCovariance(cov, -chol_logdet(lower), _prior_trace(self.prior, cov))
+        return mean, _omega(cov, self.xtx, self.prior.n_vars, self.prior.n_regressors), state
 
     def draw(self, prec, rng):
         """A draw at P: mean + L^-T z with z ~ N(0, I_Mp), L the factor of Q."""
@@ -179,7 +175,7 @@ class _KroneckerStep:
 
     For a separable D = S^2, with delta_ji = 1 / (1 + lambda_j omega_i),
     :meth:`mean` and :meth:`moments` are closed forms, as is every method of
-    the kept :class:`_KroneckerCovariance`:
+    the returned :class:`_KroneckerCovariance`:
 
     - mean = S^-1 (R kron U) Delta (R kron U)' S^-1 r;
     - ln |V| = -ln |D| - sum ln(1 + lambda_j omega_i);
@@ -233,7 +229,6 @@ class _KroneckerStep:
             self.lam = np.maximum(lam, 0.0)
         self.sqrt_d = np.sqrt(self.d)
         self.noise_left = self.s_p[:, None] * self.u * np.sqrt(self.lam)
-        self.state = None
 
     def rhs(self, prec):
         """V0^-1 b0 + vec(X'Y P) as a p x M table."""
@@ -261,16 +256,16 @@ class _KroneckerStep:
         return self.solve(self.rhs(prec), r, shift).flatten(order="F")
 
     def moments(self, prec):
-        """(mean, ln |V|, Omega, tr(V0^-1 V)) at P; V is kept as
-        :attr:`state`, in the basis, with ln |V| and tr(V0^-1 V)."""
+        """(mean, Omega, state) at P, with the state a
+        :class:`_KroneckerCovariance` of V in the basis, ln |V| and tr(V0^-1 V)."""
         _, r, shift = self.eig(prec)
         delta = 1.0 / shift
         diag_v = (self.u * self.u) @ delta @ (r * r).T / self.s**2
-        self.state = _KroneckerCovariance(self.u, self.s_p, self.s_m, r, delta,
-                                          -self.logdet_d - float(np.sum(np.log(shift))),
-                                          float(np.sum(self.d * diag_v)))
-        return (self.solve(self.rhs(prec), r, shift).flatten(order="F"), self.state.logdet,
-                self.state.zvz(self.lam), self.state.prior_trace)
+        state = _KroneckerCovariance(self.u, self.s_p, self.s_m, r, delta,
+                                     -self.logdet_d - float(np.sum(np.log(shift))),
+                                     float(np.sum(self.d * diag_v)))
+        return (self.solve(self.rhs(prec), r, shift).flatten(order="F"),
+                state.zvz(self.lam), state)
 
     def draw(self, prec, rng):
         """A draw at P by perturb-then-solve; PCG missing _PCG_RTOL within
@@ -311,12 +306,10 @@ class _KroneckerStep:
 
 @dataclass(frozen=True, eq=False)
 class _DenseCovariance:
-    """V as the dense route's :meth:`_CoefficientStep.moments` left it: V
-    itself, with X'X, whose order p splits V into M x M blocks of p x p,
-    and the ln |V| and tr(V0^-1 V) that ``moments`` returned with it."""
+    """V as the dense route's :meth:`_CoefficientStep.moments` returns it: V
+    itself, with its ln |V| and tr(V0^-1 V)."""
 
     v: np.ndarray
-    xtx: np.ndarray
     logdet: float
     prior_trace: float
 
@@ -335,19 +328,18 @@ class _DenseCovariance:
 
     def normal_part(self, x):
         """Z V Z' for one regressor row x, Z = I_M kron x'."""
-        p = self.xtx.shape[0]
-        return _omega(self.v, np.outer(x, x), self.v.shape[0] // p, p)
+        return _omega(self.v, np.outer(x, x), self.v.shape[0] // x.size, x.size)
 
 
 @dataclass(frozen=True, eq=False)
 class _KroneckerCovariance:
-    """V as :meth:`_KroneckerStep.moments` left it, in the step's basis:
+    """V as :meth:`_KroneckerStep.moments` returns it, in the step's basis:
 
         V = S^-1 (R kron U) Delta (R kron U)' S^-1,
 
     with U, s_p and s_M fixed per fit and R, Delta = 1 / (1 + Lambda Omega')
-    from the step at the last P, and the ln |V| = -ln |D| - sum ln(1 +
-    Lambda Omega') and tr(V0^-1 V) that ``moments`` returned with them.
+    from the step at P, and the ln |V| = -ln |D| - sum ln(1 +
+    Lambda Omega') and tr(V0^-1 V) that ``moments`` computed with them.
     Only :meth:`cov` forms an Mp x Mp matrix."""
 
     u: np.ndarray

@@ -63,8 +63,8 @@ class VbConfig:
 class IndependentVbPosterior:
     """q(beta) = N(mean_b, cov_b), q(Sigma^-1) = W(scale_q^-1, dof).
 
-    ``coef_state`` holds cov_b as the last coefficient step left it (the
-    step's ``state``, :mod:`vbvar.conditional`), with its ln |cov_b| and
+    ``coef_state`` holds cov_b as the state the last step returned
+    (:mod:`vbvar.conditional`), with its ln |cov_b| and
     tr(V0^-1 cov_b): it scores q(beta), gives the predictive's normal part
     and the ELBO's cov_b terms without the dense matrix.  :attr:`cov_b`
     forms that matrix on first access, once, read-only; no library code
@@ -130,10 +130,10 @@ def fit_vb_independent(
 
     trace = []
     converged = False
-    mean_b = scale_q = None
+    mean_b = scale_q = coef_state = None
     for _ in range(cfg.max_iters):
         try:
-            mean_b, logdet_cov_b, omega, trace_cov_b = beta_step.moments(e_prec)
+            mean_b, omega, coef_state = beta_step.moments(e_prec)
             resid = data.residuals(mean_b)
             scale_q = prior.scale + resid.T @ resid + omega
             scale_q = (scale_q + scale_q.T) / 2.0
@@ -141,7 +141,8 @@ def fit_vb_independent(
         except (np.linalg.LinAlgError, NotPositiveDefiniteError) as exc:
             raise NotPositiveDefiniteError("Cholesky failure in VB update") from exc
         e_prec = nub * scale_q_inv
-        trace.append(_elbo(prior, data, mean_b, logdet_cov_b, trace_cov_b, logdet_scale_q, nub))
+        trace.append(_elbo(prior, data, mean_b, coef_state.logdet, coef_state.prior_trace,
+                           logdet_scale_q, nub))
         if len(trace) > 1:
             step = trace[-1] - trace[-2]
             if step < -ELBO_FALL_TOL * max(abs(trace[-2]), 1.0):
@@ -151,7 +152,7 @@ def fit_vb_independent(
                 break
     return IndependentVbPosterior(
         mean_b=mean_b,
-        coef_state=beta_step.state,
+        coef_state=coef_state,
         scale_q=scale_q,
         dof=nub,
         elbo_trace=tuple(trace),
@@ -166,8 +167,8 @@ def elbo_independent(
 ) -> float:
     """Closed-form ELBO, valid after any scale update, not only at the fixed point.
 
-    ln |cov_b| and tr(V0^-1 cov_b) are read from ``coef_state``, where the
-    last coefficient step kept them, so no Mp x Mp matrix is formed or
+    ln |cov_b| and tr(V0^-1 cov_b) are read from ``coef_state``, the state
+    the last coefficient step returned, so no Mp x Mp matrix is formed or
     factored; only the M x M scale_q is.  For a posterior that
     :func:`fit_vb_independent` returned, the value equals its
     ``elbo_trace[-1]``.
@@ -221,7 +222,7 @@ def _iterate_modes(prior, data, tol, vb_corrected):
     for it in range(MODE_MAX_ITERS):
         try:
             if vb_corrected:
-                beta_new, _, omega, _ = beta_step.moments(lam * prec)
+                beta_new, omega, _ = beta_step.moments(lam * prec)
             else:
                 beta_new = beta_step.mean(lam * prec)
             resid = data.residuals(beta_new)

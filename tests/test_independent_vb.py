@@ -412,35 +412,35 @@ def _dense_forms(cov, betas, mean, x):
 
 
 def _assert_steps_agree(prior, data, prec):
-    """Each output of the Kronecker step, and its kept V, against the dense
-    step's at P; on each route, the kept V's ln q(beta) over a stack of
-    draws and its predictive normal part against the dense forms of the
-    dense step's V, bit for bit on the dense route."""
+    """The Kronecker step's mean and Omega, and its returned state's ln |V|,
+    tr(V0^-1 V) and V, against the dense step's at P; on each route, the
+    state's ln q(beta) over a stack of draws and its predictive normal part
+    against the dense forms of the dense state's V, bit for bit on the
+    dense route.  Neither step keeps the state."""
     dense = cond._CoefficientStep(prior, data)
     kron = cond._KroneckerStep(prior, data)
-    want, got = dense.moments(prec), kron.moments(prec)
-    for name, g, w in zip(("mean", "ln|V|", "Omega", "tr(V0^-1 V)"), got, want):
+    (mean, omega, want), (got_mean, got_omega, got) = dense.moments(prec), kron.moments(prec)
+    assert not hasattr(dense, "state") and not hasattr(kron, "state")
+    for name, g, w in (("mean", got_mean, mean), ("Omega", got_omega, omega),
+                       ("ln|V|", got.logdet, want.logdet),
+                       ("tr(V0^-1 V)", got.prior_trace, want.prior_trace)):
         assert _rel(g, w) <= ROUTES_RTOL, name
-    # each kept state holds the ln |V| and tr(V0^-1 V) its moments returned
-    for step, moments in ((dense, want), (kron, got)):
-        assert (step.state.logdet, step.state.prior_trace) == (moments[1], moments[3])
-    assert _rel(kron.mean(prec), want[0]) <= ROUTES_RTOL
-    cov = kron.state.cov()
+    assert _rel(kron.mean(prec), mean) <= ROUTES_RTOL
+    cov = got.cov()
     assert np.array_equal(cov, cov.T)
-    assert _rel(cov, dense.state.cov()) <= ROUTES_RTOL
+    assert _rel(cov, want.cov()) <= ROUTES_RTOL
 
     # draws of N(mean, c^2 V) for c from 0.5 to 3: at c = 1 alone, a
     # relative error in Delta would leave ln q(beta) nearly unchanged
-    mean = want[0]
     rng = np.random.default_rng(2101)
     betas = mean + np.linspace(0.5, 3.0, 8)[:, None] * (
-        np.linalg.cholesky(dense.state.cov()) @ rng.standard_normal((mean.size, 8))).T
+        np.linalg.cholesky(want.cov()) @ rng.standard_normal((mean.size, 8))).T
     x = data.X[-1]
-    lq, normal = _dense_forms(dense.state.cov(), betas, mean, x)
-    assert np.array_equal(dense.state.logpdf(betas, mean), lq)
-    assert np.array_equal(dense.state.normal_part(x), normal)
-    assert _rel(kron.state.logpdf(betas, mean), lq) <= ROUTES_RTOL, "ln q(beta)"
-    assert _rel(kron.state.normal_part(x), normal) <= ROUTES_RTOL, "Z V Z'"
+    lq, normal = _dense_forms(want.cov(), betas, mean, x)
+    assert np.array_equal(want.logpdf(betas, mean), lq)
+    assert np.array_equal(want.normal_part(x), normal)
+    assert _rel(got.logpdf(betas, mean), lq) <= ROUTES_RTOL, "ln q(beta)"
+    assert _rel(got.normal_part(x), normal) <= ROUTES_RTOL, "Z V Z'"
 
 
 def _fits(prior, data):
@@ -542,8 +542,8 @@ def _fit_keeping_step(prior, data):
 
 
 class TestPosteriorState:
-    """The VB posterior carries the coefficient step's kept V (its
-    ``state``), not the dense cov_b: cov_b is formed on first access, once
+    """The VB posterior carries the state of V that the last coefficient
+    step returned, not the dense cov_b: cov_b is formed on first access, once
     and read-only, and no later fit or step changes a fitted posterior."""
 
     @pytest.fixture(params=["dense", "kronecker"])
@@ -558,9 +558,9 @@ class TestPosteriorState:
 
     def test_cov_b_is_formed_once_and_read_only(self, case):
         prior, data, _ = case
-        vb, step = _fit_keeping_step(prior, data)
+        vb = fit_vb_independent(prior, data)
         # what fit_vb_independent formed after its loop before cov_b was lazy
-        eager = step.state.cov()
+        eager = vb.coef_state.cov()
         cov = vb.cov_b
         assert vb.cov_b is cov and not cov.flags.writeable
         with pytest.raises(ValueError):
