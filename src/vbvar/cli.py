@@ -185,9 +185,12 @@ def _run(cfg, priors) -> int:
             if cfg.get(key):
                 raise CliError(f"--{key.replace('_', '-')} needs the independent prior")
     for key in ("out", "export_draws", "export_elbo_trace"):
-        directory = os.path.dirname(cfg.get(key) or "") or "."
+        path, flag = cfg.get(key) or "", f"--{key.replace('_', '-')}"
+        directory = os.path.dirname(path) or "."
         if not os.path.isdir(directory):
-            raise CliError(f"--{key.replace('_', '-')}: no directory {directory!r}")
+            raise CliError(f"{flag}: no directory {directory!r}")
+        if os.path.isdir(path):
+            raise CliError(f"{flag}: {path!r} is a directory")
     data = _load_design(cfg)
     mn = _library_config(MinnesotaConfig, cfg)
     x_next = data.next_regressors()

@@ -221,6 +221,26 @@ class TestFitCommand:
         assert calls == []
         assert flag in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--out", "--export-draws", "--export-elbo-trace"])
+    def test_output_directory_found_before_fitting(self, data_csv, tmp_path, capsys,
+                                                   monkeypatch, flag):
+        # such a path once failed with "[Errno 21] Is a directory", naming no
+        # flag, after VB, Gibbs and both exports had run
+        from vbvar import independent_vb
+
+        def never(*args, **kwargs):
+            raise AssertionError("fitted before the output paths were checked")
+
+        monkeypatch.setattr(independent_vb, "fit_vb_independent", never)
+        paths = {"--out": tmp_path / "r.json", "--export-draws": tmp_path / "d.csv",
+                 "--export-elbo-trace": tmp_path / "t.csv"}
+        paths[flag] = tmp_path
+        assert main(["fit", "--prior", "independent", "--data", data_csv, "--lags", "2",
+                     "--seed", "1"] + [a for f, p in paths.items() for a in (f, str(p))]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag}: ") and err.rstrip().endswith("is a directory")
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("command", [["fit", "--prior", "independent"], ["compare"]],
                              ids=["fit", "compare"])
     def test_too_few_kept_draws_found_before_gibbs(self, data_csv, capsys, monkeypatch,
