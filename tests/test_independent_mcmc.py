@@ -123,10 +123,13 @@ def _joint_distribution_chain(prior, x, n_steps, seed):
     """Geweke's (2004) successive-conditional simulator: from theta drawn
     from the prior, alternate Y ~ p(Y | theta) at fixed regressors X with
     one Gibbs sweep theta ~ K(theta, . | Y).  When the sweep leaves the
-    posterior invariant, the prior is the chain's stationary law."""
+    posterior invariant, the prior is the chain's stationary law.  X, and
+    so X'X and the step's basis, stay fixed: one coefficient step serves
+    the chain, and only its X'Y follows each new Y."""
     rng = np.random.default_rng(seed)
     m, p = prior.n_vars, prior.n_regressors
     t = x.shape[0]
+    step = _beta_draw(prior, DesignData(Y=np.zeros((t, m)), X=x, lag_order=(p - 1) // m))
     beta = prior.mean_b + np.linalg.cholesky(prior.cov) @ rng.standard_normal(m * p)
     prec = WishartDist(prior.scale_inv, prior.dof).sample(rng)
     betas, precs = np.empty((n_steps, m * p)), np.empty((n_steps, m, m))
@@ -135,8 +138,8 @@ def _joint_distribution_chain(prior, x, n_steps, seed):
         e = np.linalg.solve(np.linalg.cholesky(prec).T, rng.standard_normal((m, t))).T
         data = DesignData(Y=x @ beta.reshape((p, m), order="F") + e, X=x,
                           lag_order=(p - 1) // m)
-        beta, prec = _gibbs_sweep(_beta_draw(prior, data), prior, data, prec,
-                                  t + prior.dof, rng)
+        step.xty = data.X.T @ data.Y
+        beta, prec = _gibbs_sweep(step, prior, data, prec, t + prior.dof, rng)
         betas[k], precs[k] = beta, prec
     return betas, precs
 
