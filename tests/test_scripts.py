@@ -168,3 +168,33 @@ def test_bench_pairs_source_digest_follows_the_library_files(tmp_path):
     (b / "src" / "vbvar" / "core.py").write_text("x = 1\n")
     (b / "src" / "vbvar" / "core.py").rename(b / "src" / "vbvar" / "main.py")
     assert bench_pairs.source_digest(b) != digest
+
+
+def test_src_size_counts_code_lines_apart_from_docstrings(tmp_path):
+    lib = tmp_path / "src" / "vbvar"
+    lib.mkdir(parents=True)
+    (lib / "core.py").write_text(
+        '"""Module docstring,\n'       # 1 docstring
+        'on two lines."""\n'           # 2 docstring
+        "\n"                           # 3 blank
+        "import os  # a comment\n"     # 4 code
+        "# a comment line\n"           # 5 comment
+        "class A:\n"                   # 6 code
+        '    """Class docstring."""\n'  # 7 docstring
+        "    def f(self):\n"           # 8 code
+        "        '''Function\n"        # 9 docstring
+        "        docstring.'''\n"      # 10 docstring
+        '        "not a docstring"\n'  # 11 code: not the leading statement
+        '        return """a\n'        # 12 code
+        "\n"                           # 13 code: inside a string
+        'b""" + (os.sep\n'             # 14 code
+        "                )\n")         # 15 code
+    (lib / "notes.txt").write_text("not python\n")
+    src_size = _load_script("src_size")
+    assert src_size.library_size(tmp_path) == (15, 8)
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "src_size.py"), str(tmp_path)],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0 and proc.stdout == f"{tmp_path}: 15 lines, 8 code lines\n"
+    missing = subprocess.run([sys.executable, str(ROOT / "scripts" / "src_size.py"),
+                              str(tmp_path / "none")], capture_output=True, text=True, timeout=60)
+    assert missing.returncode == 1 and missing.stderr.startswith("error: no src/vbvar/*.py")
