@@ -369,7 +369,7 @@ class _KroneckerCovariance:
         """ln N(beta_i; mean, V) for each row beta_i of ``betas``, whitened in
         the basis with no factor: for the p x M tables B_i and B of beta_i and
         mean, W_i = U' (S o (B_i - B)) R gives the quadratic form
-        sum W_i^2 / Delta, with the kept ln |V|; O(Mp(M + p)) per row."""
+        sum W_i^2 / Delta, with the state's ln |V|; O(Mp(M + p)) per row."""
         p, m = self.delta.shape
         tables = (betas - mean).reshape(-1, m, p).transpose(0, 2, 1)
         w = self.u.T @ (np.outer(self.s_p, self.s_m) * tables) @ self.r

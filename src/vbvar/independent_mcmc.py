@@ -226,9 +226,10 @@ def lnml_ris(
     when ESS falls below 5% of the draws.
 
     All draws are handled together.  ln q(beta) comes from the VB fit's
-    ``coef_state``, the coefficient step's kept V: one Cholesky factor of
-    cov_b and one triangular solve on the dense route, a whitening in the
-    Kronecker basis with no factor and no Mp x Mp matrix on the other.
+    ``coef_state``, the V that its last coefficient step returned: one
+    Cholesky factor of cov_b and one triangular solve on the dense route, a
+    whitening in the Kronecker basis with no factor and no Mp x Mp matrix
+    on the other.
     ln p(y | beta, Sigma^-1) comes from :meth:`DesignData.log_likelihood`.
     """
     n = draws.n_kept
