@@ -12,10 +12,9 @@ a state) and ``draw(P, rng)``.  The step keeps nothing: each ``moments``
 call returns a new state, a value object that nothing changes, and VB's
 posterior carries the last one as the covariance of q(beta).  Each route's
 state holds ln |V| and tr(V0^-1 V) (``logdet``, ``prior_trace``: the ELBO
-reads them there) and gives ``cov``
-(the dense V), ``logpdf`` (ln N(beta; mean, V) over a stack of draws) and
-``normal_part`` (Z V Z' for one regressor row, the normal part of the
-predictive):
+reads them there) and gives ``cov`` (the dense V), ``logpdf`` (ln N(beta;
+mean, V) over a stack of draws) and ``normal_part`` (Z V Z' for one
+regressor row, the normal part of the predictive):
 
 - dense (:class:`_CoefficientStep`): assembles Q, factors it by LAPACK
   potrf and inverts the factor by potri; O((Mp)^3) per step.  LAPACK is
@@ -338,8 +337,8 @@ class _KroneckerCovariance:
         V = S^-1 (R kron U) Delta (R kron U)' S^-1,
 
     with U, s_p and s_M fixed per fit and R, Delta = 1 / (1 + Lambda Omega')
-    from the step at P, and the ln |V| = -ln |D| - sum ln(1 +
-    Lambda Omega') and tr(V0^-1 V) that ``moments`` computed with them.
+    from the step at P, and the ln |V| = -ln |D| - sum ln(1 + Lambda Omega')
+    and tr(V0^-1 V) that ``moments`` computed with them.
     Only :meth:`cov` forms an Mp x Mp matrix."""
 
     u: np.ndarray

@@ -64,11 +64,10 @@ class IndependentVbPosterior:
     """q(beta) = N(mean_b, cov_b), q(Sigma^-1) = W(scale_q^-1, dof).
 
     ``coef_state`` holds cov_b as the state the last step returned
-    (:mod:`vbvar.conditional`), with its ln |cov_b| and
-    tr(V0^-1 cov_b): it scores q(beta), gives the predictive's normal part
-    and the ELBO's cov_b terms without the dense matrix.  :attr:`cov_b`
-    forms that matrix on first access, once, read-only; no library code
-    reads it."""
+    (:mod:`vbvar.conditional`), with its ln |cov_b| and tr(V0^-1 cov_b): it
+    scores q(beta), gives the predictive's normal part and the ELBO's cov_b
+    terms without the dense matrix.  :attr:`cov_b` forms that matrix on
+    first access, once, read-only; no library code reads it."""
 
     mean_b: np.ndarray
     coef_state: object
