@@ -1,5 +1,7 @@
-"""Shared fixtures and helpers: synthetic VAR designs and random priors, and
-a dense grid quadrature oracle for the scalar (M=1) model."""
+"""Shared fixtures and helpers: synthetic VAR designs and random priors, a
+dense grid quadrature oracle for the scalar (M=1) model, and the
+``--seed-offset`` option that ``scripts/seed_gate.py`` passes to the
+stochastic acceptance checks."""
 
 import importlib.util
 import sys
@@ -10,6 +12,22 @@ import pytest
 
 from vbvar.priors import ConjugatePrior, IndependentPrior
 from vbvar.vardata import DesignData, build_design, simulate_var
+
+
+def pytest_addoption(parser):
+    parser.addoption(
+        "--seed-offset", type=int, default=0,
+        help="added to the Monte-Carlo seeds of the stochastic acceptance checks "
+             "(criteria 4, 6 and 7, the predictive oracles, the joint-distribution "
+             "test); 0 runs them as committed")
+
+
+@pytest.fixture(scope="session")
+def seed_offset(request):
+    offset = request.config.getoption("--seed-offset")
+    if offset < 0:
+        raise pytest.UsageError(f"--seed-offset must be >= 0, got {offset}")
+    return offset
 
 
 def synthetic_design(n_vars, lag_order, t_raw, seed):

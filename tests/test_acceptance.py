@@ -154,7 +154,7 @@ def test_criterion_3_identity_suite():
              [instances])
 
 
-def test_criterion_4_toy_oracle():
+def test_criterion_4_toy_oracle(seed_offset):
     rng = np.random.default_rng(4)
     y = 0.4 + 0.8 * rng.standard_normal(6)
     data = intercept_only_design(y)
@@ -162,7 +162,7 @@ def test_criterion_4_toy_oracle():
                              np.array([[0.9]]), 3.0)
     grid = grid_posterior_scalar(prior, data)  # 400 x 400 quadrature
     draws = gibbs_run(prior, data,
-                      GibbsConfig(n_draws=50_000, burn_in=5_000, seed=44))
+                      GibbsConfig(n_draws=50_000, burn_in=5_000, seed=44 + seed_offset))
     s = summarize_draws(draws)
     beta = draws.beta_draws[:, 0]
     h = draws.precision_draws[:, 0, 0]
@@ -225,12 +225,12 @@ def test_criterion_5_independent_vb():
              "1e-8)", [elbo_trace, scalar_matches_conjugate])
 
 
-def test_criterion_6_cross_method_pattern():
+def test_criterion_6_cross_method_pattern(seed_offset):
     data = synthetic_design(7, 4, 400, seed=600)
     prior = minnesota_independent(data, MinnesotaConfig())
     vb = fit_vb_independent(prior, data)
     draws = gibbs_run(prior, data,
-                      GibbsConfig(n_draws=35_000, burn_in=5_000, seed=601))
+                      GibbsConfig(n_draws=35_000, burn_in=5_000, seed=601 + seed_offset))
     s = summarize_draws(draws)
     q = vb.precision_density()
     i = np.arange(7)
@@ -261,9 +261,9 @@ def test_criterion_6_cross_method_pattern():
              [mean_ratios, variance_ratios, predictive_variance_ratios])
 
 
-def test_criterion_7_sampler_moments():
+def test_criterion_7_sampler_moments(seed_offset):
     def wishart():
-        rng = np.random.default_rng(71)
+        rng = np.random.default_rng(71 + seed_offset)
         scale = np.array([[0.5, 0.1], [0.1, 0.3]])
         w = WishartDist(scale, 7.0)
         n = 200_000
@@ -277,7 +277,7 @@ def test_criterion_7_sampler_moments():
                 assert abs(cell.var(ddof=1) - w.var()[a, b]) < 4 * se_var
 
     def matric_normal():
-        rng = np.random.default_rng(72)
+        rng = np.random.default_rng(72 + seed_offset)
         col = np.array([[1.0, 0.4], [0.4, 0.8]])
         row = np.array([[2.0, -0.5, 0.0],
                         [-0.5, 1.0, 0.2],

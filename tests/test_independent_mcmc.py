@@ -165,20 +165,22 @@ class TestJointDistribution:
     N_STEPS = 40_000
     Z_MAX = 5.0
 
-    # seeds of the data, the prior, its diagonal and the chain, fixed per M
+    # seeds of the data, the prior, its diagonal and the chain, fixed per M;
+    # --seed-offset moves the chain's
     @pytest.mark.parametrize("route,n_vars,seeds", [
         pytest.param("dense", 2, (1301, 1302, 1303, 1304), id="dense"),
         pytest.param("pcg", 2, (1301, 1302, 1303, 1304), id="pcg"),
         pytest.param("dense", 3, (1305, 1306, 1307, 1308), id="dense-m3"),
     ])
-    def test_chain_keeps_the_prior(self, route, n_vars, seeds, monkeypatch):
+    def test_chain_keeps_the_prior(self, route, n_vars, seeds, monkeypatch, seed_offset):
         data = synthetic_design(n_vars, 1, 11, seed=seeds[0])
         prior = random_independent_prior(n_vars, n_vars + 1, seed=seeds[1])
         if route == "pcg":
             prior = _diagonal_prior(prior, seed=seeds[2], decades=3)
             monkeypatch.setattr(cond, "_KRONECKER_MIN_MP", 0)
         assert isinstance(_beta_draw(prior, data), _KroneckerStep) == (route == "pcg")
-        betas, precs = _joint_distribution_chain(prior, data.X, self.N_STEPS, seed=seeds[3])
+        betas, precs = _joint_distribution_chain(prior, data.X, self.N_STEPS,
+                                                  seed=seeds[3] + seed_offset)
         iu = np.triu_indices(n_vars)
         w = precs[:, iu[0], iu[1]]
         w_mean = prior.precision_mean[iu]

@@ -70,11 +70,11 @@ def test_one_record():
 
 
 @pytest.mark.parametrize("m", N_VARS)
-def test_predictive_exact(m):
+def test_predictive_exact(m, seed_offset):
     # Gamma | Sigma ~ MN(mean_G, Sigma, row_cov) under the exact posterior
     data, x = _design(m)
     post = fit_exact(minnesota_conjugate(data, MinnesotaConfig()), data)
-    rng = np.random.default_rng(1100 + m)
+    rng = np.random.default_rng(1100 + m + seed_offset)
     ls = _sigma_factors(rng, np.linalg.inv(post.scale), post.dof)
     z = rng.standard_normal((N_DRAWS, post.n_regressors, m))
     coefs = post.mean_G + np.linalg.cholesky(post.row_cov) @ z @ ls.transpose(0, 2, 1)
@@ -83,11 +83,11 @@ def test_predictive_exact(m):
 
 
 @pytest.mark.parametrize("m", N_VARS)
-def test_predictive_vb_conjugate(m):
+def test_predictive_vb_conjugate(m, seed_offset):
     # under q, Gamma ~ MN(mean_G, scale / dof, row_cov) independently of Sigma
     data, x = _design(m)
     vb = fit_vb_conjugate(minnesota_conjugate(data, MinnesotaConfig()), data)
-    rng = np.random.default_rng(1200 + m)
+    rng = np.random.default_rng(1200 + m + seed_offset)
     ls = _sigma_factors(rng, np.linalg.inv(vb.scale_q), vb.dof_q)
     z = rng.standard_normal((N_DRAWS, vb.n_regressors, m))
     coefs = (vb.mean_G + np.linalg.cholesky(vb.row_cov) @ z
@@ -97,11 +97,11 @@ def test_predictive_vb_conjugate(m):
 
 
 @pytest.mark.parametrize("m", N_VARS)
-def test_predictive_vb_independent(m):
+def test_predictive_vb_independent(m, seed_offset):
     # under q, beta ~ N(mean_b, cov_b) independently of Sigma
     data, x = _design(m)
     vb = fit_vb_independent(minnesota_independent(data, MinnesotaConfig()), data)
-    rng = np.random.default_rng(1300 + m)
+    rng = np.random.default_rng(1300 + m + seed_offset)
     ls = _sigma_factors(rng, np.linalg.inv(vb.scale_q), vb.dof)
     betas = vb.mean_b + rng.standard_normal((N_DRAWS, vb.mean_b.size)) @ \
         np.linalg.cholesky(vb.cov_b).T

@@ -198,3 +198,32 @@ def test_src_size_counts_code_lines_apart_from_docstrings(tmp_path):
     missing = subprocess.run([sys.executable, str(ROOT / "scripts" / "src_size.py"),
                               str(tmp_path / "none")], capture_output=True, text=True, timeout=60)
     assert missing.returncode == 1 and missing.stderr.startswith("error: no src/vbvar/*.py")
+
+
+def test_seed_gate_counts_strict_xfails_as_expected():
+    seed_gate = _load_script("seed_gate")
+    junit = ('<testsuites><testsuite name="pytest">'
+             '<testcase classname="tests.t" name="test_a" time="1.0" />'
+             '<testcase classname="tests.t" name="test_b[3]" time="1.0">'
+             '<skipped type="pytest.xfail" message="item 1" /></testcase>'
+             '<testcase classname="tests.t.C" name="test_c" time="1.0">'
+             '<failure message="[XPASS(strict)] item 1" /></testcase>'
+             '<testcase classname="tests.t" name="test_d" time="0.0">'
+             '<skipped type="pytest.skip" message="no data" /></testcase>'
+             '</testsuite></testsuites>')
+    run = seed_gate.outcomes(junit)
+    assert run == {"tests.t::test_a": "passed", "tests.t::test_b[3]": "xfailed",
+                   "tests.t.C::test_c": "failed", "tests.t::test_d": "skipped"}
+    clean = {"tests.t::test_a": "passed", "tests.t::test_b[3]": "xfailed"}
+    assert seed_gate.report(seed_gate.tally([clean, clean, clean]), 3) == (
+        ["tests.t::test_a     3/3  (3 passed)",
+         "tests.t::test_b[3]  3/3  (3 xfailed)"], 0)
+    # a failure, a skip, or a case missing from any run fails the gate
+    lines, status = seed_gate.report(seed_gate.tally([clean, run]), 2)
+    assert status == 1
+    assert lines == ["tests.t.C::test_c   0/2  (1 failed, 1 missing)",
+                     "tests.t::test_a     2/2  (2 passed)",
+                     "tests.t::test_b[3]  2/2  (2 xfailed)",
+                     "tests.t::test_d     0/2  (1 missing, 1 skipped)"]
+    assert seed_gate.report({}, 5) == ([], 1)
+    assert seed_gate.OFFSETS == (0, 1, 2, 3, 4)
