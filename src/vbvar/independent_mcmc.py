@@ -8,12 +8,14 @@ dense Cholesky route or, for a diagonal V0^-1 at large Mp, by its PCG route;
 the route is chosen once per chain from the prior.  The prior's inverse and
 determinants are cached on the prior; none of them is refactored per draw.
 
-Both routes then draw Sigma^-1 | beta the same way: numpy's Cholesky of the
-scale, then LAPACK potri and potrf for the lower factor of its inverse,
-through ``scipy.linalg.lapack`` rather than scipy's wrappers, which cost
-several times the routine at small M p.  Every ``info`` is checked, and a
-failure, or PCG missing its tolerance, raises
-:class:`NotPositiveDefiniteError` naming the iteration.
+Both routes then draw Sigma^-1 | beta the same way: LAPACK potrf factors
+the scale as L L' and trtri inverts L, so F = L^-T has F F' = scale^-1
+and serves the Bartlett draw without forming the inverse (potri's second
+half, lauum, wakes scipy's BLAS thread pool at every M).  Both go through
+``scipy.linalg.lapack`` rather than scipy's wrappers, which cost several
+times the routine at small M p.  Every ``info`` is checked, and a failure,
+or PCG missing its tolerance, raises :class:`NotPositiveDefiniteError`
+naming the iteration.
 """
 
 from __future__ import annotations
@@ -130,15 +132,16 @@ def gibbs_run(prior: IndependentPrior, data: DesignData, cfg: GibbsConfig) -> Gi
 
 def _gibbs_sweep(beta_step, prior, data, prec, nub, rng):
     """One sweep from Sigma^-1 = prec: beta | Sigma^-1, Y by ``beta_step.draw``,
-    then Sigma^-1 | beta, Y ~ W((S0 + E'E)^-1, nub).  Returns (beta, Sigma^-1);
-    a failed factorisation or PCG solve raises np.linalg.LinAlgError."""
+    then Sigma^-1 | beta, Y ~ W((S0 + E'E)^-1, nub), drawn by Bartlett from
+    F = L^-T, L L' = S0 + E'E.  Returns (beta, Sigma^-1); a failed
+    factorisation or PCG solve raises np.linalg.LinAlgError."""
     beta = beta_step.draw(prec, rng)
     resid = data.residuals(beta)
     scale = prior.scale + resid.T @ resid
-    # potri fills only the lower triangle of scale^-1, all that potrf reads
-    scale_inv = lapack_checked(lapack.dpotri(np.linalg.cholesky(scale), lower=1), "potri")
-    return beta, bartlett_draw(lapack_checked(lapack.dpotrf(scale_inv, lower=1, clean=1),
-                                              "potrf"), nub, rng)
+    # clean=1 zeroes L's upper triangle, which trtri neither reads nor writes
+    lower = lapack_checked(lapack.dpotrf(scale, lower=1, clean=1), "potrf")
+    return beta, bartlett_draw(lapack_checked(lapack.dtrtri(lower, lower=1), "trtri").T,
+                               nub, rng)
 
 
 def _batch_means_se(series: np.ndarray) -> np.ndarray:

@@ -301,22 +301,24 @@ def _bartlett_slots(m: int):
     return slots
 
 
-def bartlett_draw(lower, dof: float, rng: np.random.Generator) -> np.ndarray:
-    """One Wishart W(L L', dof) draw from the lower factor L of the scale,
-    by the Bartlett decomposition W = (L A)(L A)'.
+def bartlett_draw(root, dof: float, rng: np.random.Generator) -> np.ndarray:
+    """One Wishart W(F F', dof) draw from any square root F of the scale,
+    by the Bartlett decomposition W = (F A)(F A)'.
 
-    A is lower triangular with sqrt(chi2(dof - j)) on the diagonal and
-    standard normals below it, drawn in that order.  The caller checks
-    dof > M - 1.
+    F may be the lower Cholesky factor of the scale or, as the Gibbs sweep
+    passes it, L^-T for the factor L of the scale's inverse: each gives the
+    same law, but not the same W from the same A.  A is lower triangular
+    with sqrt(chi2(dof - j)) on the diagonal and standard normals below it,
+    drawn in that order.  The caller checks dof > M - 1.
     """
-    m = lower.shape[0]
+    m = root.shape[0]
     offsets, diag, strict = _bartlett_slots(m)
     a = np.zeros(m * m)
     a[diag] = np.sqrt(rng.chisquare(dof - offsets))
     if m > 1:
         a[strict] = rng.standard_normal(strict.size)
-    la = lower @ a.reshape(m, m)
-    return la @ la.T
+    fa = root @ a.reshape(m, m)
+    return fa @ fa.T
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
+from scipy.linalg import cho_factor, cho_solve, lapack, solve_triangular
 
 from conftest import (
     grid_posterior_scalar,
@@ -17,6 +17,8 @@ from conftest import (
     synthetic_design,
 )
 import vbvar.conditional as cond
+import vbvar.independent_mcmc as imc
+import vbvar.mvdist as mvdist
 from vbvar.conditional import _beta_draw, _CoefficientStep, _KroneckerStep
 from vbvar.independent_mcmc import (
     GibbsConfig,
@@ -58,6 +60,17 @@ def toy_grid(toy):
 def toy_draws(toy):
     prior, data = toy
     return gibbs_run(prior, data, GibbsConfig(n_draws=60_000, burn_in=10_000, seed=7))
+
+
+class _LapackWithoutPotri:
+    """scipy.linalg.lapack, except that dpotri raises."""
+
+    def __getattr__(self, name):
+        return getattr(lapack, name)
+
+    @staticmethod
+    def dpotri(*args, **kwargs):
+        raise AssertionError("dpotri called")
 
 
 class TestGibbsRun:
@@ -109,6 +122,21 @@ class TestGibbsRun:
                             raising=False)
         with pytest.raises(NotPositiveDefiniteError, match="iteration 0"):
             gibbs_run(prior, data, GibbsConfig(n_draws=10, burn_in=0, seed=3))
+
+    @pytest.mark.parametrize("route", ["dense", "pcg"])
+    def test_sweep_calls_no_potri(self, route, monkeypatch):
+        # the Sigma^-1 step is one potrf and one trtri: potri's lauum wakes
+        # scipy's BLAS thread pool even at M = 2
+        data = synthetic_design(2, 1, 40, seed=101)
+        prior = random_independent_prior(2, 3, seed=102)
+        if route == "pcg":
+            prior = _diagonal_prior(prior, seed=103, decades=3)
+            monkeypatch.setattr(cond, "_KRONECKER_MIN_MP", 0)
+        assert isinstance(_beta_draw(prior, data), _KroneckerStep) == (route == "pcg")
+        for module in (imc, cond, mvdist):
+            monkeypatch.setattr(module, "lapack", _LapackWithoutPotri())
+        draws = gibbs_run(prior, data, GibbsConfig(n_draws=20, burn_in=0, seed=3))
+        assert np.all(np.linalg.eigvalsh(draws.precision_draws) > 0)
 
     def test_matches_quadrature(self, toy_draws, toy_grid):
         s = summarize_draws(toy_draws)
