@@ -20,6 +20,13 @@ within ROUND_OFF_REL gets the verdict "round-off" instead of "DIFFERENT";
 the summary line counts those commands apart, and they still set the exit
 status to 1.
 
+Byte identity holds at one BLAS thread count only: with the same inputs
+and seeds, a `vbvar fit` report's RIS standard errors moved by about 3e-13
+relative between one and two OpenBLAS threads.  Both checkouts run under
+this script's environment, and the summary line ends with the variables of
+BLAS_THREAD_VARS as they were set ("unset" when absent), so a summary says
+which thread setting it holds for.
+
 Plain standard library here; numpy is loaded only by perfbench, to write
 the inputs.
 """
@@ -56,6 +63,9 @@ CONFIGS = {
                 "max_iters": 40, "tol": 1e-6},
     "cfg_m20": {"prior": "independent", "lags": 2, "seed": 7, "lambda2": 0.5, "data": "m20"},
 }
+
+# environment variables that set the BLAS thread count, named on the summary line
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 # largest max rel of a differing .json or .csv file that counts as round-off
 ROUND_OFF_REL = 1e-12
@@ -230,6 +240,12 @@ def summary(verdicts: list) -> tuple:
     return line, 0 if same == len(verdicts) else 1
 
 
+def blas_threads(env) -> str:
+    """The BLAS thread variables of BLAS_THREAD_VARS in ``env``, e.g.
+    "OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=unset MKL_NUM_THREADS=unset"."""
+    return " ".join(f"{name}={env.get(name, 'unset')}" for name in BLAS_THREAD_VARS)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path, required=True)
@@ -248,7 +264,7 @@ def main(argv=None) -> int:
             print(f"{verdicts[-1]:<10} exit {out['change']['exit code']}  {label}  [{files}]",
                   flush=True)
     line, status = summary(verdicts)
-    print(line)
+    print(f"{line}; {blas_threads(os.environ)}")
     return status
 
 

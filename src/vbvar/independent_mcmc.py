@@ -10,7 +10,7 @@ determinants are cached on the prior; none of them is refactored per draw.
 
 Both routes then draw Sigma^-1 | beta the same way: LAPACK potrf factors
 the scale as L L' and trtri inverts L, so F = L^-T has F F' = scale^-1
-and serves the Bartlett draw without forming the inverse (potri's second
+and serves the Bartlett draw without forming scale^-1 (potri's second
 half, lauum, wakes scipy's BLAS thread pool at every M).  Both go through
 ``scipy.linalg.lapack`` rather than scipy's wrappers, which cost several
 times the routine at small M p.  Every ``info`` is checked, and a failure,
@@ -138,7 +138,8 @@ def _gibbs_sweep(beta_step, prior, data, prec, nub, rng):
     beta = beta_step.draw(prec, rng)
     resid = data.residuals(beta)
     scale = prior.scale + resid.T @ resid
-    # clean=1 zeroes L's upper triangle, which trtri neither reads nor writes
+    # trtri writes only the lower triangle; clean=1 leaves zeros above it, so
+    # the whole array is L^-1
     lower = lapack_checked(lapack.dpotrf(scale, lower=1, clean=1), "potrf")
     return beta, bartlett_draw(lapack_checked(lapack.dtrtri(lower, lower=1), "trtri").T,
                                nub, rng)

@@ -104,6 +104,11 @@ def test_same_outputs_round_off_verdict():
     assert status == 1
     assert same_outputs.summary(["same", "same"]) == \
         ("2 of 2 commands byte-identical, 0 round-off (max rel <= 1e-12)", 0)
+    # the summary line names the BLAS thread settings both sides ran under
+    assert same_outputs.blas_threads({"OPENBLAS_NUM_THREADS": "1", "PATH": "/bin"}) == \
+        "OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=unset MKL_NUM_THREADS=unset"
+    assert same_outputs.blas_threads({}) == \
+        "OPENBLAS_NUM_THREADS=unset OMP_NUM_THREADS=unset MKL_NUM_THREADS=unset"
 
 
 def test_bench_pairs_claim_follows_better():
