@@ -11,11 +11,11 @@ determinants are cached on the prior; none of them is refactored per draw.
 Both routes then draw Sigma^-1 | beta the same way: LAPACK potrf factors
 the scale as L L' and trtri inverts L, so F = L^-T has F F' = scale^-1
 and serves the Bartlett draw without forming scale^-1 (potri's second
-half, lauum, wakes scipy's BLAS thread pool at every M).  Both go through
-``scipy.linalg.lapack`` rather than scipy's wrappers, which cost several
-times the routine at small M p.  Every ``info`` is checked, and a failure,
-or PCG missing its tolerance, raises :class:`NotPositiveDefiniteError`
-naming the iteration.
+half, lauum, wakes scipy's BLAS thread pool even at M = 20).  Both go
+through ``scipy.linalg.lapack`` rather than scipy's wrappers, which cost
+several times the routine at small M p.  Every ``info`` is checked, and a
+failure, or PCG missing its tolerance, raises
+:class:`NotPositiveDefiniteError` naming the iteration.
 """
 
 from __future__ import annotations

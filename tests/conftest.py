@@ -24,10 +24,7 @@ def pytest_addoption(parser):
 
 @pytest.fixture(scope="session")
 def seed_offset(request):
-    offset = request.config.getoption("--seed-offset")
-    if offset < 0:
-        raise pytest.UsageError(f"--seed-offset must be >= 0, got {offset}")
-    return offset
+    return request.config.getoption("--seed-offset")
 
 
 def synthetic_design(n_vars, lag_order, t_raw, seed):

@@ -126,7 +126,7 @@ class TestGibbsRun:
     @pytest.mark.parametrize("route", ["dense", "pcg"])
     def test_sweep_calls_no_potri(self, route, monkeypatch):
         # the Sigma^-1 step is one potrf and one trtri: potri's lauum wakes
-        # scipy's BLAS thread pool even at M = 2
+        # scipy's BLAS thread pool even at M = 20
         data = synthetic_design(2, 1, 40, seed=101)
         prior = random_independent_prior(2, 3, seed=102)
         if route == "pcg":
