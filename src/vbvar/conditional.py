@@ -37,6 +37,14 @@ regressor row, the normal part of the predictive):
   It draws 2 Mp normals where the dense draw takes Mp, so the two Gibbs
   routes give different streams.
 
+The other half of each iteration is the Sigma^-1 | beta conditional,
+W(S^-1, T + prior dof) with S = S0 + E'E (+ Omega), the same Wishart for
+all three loops: VB takes E_q[Sigma^-1] = (T + prior dof) F F' and ln |S|
+at E_q[beta] (with Omega), the modes (T + prior dof - M - 1) F F' at the
+current beta (with Omega for the VB mode), and Gibbs a Bartlett draw from
+F at a drawn beta.  :func:`_precision_step` forms S and F = L^-T, S = L L',
+from one potrf and one trtri, so no loop runs potri.
+
 The threshold, 300, is the measured crossover of the PCG draw.  Under the
 Minnesota default lambda2 = 1, PCG converges in one or two iterations and
 is the faster route from below Mp = 203.  A tighter lambda2 takes tens of
@@ -95,6 +103,30 @@ def _cross_products(prior, data):
     if prior.n_vars != data.n_vars or prior.n_regressors != data.n_regressors:
         raise ValueError("prior and data dimensions disagree")
     return data.X.T @ data.X, data.X.T @ data.Y
+
+
+def _precision_step(prior, data, beta, omega=None):
+    """The Sigma^-1 | beta conditional W(S^-1, T + prior dof) at ``beta``:
+    (S, ln |S|, F) for the scale S = S0 + E'E (+ Omega), with E the
+    residuals at beta, and F = L^-T for S = L L', so F F' = S^-1.  E'E is
+    symmetric as formed (numpy's A'A is one syrk); with Omega, which is
+    symmetric only to round-off, S is symmetrised.  One potrf and one trtri
+    give F; potri is not called, because its second half, lauum, wakes
+    scipy's BLAS thread pool even at M = 20.  A failed factor, or a
+    non-finite ln |S| (potrf passes an infinite diagonal), raises
+    np.linalg.LinAlgError."""
+    resid = data.residuals(beta)
+    scale = prior.scale + resid.T @ resid
+    if omega is not None:
+        scale = scale + omega
+        scale = (scale + scale.T) / 2.0
+    # trtri writes only the lower triangle; clean=1 leaves zeros above it, so
+    # the whole array is L^-1
+    lower = lapack_checked(lapack.dpotrf(scale, lower=1, clean=1), "potrf")
+    logdet = chol_logdet(lower)
+    if not np.isfinite(logdet):
+        raise np.linalg.LinAlgError("the Sigma^-1 conditional's scale is not finite")
+    return scale, logdet, lapack_checked(lapack.dtrtri(lower, lower=1), "trtri").T
 
 
 def _omega(cov_b: np.ndarray, xtx: np.ndarray, m: int, p: int) -> np.ndarray:

@@ -8,14 +8,12 @@ dense Cholesky route or, for a diagonal V0^-1 at large Mp, by its PCG route;
 the route is chosen once per chain from the prior.  The prior's inverse and
 determinants are cached on the prior; none of them is refactored per draw.
 
-Both routes then draw Sigma^-1 | beta the same way: LAPACK potrf factors
-the scale as L L' and trtri inverts L, so F = L^-T has F F' = scale^-1
-and serves the Bartlett draw without forming scale^-1 (potri's second
-half, lauum, wakes scipy's BLAS thread pool even at M = 20).  Both go
-through ``scipy.linalg.lapack`` rather than scipy's wrappers, which cost
-several times the routine at small M p.  Every ``info`` is checked, and a
-failure, or PCG missing its tolerance, raises
-:class:`NotPositiveDefiniteError` naming the iteration.
+Both routes then draw Sigma^-1 | beta the same way, by Bartlett from the
+root F = L^-T of the scale S = L L' that the Sigma^-1 step of
+:mod:`vbvar.conditional` returns, the step VB and the mode iterations take
+too: one LAPACK potrf and one trtri, with no scale^-1 formed and no potri.
+Every ``info`` is checked, and a failure, or PCG missing its tolerance,
+raises :class:`NotPositiveDefiniteError` naming the iteration.
 """
 
 from __future__ import annotations
@@ -23,9 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack
 
-from .conditional import _beta_draw
+from .conditional import _beta_draw, _precision_step
 from .independent_vb import IndependentVbPosterior
 from .mvdist import (
     NotPositiveDefiniteError,
@@ -33,7 +30,6 @@ from .mvdist import (
     bartlett_draw,
     check_fields,
     chol_logdet,
-    lapack_checked,
     set_fields,
     spd_cholesky,
 )
@@ -133,16 +129,10 @@ def gibbs_run(prior: IndependentPrior, data: DesignData, cfg: GibbsConfig) -> Gi
 def _gibbs_sweep(beta_step, prior, data, prec, nub, rng):
     """One sweep from Sigma^-1 = prec: beta | Sigma^-1, Y by ``beta_step.draw``,
     then Sigma^-1 | beta, Y ~ W((S0 + E'E)^-1, nub), drawn by Bartlett from
-    F = L^-T, L L' = S0 + E'E.  Returns (beta, Sigma^-1); a failed
-    factorisation or PCG solve raises np.linalg.LinAlgError."""
+    the root F that ``_precision_step`` returns.  Returns (beta, Sigma^-1); a
+    failed factorisation or PCG solve raises np.linalg.LinAlgError."""
     beta = beta_step.draw(prec, rng)
-    resid = data.residuals(beta)
-    scale = prior.scale + resid.T @ resid
-    # trtri writes only the lower triangle; clean=1 leaves zeros above it, so
-    # the whole array is L^-1
-    lower = lapack_checked(lapack.dpotrf(scale, lower=1, clean=1), "potrf")
-    return beta, bartlett_draw(lapack_checked(lapack.dtrtri(lower, lower=1), "trtri").T,
-                               nub, rng)
+    return beta, bartlett_draw(_precision_step(prior, data, beta)[2], nub, rng)
 
 
 def _batch_means_se(series: np.ndarray) -> np.ndarray:

@@ -5,9 +5,9 @@ both the exact and the VB posterior.
 Coordinate-ascent VB and both mode iterations run one coefficient step per
 iteration, the Gaussian conditional of beta given Sigma^-1 = P
 (:mod:`vbvar.conditional`, which describes its two routes), at
-E_q[Sigma^-1] or at lambda * Sigma-hat^-1; each starts at the prior mean of
-Sigma^-1.  The prior's V0^-1, S0^-1 and log-determinants are cached on the
-prior.
+E_q[Sigma^-1] or at lambda * Sigma-hat^-1, then the Sigma^-1 step that
+the Gibbs sweep draws from; each starts at the prior mean of Sigma^-1.  The
+prior's V0^-1, S0^-1 and log-determinants are cached on the prior.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 from scipy.special import multigammaln
 
-from .conditional import _coefficient_step
+from .conditional import _coefficient_step, _precision_step
 from .mvdist import (
     NotPositiveDefiniteError,
     UndefinedMomentError,
@@ -133,13 +133,10 @@ def fit_vb_independent(
     for _ in range(cfg.max_iters):
         try:
             mean_b, omega, coef_state = beta_step.moments(e_prec)
-            resid = data.residuals(mean_b)
-            scale_q = prior.scale + resid.T @ resid + omega
-            scale_q = (scale_q + scale_q.T) / 2.0
-            scale_q_inv, logdet_scale_q = spd_inverse(scale_q, "scale_q")
-        except (np.linalg.LinAlgError, NotPositiveDefiniteError) as exc:
+            scale_q, logdet_scale_q, root = _precision_step(prior, data, mean_b, omega)
+        except np.linalg.LinAlgError as exc:
             raise NotPositiveDefiniteError("Cholesky failure in VB update") from exc
-        e_prec = nub * scale_q_inv
+        e_prec = nub * (root @ root.T)
         trace.append(_elbo(prior, data, mean_b, coef_state.logdet, coef_state.prior_trace,
                            logdet_scale_q, nub))
         if len(trace) > 1:
@@ -223,14 +220,11 @@ def _iterate_modes(prior, data, tol, vb_corrected):
             if vb_corrected:
                 beta_new, omega, _ = beta_step.moments(lam * prec)
             else:
-                beta_new = beta_step.mean(lam * prec)
-            resid = data.residuals(beta_new)
-            scale = prior.scale + resid.T @ resid
-            if vb_corrected:
-                scale = scale + omega
-            prec_new = dof_factor * spd_inverse((scale + scale.T) / 2.0, "scale")[0]
-        except (np.linalg.LinAlgError, NotPositiveDefiniteError) as exc:
+                beta_new, omega = beta_step.mean(lam * prec), None
+            root = _precision_step(prior, data, beta_new, omega)[2]
+        except np.linalg.LinAlgError as exc:
             raise NotPositiveDefiniteError(f"Cholesky failure in mode iteration {it}") from exc
+        prec_new = dof_factor * (root @ root.T)
         delta = max(
             float(np.max(np.abs(beta_new - beta))) / max(float(np.max(np.abs(beta_new))), 1e-12),
             float(np.max(np.abs(prec_new - prec))) / max(float(np.max(np.abs(prec_new))), 1e-12),

@@ -74,8 +74,9 @@ def spd_cholesky(a, name="matrix"):
 
 def chol_logdet(lower):
     """ln |A| from the lower Cholesky factor of A; an array of them for a
-    (..., M, M) stack of factors."""
-    return 2.0 * np.sum(np.log(np.diagonal(lower, axis1=-2, axis2=-1)), axis=-1)
+    (..., M, M) stack of factors.  The array methods skip numpy's function
+    wrappers, a few microseconds per call at M = 3, once per Gibbs draw."""
+    return 2.0 * np.log(lower.diagonal(0, -2, -1)).sum(axis=-1)
 
 
 def lapack_checked(result, routine):

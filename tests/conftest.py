@@ -1,7 +1,7 @@
 """Shared fixtures and helpers: synthetic VAR designs and random priors, a
-dense grid quadrature oracle for the scalar (M=1) model, and the
-``--seed-offset`` option that ``scripts/seed_gate.py`` passes to the
-stochastic acceptance checks."""
+dense grid quadrature oracle for the scalar (M=1) model, a LAPACK
+namespace without potri, and the ``--seed-offset`` option that
+``scripts/seed_gate.py`` passes to the stochastic acceptance checks."""
 
 import importlib.util
 import sys
@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 
 from vbvar.priors import ConjugatePrior, IndependentPrior
 from vbvar.vardata import DesignData, build_design, simulate_var
@@ -25,6 +26,17 @@ def pytest_addoption(parser):
 @pytest.fixture(scope="session")
 def seed_offset(request):
     return request.config.getoption("--seed-offset")
+
+
+class LapackWithoutPotri:
+    """scipy.linalg.lapack, except that dpotri raises."""
+
+    def __getattr__(self, name):
+        return getattr(lapack, name)
+
+    @staticmethod
+    def dpotri(*args, **kwargs):
+        raise AssertionError("dpotri called")
 
 
 def synthetic_design(n_vars, lag_order, t_raw, seed):

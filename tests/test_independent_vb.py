@@ -12,6 +12,7 @@ from scipy import optimize, stats
 from scipy.linalg import solve_triangular
 
 from conftest import (
+    LapackWithoutPotri,
     intercept_only_design,
     perfbench_design,
     random_independent_prior,
@@ -20,6 +21,7 @@ from conftest import (
 )
 import vbvar.conditional as cond
 import vbvar.independent_vb as ivb
+import vbvar.mvdist as mvdist
 from vbvar.independent_mcmc import (
     GibbsConfig,
     _log_joint_independent,
@@ -525,6 +527,36 @@ class TestKroneckerStep:
         with pytest.raises(NotPositiveDefiniteError,
                            match="^Cholesky failure in mode iteration 0$"):
             modes(prior, data)
+
+    @pytest.mark.parametrize("s0", [-1e6, np.inf], ids=["indefinite", "infinite"])
+    @pytest.mark.parametrize("route", ["dense", "kronecker"])
+    def test_bad_scale_raises_in_vb_and_modes(self, route, s0, scalar_case, monkeypatch):
+        # the coefficient step succeeds; the Sigma^-1 step on S0 + E'E (+ Omega)
+        # must not, and potrf alone passes an infinite S0
+        prior, data = scalar_case
+        _force_route(monkeypatch, prior, data, route)
+        monkeypatch.setattr(IndependentPrior, "scale", property(lambda _: s0 * np.eye(1)),
+                            raising=False)
+        with pytest.raises(NotPositiveDefiniteError, match="^Cholesky failure in VB update$"):
+            fit_vb_independent(prior, data)
+        for modes in (modes_exact_iterative, modes_vb_iterative):
+            with pytest.raises(NotPositiveDefiniteError,
+                               match="^Cholesky failure in mode iteration 0$"):
+                modes(prior, data)
+
+    @pytest.mark.parametrize("fit", [fit_vb_independent, modes_exact_iterative,
+                                     modes_vb_iterative])
+    def test_calls_no_potri(self, fit, monkeypatch):
+        # the Sigma^-1 step is one potrf and one trtri, as in the Gibbs sweep:
+        # potri's lauum wakes scipy's BLAS thread pool even at M = 20
+        data = synthetic_design(3, 2, 200, seed=2110)
+        prior = minnesota_independent(data, MinnesotaConfig())
+        _force_route(monkeypatch, prior, data, "kronecker")
+        assert not hasattr(ivb, "lapack")
+        for module in (cond, mvdist):
+            monkeypatch.setattr(module, "lapack", LapackWithoutPotri())
+        result = fit(prior, data)
+        assert result.converged if fit is fit_vb_independent else result["converged"]
 
 
 def _fit_keeping_step(prior, data):
