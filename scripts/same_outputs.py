@@ -14,7 +14,11 @@ and every file a run writes are compared byte for byte.  One line is
 printed per command; the exit status is 1 when any output differs.  A
 differing .json or .csv file whose two sides have the same shape and the
 same non-numeric cells is named with the largest relative difference over
-its numeric cells, e.g. "trace.csv: max rel 3.4e-16".  A command whose exit
+its numeric cells, where that cell is and its absolute difference, e.g.
+"report.json: max rel 4.1e-12 at independent.kl_section.kl.value (abs
+3.4e-13)" or "trace.csv: max rel 3.4e-16 at row 5 col elbo (abs 1.7e-14)":
+a JSON cell by its keys and list indices joined with ".", a CSV cell by its
+row (0 is the header) and its column's header.  A command whose exit
 code, stdout and stderr match and whose differing files are all such files
 within ROUND_OFF_REL gets the verdict "round-off" instead of "DIFFERENT";
 the summary line counts those commands apart, and they still set the exit
@@ -180,10 +184,12 @@ def _parse_float(cell: str):
         return cell
 
 
-def max_rel_diff(name: str, parent: bytes, change: bytes):
-    """Largest relative difference over the numeric cells of two versions
-    of a .json or .csv file, or None when the two differ in shape or in any
-    non-numeric or non-finite cell (or the file is of another kind)."""
+def worst_cell(name: str, parent: bytes, change: bytes):
+    """(max rel, where, abs) for the numeric cell of two versions of a .json
+    or .csv file with the largest relative difference: ``where`` names the
+    cell as the module docstring says, and is None when no numeric cell
+    differs.  None when the two differ in shape or in any non-numeric or
+    non-finite cell (or the file is of another kind)."""
     if not name.endswith((".json", ".csv")):
         return None
     try:
@@ -192,7 +198,7 @@ def max_rel_diff(name: str, parent: bytes, change: bytes):
         return None
     if len(cells[0]) != len(cells[1]):
         return None
-    worst = 0.0
+    worst = (0.0, None, 0.0)
     for (pos_a, a), (pos_b, b) in zip(*cells):
         if pos_a != pos_b:
             return None
@@ -202,20 +208,38 @@ def max_rel_diff(name: str, parent: bytes, change: bytes):
                       and math.isfinite(v) for v in (a, b))
         if not numbers:
             return None
-        worst = max(worst, abs(a - b) / max(abs(a), abs(b)))
-    return worst
+        rel = abs(a - b) / max(abs(a), abs(b))
+        if rel > worst[0]:
+            worst = (rel, pos_a, abs(a - b))
+    rel, pos, size = worst
+    if pos is not None and name.endswith(".csv"):
+        header = dict((j, v) for (i, j), v in cells[0] if i == 0)
+        where = f"row {pos[0]} col {header.get(pos[1], pos[1])}"
+    else:
+        where = None if pos is None else ".".join(map(str, pos))
+    return rel, where, size
 
 
 def differences(parent: dict, change: dict) -> list:
-    """(name, max rel) for each stream and file that differs; max rel is
-    None for a stream, a file on one side only, or a file it cannot measure."""
+    """(name, worst cell) for each stream and file that differs; the cell is
+    :func:`worst_cell`'s, and None for a stream, a file on one side only, or
+    a file it cannot measure."""
     diffs = [(key, None) for key in ("exit code", "stdout", "stderr")
              if parent[key] != change[key]]
     for name in sorted(set(parent["files"]) | set(change["files"])):
         a, b = parent["files"].get(name), change["files"].get(name)
         if a != b:
-            diffs.append((name, None if a is None or b is None else max_rel_diff(name, a, b)))
+            diffs.append((name, None if a is None or b is None else worst_cell(name, a, b)))
     return diffs
+
+
+def _label(name, cell):
+    """One differing output, e.g. "report.json: max rel 4.1e-12 at kl.value (abs 3.4e-13)"."""
+    if cell is None:
+        return name
+    rel, where, size = cell
+    return (f"{name}: max rel {rel:.2g}" if where is None
+            else f"{name}: max rel {rel:.2g} at {where} (abs {size:.2g})")
 
 
 def verdict(parent: dict, change: dict) -> str:
@@ -223,11 +247,10 @@ def verdict(parent: dict, change: dict) -> str:
     diffs = differences(parent, change)
     if not diffs:
         return "same"
-    kind = ("round-off" if all(rel is not None and rel <= ROUND_OFF_REL for _, rel in diffs)
+    kind = ("round-off" if all(cell is not None and cell[0] <= ROUND_OFF_REL
+                               for _, cell in diffs)
             else "DIFFERENT")
-    labels = ", ".join(name if rel is None else f"{name}: max rel {rel:.2g}"
-                       for name, rel in diffs)
-    return f"{kind} ({labels})"
+    return f"{kind} ({', '.join(_label(name, cell) for name, cell in diffs)})"
 
 
 def summary(verdicts: list) -> tuple:

@@ -62,7 +62,11 @@ def _load_same_outputs():
 
 def test_same_outputs_measures_numeric_drift():
     same_outputs = _load_same_outputs()
-    rel = same_outputs.max_rel_diff
+
+    def rel(name, parent, change):
+        cell = same_outputs.worst_cell(name, parent, change)
+        return None if cell is None else cell[0]
+
     trace = b"iteration,elbo\r\n0,-100.0\r\n1,-50.0\r\n"
     assert rel("trace.csv", trace, trace.replace(b"-50.0", b"-50.000001")) == \
         pytest.approx(2e-8)
@@ -78,7 +82,7 @@ def test_same_outputs_measures_numeric_drift():
         {"exit code": 0, "stdout": b"", "stderr": b"", "files": {"trace.csv": trace}},
         {"exit code": 0, "stdout": b"", "stderr": b"",
          "files": {"trace.csv": trace.replace(b"-50.0", b"-50.5")}},
-    ) == "DIFFERENT (trace.csv: max rel 0.0099)"
+    ) == "DIFFERENT (trace.csv: max rel 0.0099 at row 2 col elbo (abs 0.5))"
 
 
 def test_same_outputs_round_off_verdict():
@@ -92,7 +96,20 @@ def test_same_outputs_round_off_verdict():
     tiny = report.replace(b"1.5", b"1.5000000000000002")  # max rel 1.5e-16
     assert same_outputs.verdict(outputs(report), outputs(report)) == "same"
     assert same_outputs.verdict(outputs(report), outputs(tiny)) == \
-        "round-off (report.json: max rel 1.5e-16)"
+        "round-off (report.json: max rel 1.5e-16 at kl (abs 2.2e-16))"
+    # the label names the cell with the largest relative move, by its JSON
+    # path or its CSV row and column header, and gives its absolute move
+    nested = b'{"a": {"kl": [0.08, 1000.0]}, "b": 2.0}'
+    moved = nested.replace(b"0.08", b"0.0800000000000003").replace(b"1000.0",
+                                                                    b"1000.0000000000002")
+    assert same_outputs.verdict(outputs(nested), outputs(moved)) == \
+        "round-off (report.json: max rel 3.6e-15 at a.kl.0 (abs 2.9e-16))"
+    draws = b"b0,b1\r\n1.0,2.0\r\n3.0,4.0\r\n"
+    assert same_outputs.worst_cell("draws.csv", draws, draws.replace(b"4.0", b"4.5")) == \
+        (0.5 / 4.5, "row 2 col b1", 0.5)
+    # bytes that differ with no numeric cell moved name no cell
+    assert same_outputs.verdict(outputs(report), outputs(report.replace(b"1.5", b"1.50"))) == \
+        "round-off (report.json: max rel 0)"
     # past the bound, or with any stream differing, it is a difference
     assert same_outputs.verdict(outputs(report), outputs(report.replace(b"1.5", b"1.5001"))) \
         .startswith("DIFFERENT (report.json: max rel")
