@@ -39,6 +39,15 @@ CHECKS = [
     "tests/test_predictive_oracles.py::test_predictive_vb_conjugate",
     "tests/test_predictive_oracles.py::test_predictive_vb_independent",
     "tests/test_independent_mcmc.py::TestJointDistribution::test_chain_keeps_the_prior",
+    # the sampler and Monte-Carlo ELBO oracles that draw stacks
+    "tests/test_mvdist.py::TestWishart::test_sampler_moments",
+    "tests/test_mvdist.py::TestMatricNormal::test_sample_covariance_is_kronecker",
+    "tests/test_mvdist.py::TestMatricT::test_compound_sampling_oracle",
+    "tests/test_conjugate_exact.py::TestMarginalCoefficients::test_compound_moments",
+    "tests/test_conjugate_vb.py::TestKlExact::test_mc_divergence_oracle",
+    "tests/test_conjugate_vb.py::TestElbo::test_matches_mc_estimate",
+    "tests/test_conjugate_vb.py::TestElbo::test_mc_se_clt_rate",
+    "tests/test_independent_vb.py::TestElbo::test_mc_oracle",
 ]
 
 EXPECTED = ("passed", "xfailed")

@@ -224,19 +224,16 @@ def mc_elbo_estimate(
 ) -> dict:
     """Monte-Carlo ELBO: average of ln p(Y, theta) - ln q(theta) over q-draws.
 
-    Draws are made one at a time, coefficients then precision, and their
-    densities are evaluated over the whole stack.
+    The draws are two stacks, the n_draws coefficient matrices first and
+    then the n_draws precision matrices, each from one stacked ``sample``
+    call, and their densities are evaluated over the whole stack.
     """
     if n_draws < 1000:
         raise ValueError("n_draws must be at least 1000")
     q_coef = vb_post.coef_density()
     q_prec = vb_post.precision_density()
-    p, m = q_coef.shape
-    coefs = np.empty((n_draws, p, m))
-    precs = np.empty((n_draws, m, m))
-    for i in range(n_draws):
-        coefs[i] = q_coef.sample(rng)
-        precs[i] = q_prec.sample(rng)
+    coefs = q_coef.sample(rng, n_draws)
+    precs = q_prec.sample(rng, n_draws)
     vals = _mc_elbo_terms(prior, data, q_coef, q_prec, coefs, precs)
     return {
         "estimate": float(vals.mean()),

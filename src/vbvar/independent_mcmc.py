@@ -215,9 +215,10 @@ def lnml_ris(
     """Reciprocal importance sampling: 1/ML is estimated by the posterior-draw
     average of q_vb(theta) / [p(y | theta) p(theta)], in log space.
 
-    Returns the lnML estimate, a jackknife standard error, and the effective
-    sample size of the weights.  A degenerate-weights warning flag is set
-    when ESS falls below 5% of the draws.
+    Returns the lnML estimate, a jackknife standard error (computed as
+    :func:`_ris_summary` says), and the effective sample size of the
+    weights.  A degenerate-weights warning flag is set when ESS falls below
+    5% of the draws.
 
     All draws are handled together.  ln q(beta) comes from the VB fit's
     ``coef_state``, the V that its last coefficient step returned: one
@@ -249,15 +250,30 @@ def lnml_ris(
     lp_b = -mp / 2.0 * log_2pi - 0.5 * prior.logdet_cov - 0.5 * quad
     lp_w = WishartDist(prior.scale_inv, prior.dof).logpdf_chol(lw)
 
-    log_w = lq_b + lq_w - (lp_y + lp_b + lp_w)
-    # lnML = -ln mean(exp(log_w))
+    return _ris_summary(lq_b + lq_w - (lp_y + lp_b + lp_w))
+
+
+def _ris_summary(log_w: np.ndarray) -> dict:
+    """:func:`lnml_ris`'s record from its n >= 2 log-weights
+    ln q(theta_i) - ln p(y, theta_i).
+
+    lnML = -ln mean(exp(log_w)), by the shifted weights s_i =
+    exp(log_w_i - max log_w).  Its leave-one-out value without draw i is
+    lnML + ln(n/(n-1)) - d_i with d_i = ln(1 - s_i/total), so the jackknife
+    SE is the spread of the d_i.  These carry neither the shift nor lnML's
+    own size, whose round-off the leave-one-out values would pass on to
+    the SE.  The largest weight takes its d from the sum of the others:
+    1 - s_i/total cancels when that weight holds most of the total.
+    """
+    n = log_w.size
     mx = log_w.max()
     shifted = np.exp(log_w - mx)
     total = shifted.sum()
     lnml = -(mx + np.log(total / n))
-    # leave-one-out jackknife in the shifted space
-    loo = -(mx + np.log((total - shifted) / (n - 1)))
-    se = float(np.sqrt((n - 1) / n * np.sum((loo - loo.mean()) ** 2)))
+    top = int(np.argmax(shifted))
+    others = np.delete(shifted, top)
+    d = np.insert(np.log1p(-others / total), top, -np.log1p(1.0 / others.sum()))
+    se = float(np.sqrt((n - 1) / n * np.sum((d - d.mean()) ** 2)))
     ess = float(total**2 / np.sum(shifted**2))
     return {
         "estimate": float(lnml),

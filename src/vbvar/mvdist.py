@@ -194,11 +194,15 @@ class MatricNormal:
     def shape(self):
         return self.mean.shape
 
-    def sample(self, rng: np.random.Generator) -> np.ndarray:
-        """One draw: mean + L_V Z L_Sigma' with Z iid standard normal."""
+    def sample(self, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
+        """Draws mean + L_V Z_i L_Sigma' with each Z_i iid standard normal:
+        one p x M matrix for ``size`` None, else an (n, p, M) stack of
+        ``size`` = n, all from one (n, p, M) standard-normal call.  None is
+        the stack at n = 1, so ``sample(rng)`` equals ``sample(rng, 1)[0]``."""
         p, m = self.mean.shape
-        z = rng.standard_normal((p, m))
-        return self.mean + self._chol_row @ z @ self._chol_col.T
+        z = rng.standard_normal((1 if size is None else size, p, m))
+        x = self.mean + self._chol_row @ z @ self._chol_col.T
+        return x[0] if size is None else x
 
     def logpdf(self, x):
         """Log density at one p x M matrix (a float), or at each matrix of an
@@ -285,9 +289,26 @@ class WishartDist:
             - multigammaln(nu / 2.0, m)
         )
 
-    def sample(self, rng: np.random.Generator) -> np.ndarray:
-        """One SPD draw via the Bartlett decomposition."""
-        return bartlett_draw(self._chol, self.dof, rng)
+    def sample(self, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
+        """SPD draws W_i = (L A_i)(L A_i)' by the Bartlett decomposition, L
+        the scale's lower Cholesky factor: one M x M matrix for ``size``
+        None, else an (n, M, M) stack of ``size`` = n.
+
+        One chi-square call draws the (n, M) diagonals, sqrt(chi2(dof - j))
+        at diagonal entry j, then one standard-normal call the (n, M(M-1)/2)
+        strict lower triangles.  None is the stack at n = 1, so ``sample(rng)``
+        equals ``sample(rng, 1)[0]``, and both equal :func:`bartlett_draw`
+        on L, which draws one A in the same order.
+        """
+        m, n = self.dim, 1 if size is None else size
+        offsets, diag, strict = _bartlett_slots(m)
+        a = np.zeros((n, m * m))
+        a[:, diag] = np.sqrt(rng.chisquare(self.dof - offsets, (n, m)))
+        if m > 1:
+            a[:, strict] = rng.standard_normal((n, strict.size))
+        fa = self._chol @ a.reshape(n, m, m)
+        w = fa @ fa.transpose(0, 2, 1)
+        return w[0] if size is None else w
 
 
 @functools.lru_cache(maxsize=None)

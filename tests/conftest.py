@@ -1,7 +1,8 @@
 """Shared fixtures and helpers: synthetic VAR designs and random priors, a
 dense grid quadrature oracle for the scalar (M=1) model, a LAPACK
-namespace without potri, and the ``--seed-offset`` option that
-``scripts/seed_gate.py`` passes to the stochastic acceptance checks."""
+namespace without potri, a stacked compound matric-normal simulator, and
+the ``--seed-offset`` option that ``scripts/seed_gate.py`` passes to the
+stochastic checks."""
 
 import importlib.util
 import sys
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 from scipy.linalg import lapack
 
+from vbvar.mvdist import MatricNormal
 from vbvar.priors import ConjugatePrior, IndependentPrior
 from vbvar.vardata import DesignData, build_design, simulate_var
 
@@ -18,9 +20,10 @@ from vbvar.vardata import DesignData, build_design, simulate_var
 def pytest_addoption(parser):
     parser.addoption(
         "--seed-offset", type=int, default=0,
-        help="added to the Monte-Carlo seeds of the stochastic acceptance checks "
-             "(criteria 4, 6 and 7, the predictive oracles, the joint-distribution "
-             "test); 0 runs them as committed")
+        help="added to the Monte-Carlo seeds of the stochastic checks that "
+             "scripts/seed_gate.py runs (criteria 4, 6 and 7, the predictive "
+             "oracles, the joint-distribution test, the sampler and Monte-Carlo "
+             "ELBO oracles); 0 runs them as committed")
 
 
 @pytest.fixture(scope="session")
@@ -53,6 +56,22 @@ def perfbench_design(n_vars, lags, t_raw, monkeypatch):
     spec.loader.exec_module(wl)
     series = wl.simulate_var(wl.Model(n_vars, lags, t_raw), wl.model_seed(wl.REFERENCE_SEED, 0))
     return build_design(series, lags)
+
+
+def compound_matric_normal(precision, mean, row_cov, n, rng):
+    """n draws of vec(X), by columns, as an (n, p q) array, from the
+    compound law Sigma^-1 ~ ``precision`` (a WishartDist) and
+    X | Sigma ~ MN(mean, Sigma, row_cov).
+
+    With W_i = C_i C_i' and Y_i ~ MN(0, I, row_cov), X_i = mean + Y_i C_i^-1
+    has that law, because C_i^-T C_i^-1 = W_i^-1: two stacked draws and one
+    stacked solve, with no inverse and no MatricNormal per draw."""
+    p, q = mean.shape
+    w = precision.sample(rng, n)
+    y = MatricNormal(np.zeros((p, q)), np.eye(q), row_cov).sample(rng, n)
+    # X_i' = mean' + C_i^-T Y_i', and vec(X_i) is X_i' read by rows
+    xt = np.linalg.solve(np.linalg.cholesky(w).transpose(0, 2, 1), y.transpose(0, 2, 1))
+    return (mean.T + xt).reshape(n, p * q)
 
 
 def random_spd(n, rng):

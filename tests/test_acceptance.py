@@ -267,7 +267,7 @@ def test_criterion_7_sampler_moments(seed_offset):
         scale = np.array([[0.5, 0.1], [0.1, 0.3]])
         w = WishartDist(scale, 7.0)
         n = 200_000
-        draws = np.stack([w.sample(rng) for _ in range(n)])
+        draws = w.sample(rng, n)
         for a in range(2):
             for b in range(2):
                 cell = draws[:, a, b]
@@ -286,8 +286,7 @@ def test_criterion_7_sampler_moments(seed_offset):
         mn = MatricNormal(mean, col, row)
         n = 200_000
         target_cov = np.kron(col, row)  # vec by columns
-        flat = np.stack([mn.sample(rng).reshape(-1, order="F")
-                         for _ in range(n)])
+        flat = mn.sample(rng, n).transpose(0, 2, 1).reshape(n, -1)
         se_mean = flat.std(axis=0, ddof=1) / np.sqrt(n)
         assert np.all(np.abs(flat.mean(axis=0) - mean.reshape(-1, order="F"))
                       < 4 * se_mean)

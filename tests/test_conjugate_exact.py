@@ -5,7 +5,7 @@ import pytest
 from scipy import optimize
 from scipy.special import gammaln
 
-from conftest import random_conjugate_prior, synthetic_design
+from conftest import compound_matric_normal, random_conjugate_prior, synthetic_design
 from vbvar.conjugate_exact import (
     ConjugateExactPosterior,
     fit_exact,
@@ -114,23 +114,18 @@ class TestMarginalCoefficients:
             mt.vec_variance(), s * post.row_cov / (post.dof - 2.0)
         )
 
-    def test_compound_moments(self):
+    def test_compound_moments(self, seed_offset):
         # Sigma^-1 ~ W(scale^-1, dof), Gamma | Sigma ~ MN: compound variance
         # matches the matricvariate-t closed form
-        from vbvar.mvdist import MatricNormal, WishartDist
+        from vbvar.mvdist import WishartDist
 
         data = synthetic_design(2, 1, 60, seed=12)
         prior = random_conjugate_prior(2, 3, seed=13)
         post = fit_exact(prior, data)
         w = WishartDist(np.linalg.inv(post.scale), post.dof)
-        rng = np.random.default_rng(14)
+        rng = np.random.default_rng(14 + seed_offset)
         n = 100_000
-        draws = np.empty((n, 6))
-        for i in range(n):
-            prec = w.sample(rng)
-            sigma = np.linalg.inv(prec)
-            mn = MatricNormal(post.mean_G, (sigma + sigma.T) / 2.0, post.row_cov)
-            draws[i] = mn.sample(rng).flatten(order="F")
+        draws = compound_matric_normal(w, post.mean_G, post.row_cov, n, rng)
         target = marginal_coefficients(post).vec_variance()
         cov = np.cov(draws.T)
         dd = np.diag(target)

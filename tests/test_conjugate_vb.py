@@ -70,10 +70,10 @@ class TestKlExact:
     def test_reference_medium(self):
         assert kl_exact(7, 29, 196, 9) == pytest.approx(1.874, abs=0.005)
 
-    def test_mc_divergence_oracle(self):
+    def test_mc_divergence_oracle(self, seed_offset):
         # scalar instance: KL(q || p) estimated by averaging
         # ln q(theta) - [ln p(y, theta) - lnML] over q-draws
-        rng = np.random.default_rng(10)
+        rng = np.random.default_rng(10 + seed_offset)
         y = 0.4 + 0.8 * rng.standard_normal(3)
         data = intercept_only_design(y)
         prior = ConjugatePrior(np.array([[0.0]]), np.array([[1.5]]),
@@ -183,11 +183,12 @@ class TestKlAccuracy:
         assert branches == {True, False}
 
     @given(st.integers(1, 40).flatmap(lambda m: st.tuples(st.just(m), st.integers(1, 4 * m + 1))),
-           st.floats(0.2, 0.35))
+           st.floats(0.3, 0.4))
     @settings(max_examples=200, deadline=None)
     def test_closed_and_series_agree_near_switch(self, dims, x):
+        # x = max(p, M)/nub on both sides of the switch, _SERIES_MAX_X = 0.35
         m, p = dims
-        nub = (p + m) / x
+        nub = max(p, m) / x
         assume(nub >= cvb._SERIES_MIN_DOF)
         for log_gamma, bern in [(gammaln, cvb._BERNOULLI),
                                 (_stirling(np.log), cvb._BERNOULLI[:2])]:
@@ -229,11 +230,11 @@ class TestElbo:
         assert elbo_conjugate(prior, fit_vb_conjugate(prior, data)) < \
             log_marginal_likelihood(prior, fit_exact(prior, data))
 
-    def test_matches_mc_estimate(self):
+    def test_matches_mc_estimate(self, seed_offset):
         data = synthetic_design(2, 1, 30, seed=15)
         prior = random_conjugate_prior(2, 3, seed=16)
         vb = fit_vb_conjugate(prior, data)
-        mc = mc_elbo_estimate(prior, vb, data, 8000, np.random.default_rng(17))
+        mc = mc_elbo_estimate(prior, vb, data, 8000, np.random.default_rng(17 + seed_offset))
         assert abs(mc["estimate"] - elbo_conjugate(prior, vb)) < 4 * mc["std_error"]
 
     def test_mc_deterministic(self):
@@ -244,12 +245,12 @@ class TestElbo:
         b = mc_elbo_estimate(prior, vb, data, 1000, np.random.default_rng(20))
         assert a == b
 
-    def test_mc_se_clt_rate(self):
+    def test_mc_se_clt_rate(self, seed_offset):
         data = synthetic_design(1, 1, 20, seed=21)
         prior = random_conjugate_prior(1, 2, seed=22)
         vb = fit_vb_conjugate(prior, data)
-        small = mc_elbo_estimate(prior, vb, data, 2000, np.random.default_rng(23))
-        big = mc_elbo_estimate(prior, vb, data, 32000, np.random.default_rng(24))
+        small = mc_elbo_estimate(prior, vb, data, 2000, np.random.default_rng(23 + seed_offset))
+        big = mc_elbo_estimate(prior, vb, data, 32000, np.random.default_rng(24 + seed_offset))
         assert big["std_error"] == pytest.approx(small["std_error"] / 4.0, rel=0.2)
 
     @pytest.mark.parametrize("n_vars", [1, 3])
@@ -266,12 +267,9 @@ class TestElbo:
         # per-draw reference with the same stream: one density per draw
         rng = np.random.default_rng(42)
         q_coef, q_prec = vb.coef_density(), vb.precision_density()
-        coefs = np.empty((1000, data.X.shape[1], n_vars))
-        precs = np.empty((1000, n_vars, n_vars))
+        coefs, precs = q_coef.sample(rng, 1000), q_prec.sample(rng, 1000)
         want = np.empty(1000)
         for i in range(1000):
-            coefs[i] = q_coef.sample(rng)
-            precs[i] = q_prec.sample(rng)
             want[i] = (_log_joint_conjugate(prior, data, coefs[i], precs[i],
                                             np.linalg.cholesky(precs[i]))
                        - q_coef.logpdf(coefs[i]) - q_prec.logpdf(precs[i]))

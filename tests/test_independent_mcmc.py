@@ -2,9 +2,10 @@
 
 import copy
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
@@ -26,6 +27,7 @@ from vbvar.independent_mcmc import (
     _batch_means_se,
     _gibbs_sweep,
     _log_joint_independent,
+    _ris_summary,
     gibbs_run,
     lnml_ris,
     predictive_gibbs,
@@ -433,6 +435,31 @@ class TestLnmlRis:
         a = lnml_ris(toy_draws, vb, prior, data)
         b = lnml_ris(toy_draws, vb, prior, data)
         assert a == b
+
+    @given(n=st.integers(2, 2000), offset=st.floats(-1e4, 1e4), spread=st.floats(0.1, 30.0),
+           lift=st.floats(0.0, 60.0), seed=st.integers(0, 2**32 - 1))
+    @example(n=1000, offset=9999.0, spread=1.0, lift=60.0, seed=0)  # one weight holds ~all
+    @settings(max_examples=60, deadline=None)
+    def test_std_error_matches_mpmath(self, n, offset, spread, lift, seed):
+        # the leave-one-out values carried the shift max(log_w), and so
+        # lnML's size: 5e-13 relative off on the library's own weights
+        rng = np.random.default_rng(seed)
+        log_w = offset + spread * rng.standard_normal(n)
+        log_w[rng.integers(n)] += lift
+        # the SE on the exact weights, with 60 digits left after 1 - w_i/total
+        # cancels the digits that the weights' range spans
+        with mpmath.workdps(60 + int((log_w.max() - log_w.min()) / np.log(10.0))):
+            w = [mpmath.exp(mpmath.mpf(x)) for x in log_w]
+            total = mpmath.fsum(w)
+            d = [mpmath.log(1 - x / total) for x in w]
+            mean = mpmath.fsum(d) / n
+            spread_d = mpmath.sqrt(mpmath.fsum((x - mean) ** 2 for x in d))
+            want = spread_d * mpmath.sqrt(mpmath.mpf(n - 1) / n)
+            rel = float(abs((_ris_summary(log_w)["std_error"] - want) / want))
+            # a few ulp in each d_i moves the SE by as many ulp times
+            # ||d|| / ||d - mean d||, which is large only where the d_i are close
+            cond = float(mpmath.sqrt(mpmath.fsum(x**2 for x in d)) / spread_d)
+        assert rel <= 8 * np.finfo(float).eps * cond
 
     @pytest.mark.parametrize("n_vars", [1, 3])
     @pytest.mark.parametrize("kind", ["dense", "minnesota"])

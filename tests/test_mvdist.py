@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
-from conftest import perfbench_design
+from conftest import compound_matric_normal, perfbench_design
 import vbvar.mvdist as mvdist
 from vbvar.mvdist import (
     MatricNormal,
@@ -192,14 +192,12 @@ class TestWishart:
             b = bartlett_draw(np.linalg.cholesky(s), m + 1.5, np.random.default_rng(14))
             np.testing.assert_allclose(b, a, rtol=1e-14)
 
-    def test_sampler_moments(self):
+    def test_sampler_moments(self, seed_offset):
         # mean within 3 MC standard errors over a large seeded run
         w = WishartDist(np.eye(2), 7.0)
-        rng = np.random.default_rng(11)
+        rng = np.random.default_rng(11 + seed_offset)
         n = 200_000
-        draws = np.empty((n, 2, 2))
-        for i in range(n):
-            draws[i] = w.sample(rng)
+        draws = w.sample(rng, n)
         mean = draws.mean(axis=0)
         se = draws.std(axis=0, ddof=1) / np.sqrt(n)
         assert np.all(np.abs(mean - 7.0 * np.eye(2)) < 3.5 * se)
@@ -213,6 +211,19 @@ class TestWishart:
         for _ in range(50):
             d = w.sample(rng)
             np.linalg.cholesky(d)  # raises if not PD
+
+    @pytest.mark.parametrize("m", [1, 3, 7, 20])
+    def test_sample_size_contract(self, m):
+        # one draw is the stack at n = 1; a stack holds n SPD draws
+        rng = np.random.default_rng(15)
+        w = WishartDist(_rand_spd(rng, m), m + 0.5)
+        one = w.sample(np.random.default_rng(16))
+        assert one.shape == (m, m)
+        assert np.array_equal(one, w.sample(np.random.default_rng(16), 1)[0])
+        stack = w.sample(rng, 500)
+        assert stack.shape == (500, m, m)
+        assert np.array_equal(stack, stack.transpose(0, 2, 1))
+        np.linalg.cholesky(stack)  # raises unless every draw is PD
 
 
 class TestMatricNormal:
@@ -238,21 +249,29 @@ class TestMatricNormal:
             )
             assert d.logpdf(x) == pytest.approx(ref, abs=1e-10)
 
-    def test_sample_covariance_is_kronecker(self):
-        rng = np.random.default_rng(4)
+    def test_sample_covariance_is_kronecker(self, seed_offset):
+        rng = np.random.default_rng(4 + seed_offset)
         col = np.array([[1.0, 0.4], [0.4, 2.0]])
         row = np.array([[0.5, -0.1], [-0.1, 0.8]])
         d = MatricNormal(np.zeros((2, 2)), col, row)
         n = 200_000
-        draws = np.empty((n, 4))
-        for i in range(n):
-            draws[i] = d.sample(rng).flatten(order="F")
+        draws = d.sample(rng, n).transpose(0, 2, 1).reshape(n, 4)  # vec by columns
         cov = np.cov(draws.T)
         target = np.kron(col, row)
         # variance of a sample covariance entry ~ (c_ii c_jj + c_ij^2)/n
         dd = np.diag(target)
         se = np.sqrt((np.outer(dd, dd) + target**2) / n)
         assert np.all(np.abs(cov - target) < 4 * se)
+
+    @pytest.mark.parametrize("p,m", [(1, 1), (4, 3), (29, 7)])
+    def test_sample_size_contract(self, p, m):
+        # one draw is the stack at n = 1
+        rng = np.random.default_rng(17)
+        d = MatricNormal(rng.standard_normal((p, m)), _rand_spd(rng, m), _rand_spd(rng, p))
+        one = d.sample(np.random.default_rng(18))
+        assert one.shape == (p, m)
+        assert np.array_equal(one, d.sample(np.random.default_rng(18), 1)[0])
+        assert d.sample(rng, 5).shape == (5, p, m)
 
     def test_linear_map_mean(self):
         rng = np.random.default_rng(5)
@@ -296,22 +315,17 @@ class TestMatricT:
         with pytest.raises(UndefinedMomentError):
             d.vec_variance()
 
-    def test_compound_sampling_oracle(self):
+    def test_compound_sampling_oracle(self, seed_offset):
         # draw Sigma^-1 ~ W(S^-1, nu), then X ~ MN(mean, Sigma, V); the
         # compound variance must match (S kron V)/(nu - q - 1)
-        rng = np.random.default_rng(6)
+        rng = np.random.default_rng(6 + seed_offset)
         p, q, nu = 2, 2, 9.0
         s = _rand_spd(rng, q)
         v = _rand_spd(rng, p)
         d = MatricT(np.zeros((p, q)), s, v, nu)
-        w = WishartDist(np.linalg.inv(s), nu)
         n = 150_000
-        draws = np.empty((n, p * q))
-        for i in range(n):
-            prec = w.sample(rng)
-            sigma = np.linalg.inv(prec)
-            mn = MatricNormal(np.zeros((p, q)), (sigma + sigma.T) / 2.0, v)
-            draws[i] = mn.sample(rng).flatten(order="F")
+        draws = compound_matric_normal(WishartDist(np.linalg.inv(s), nu), np.zeros((p, q)), v,
+                                       n, rng)
         cov = np.cov(draws.T)
         target = d.vec_variance()
         dd = np.diag(target)
