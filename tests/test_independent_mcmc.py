@@ -441,8 +441,8 @@ class TestLnmlRis:
     @example(n=1000, offset=9999.0, spread=1.0, lift=60.0, seed=0)  # one weight holds ~all
     @settings(max_examples=60, deadline=None)
     def test_std_error_matches_mpmath(self, n, offset, spread, lift, seed):
-        # the leave-one-out values carried the shift max(log_w), and so
-        # lnML's size: 5e-13 relative off on the library's own weights
+        # the SE must not inherit the round-off of the shift max(log_w),
+        # which is of lnML's size, 10^3 to 10^4 times the SE
         rng = np.random.default_rng(seed)
         log_w = offset + spread * rng.standard_normal(n)
         log_w[rng.integers(n)] += lift
