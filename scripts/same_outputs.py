@@ -24,9 +24,11 @@ within ROUND_OFF_REL gets the verdict "round-off" instead of "DIFFERENT";
 the summary line counts those commands apart, and they still set the exit
 status to 1.
 
-Byte identity holds at one BLAS thread count only: with the same inputs
-and seeds, a `vbvar fit` report's RIS standard errors moved by about 3e-13
-relative between one and two OpenBLAS threads.  Both checkouts run under
+Byte identity holds at one BLAS thread count only, except at small Mp:
+with the same inputs and seeds, `vbvar compare` at M = 7, d = 4
+(Mp = 203) moved cells of its independent report by up to 7.3e-14
+relative between one and two OpenBLAS threads, while at M = 3, d = 2
+(Mp = 21) the bytes held.  Both checkouts run under
 this script's environment, and the summary line ends with the variables of
 BLAS_THREAD_VARS as they were set ("unset" when absent), so a summary says
 which thread setting it holds for.

@@ -14,14 +14,13 @@ posterior carries the last one as the covariance of q(beta).  Each route's
 state holds ln |V| and tr(V0^-1 V) (``logdet``, ``prior_trace``: the ELBO
 reads them there) and gives ``cov`` (the dense V), ``logpdf`` (ln N(beta;
 mean, V) over a stack of draws) and ``normal_part`` (Z V Z' for one
-regressor row, the normal part of the predictive):
+regressor row, the normal part of the predictive); only ``cov`` forms V.
 
-- dense (:class:`_CoefficientStep`): assembles Q, factors it by LAPACK
-  potrf and inverts the factor by potri; O((Mp)^3) per step.  LAPACK is
-  called directly, the routines under scipy's cho_factor and cho_solve, and
-  a nonzero ``info`` raises np.linalg.LinAlgError, as cho_factor did.  A
-  draw is mean + L^-T z with z ~ N(0, I_Mp), by trtrs.  Its state
-  (:class:`_DenseCovariance`) is V itself, which ``logpdf`` factors.
+- dense (:class:`_CoefficientStep`): assembles Q and factors it, Q = L L',
+  by LAPACK potrf; O((Mp)^3) per step.  LAPACK is called directly, and a
+  nonzero ``info`` raises np.linalg.LinAlgError.  A draw is mean + L^-T z
+  with z ~ N(0, I_Mp), by trtrs.  Its state (:class:`_DenseCovariance`) is
+  L and L^-1 by trtri: no potri forms V, and ``logpdf`` whitens by L'.
 - Kronecker (:class:`_KroneckerStep`), when V0^-1 = D is diagonal
   (``cov_inv_diag``, as under the Minnesota prior) and
   Mp >= _KRONECKER_MIN_MP.  Q is diagonalised by the eigenvectors of X'X
@@ -30,10 +29,9 @@ regressor row, the normal part of the predictive):
   and tr(V0^-1 V) have closed forms in O(M^3 + p^3 + Mp(M + p)), and VB
   and the modes take this route.  Its state (:class:`_KroneckerCovariance`)
   is the basis and the last step's eigenvectors and eigenvalues, in which
-  ``logpdf`` and ``normal_part`` have closed forms too, with no factor;
-  only ``cov`` forms an Mp x Mp matrix.  For any diagonal D, Gibbs draws
-  by perturb-then-solve PCG on Q, with no Mp x Mp matrix and the exact
-  separable solve as preconditioner.
+  ``logpdf`` and ``normal_part`` have closed forms too, with no factor.
+  For any diagonal D, Gibbs draws by perturb-then-solve PCG on Q, with no
+  Mp x Mp matrix and the exact separable solve as preconditioner.
   It draws 2 Mp normals where the dense draw takes Mp, so the two Gibbs
   routes give different streams.
 
@@ -57,9 +55,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack, solve_triangular
+from scipy.linalg import blas, lapack
 
-from .mvdist import chol_inverse, chol_logdet, kron_add, lapack_checked, spd_cholesky
+from .mvdist import chol_logdet, kron_add, lapack_checked
 
 # The Kronecker route needs a diagonal V0^-1 and Mp at least this; below it
 # both routers take the dense route
@@ -105,6 +103,13 @@ def _cross_products(prior, data):
     return data.X.T @ data.X, data.X.T @ data.Y
 
 
+def _prior_precision_rows(prior, db):
+    """V0^-1 times each row of ``db`` (or db @ V0^-1 for a vector).  A
+    diagonal V0^-1 scales by ``cov_inv_diag``: the dense product adds only
+    exact zeros to the same products, so both give the same bits."""
+    return db @ prior.cov_inv if prior.cov_inv_diag is None else db * prior.cov_inv_diag
+
+
 def _precision_step(prior, data, beta, omega=None):
     """The Sigma^-1 | beta conditional W(S^-1, T + prior dof) at ``beta``:
     (S, ln |S|, F) for the scale S = S0 + E'E (+ Omega), with E the
@@ -129,19 +134,6 @@ def _precision_step(prior, data, beta, omega=None):
     return scale, logdet, lapack_checked(lapack.dtrtri(lower, lower=1), "trtri").T
 
 
-def _omega(cov_b: np.ndarray, xtx: np.ndarray, m: int, p: int) -> np.ndarray:
-    """Sum over t of Z_t cov_b Z_t': entries tr(cov_b[m-block, n-block] X'X)."""
-    return np.einsum("akbl,kl->ab", cov_b.reshape(m, p, m, p), xtx)
-
-
-def _prior_trace(prior, cov_b) -> float:
-    """tr(V0^-1 cov_b) as an elementwise sum with the cached V0^-1.  einsum
-    keeps this product, and the quadratic form of the ELBO, off numpy's
-    BLAS, whose thread pool would otherwise stall the next scipy
-    factorisation (numpy and scipy each load their own OpenBLAS)."""
-    return float(np.einsum("ij,ij->", prior.cov_inv, cov_b))
-
-
 def _jacobi_gram(g):
     """(eigenvalues, eigenvectors) of G'G from the one-sided Jacobi SVD of G
     (LAPACK gejsv, JOBA = 'C'), accurate to round-off in every direction
@@ -164,12 +156,12 @@ class _CoefficientStep:
         self._prec = np.empty((prior.mean_b.size, prior.mean_b.size))
 
     def __call__(self, prec):
-        """(lower Cholesky factor of the conditional precision, conditional
+        """(lower Cholesky factor L of the conditional precision, conditional
         mean) at P, from LAPACK potrf and potrs; the strict upper triangle of
-        the factor is not zeroed.  A precision that is not positive definite
-        raises np.linalg.LinAlgError."""
+        L is zeroed.  A precision that is not positive definite raises
+        np.linalg.LinAlgError."""
         kron_add(self._prec, self.prior.cov_inv, prec, self.xtx)
-        lower = lapack_checked(lapack.dpotrf(self._prec, lower=1, clean=0), "potrf")
+        lower = lapack_checked(lapack.dpotrf(self._prec, lower=1, clean=1), "potrf")
         rhs = self.prior.cov_inv_mean + (self.xty @ prec).flatten(order="F")
         return lower, lapack_checked(lapack.dpotrs(lower, rhs, lower=1), "potrs")
 
@@ -178,12 +170,16 @@ class _CoefficientStep:
         return self(prec)[1]
 
     def moments(self, prec):
-        """(mean, Omega, state) at P, with V = Q^-1 from the factor and the
-        state a :class:`_DenseCovariance` of V, ln |V| and tr(V0^-1 V)."""
+        """(mean, Omega, state) at P, with the state a
+        :class:`_DenseCovariance` of L, L^-1 by trtri, ln |V| = -2 sum ln L_kk
+        and tr(V0^-1 V) = sum (L^-1 V0^-1) o L^-1."""
         lower, mean = self(prec)
-        cov = chol_inverse(lower)
-        state = _DenseCovariance(cov, -chol_logdet(lower), _prior_trace(self.prior, cov))
-        return mean, _omega(cov, self.xtx, self.prior.n_vars, self.prior.n_regressors), state
+        # trtri of L' (upper) gives L^-T in F order, which is L^-1 in C order,
+        # each row one M x p block, with no second copy
+        li = lapack_checked(lapack.dtrtri(lower.T, lower=0), "trtri").T
+        state = _DenseCovariance(lower, li, -chol_logdet(lower), float(
+            np.einsum("ij,ij->", _prior_precision_rows(self.prior, li), li)))
+        return mean, state.zvz(self.xtx), state
 
     def draw(self, prec, rng):
         """A draw at P: mean + L^-T z with z ~ N(0, I_Mp), L the factor of Q."""
@@ -337,29 +333,36 @@ class _KroneckerStep:
 
 @dataclass(frozen=True, eq=False)
 class _DenseCovariance:
-    """V as the dense route's :meth:`_CoefficientStep.moments` returns it: V
-    itself, with its ln |V| and tr(V0^-1 V)."""
+    """V as :meth:`_CoefficientStep.moments` returns it: the factor L of
+    V^-1 = L L' and Li = L^-1 in C order, so V = Li' Li, with ln |V| and
+    tr(V0^-1 V).  The products are scipy's trmm and stacks of M x p matmuls
+    too small for OpenBLAS to thread, so none wakes numpy's thread pool."""
 
-    v: np.ndarray
+    lower: np.ndarray
+    li: np.ndarray
     logdet: float
     prior_trace: float
 
     def cov(self):
-        """The dense V."""
-        return self.v
+        """The dense V = Li' Li."""
+        return self.li.T @ self.li
 
     def logpdf(self, betas, mean):
-        """ln N(beta_i; mean, V) for each row beta_i of ``betas``: one
-        Cholesky factor L of V and one triangular solve L z_i = beta_i - mean
-        with every row as a right-hand side."""
-        lower = spd_cholesky(self.v, "cov_b")
-        z = solve_triangular(lower, (betas - mean).T, lower=True)
-        return (-mean.size / 2.0 * np.log(2.0 * np.pi) - 0.5 * chol_logdet(lower)
-                - 0.5 * np.sum(z * z, axis=0))
+        """ln N(beta_i; mean, V) for each row beta_i of ``betas``, whitened by
+        z_i = L' (beta_i - mean), with every row in one trmm and no factor."""
+        z = blas.dtrmm(1.0, self.lower, (betas - mean).T, lower=1, trans_a=1, overwrite_b=1)
+        return -0.5 * (mean.size * np.log(2.0 * np.pi) + self.logdet + np.sum(z * z, axis=0))
 
     def normal_part(self, x):
         """Z V Z' for one regressor row x, Z = I_M kron x'."""
-        return _omega(self.v, np.outer(x, x), self.v.shape[0] // x.size, x.size)
+        return self.zvz(np.outer(x, x))
+
+    def zvz(self, a):
+        """sum_t Z_t V Z_t' over regressor rows x_t with sum_t x_t x_t' = a:
+        sum_r G_r a G_r', with G_r the row r of Li as an M x p block.  Over
+        the rows of X, a = X'X, which gives Omega; O(Mp M p (M + p))."""
+        g = self.li.reshape(self.li.shape[0], -1, a.shape[0])
+        return (g @ a @ g.transpose(0, 2, 1)).sum(axis=0)
 
 
 @dataclass(frozen=True, eq=False)

@@ -21,8 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import logsumexp
 
-from .conditional import _beta_draw, _precision_step
+from .conditional import _beta_draw, _precision_step, _prior_precision_rows
 from .independent_vb import IndependentVbPosterior
 from .mvdist import (
     NotPositiveDefiniteError,
@@ -183,13 +184,6 @@ def predictive_gibbs(draws: GibbsDraws, x_next, rng: np.random.Generator) -> dic
     }
 
 
-def _prior_precision_rows(prior, db):
-    """V0^-1 times each row of ``db`` (or db @ V0^-1 for a vector).  A
-    diagonal V0^-1 scales by ``cov_inv_diag``: the dense product adds only
-    exact zeros to the same products, so both give the same bits."""
-    return db @ prior.cov_inv if prior.cov_inv_diag is None else db * prior.cov_inv_diag
-
-
 def _log_joint_independent(prior, data, beta, prec, lw) -> float:
     """ln p(y | beta, Sigma^-1) + ln p(beta) + ln p(Sigma^-1) at one draw."""
     t, m, p = data.effective_T, data.n_vars, data.n_regressors
@@ -220,11 +214,11 @@ def lnml_ris(
     weights.  A degenerate-weights warning flag is set when ESS falls below
     5% of the draws.
 
-    All draws are handled together.  ln q(beta) comes from the VB fit's
-    ``coef_state``, the V that its last coefficient step returned: one
-    Cholesky factor of cov_b and one triangular solve on the dense route, a
-    whitening in the Kronecker basis with no factor and no Mp x Mp matrix
-    on the other.
+    All draws are handled together, and no Mp x Mp matrix is factored.
+    ln q(beta) comes from the VB fit's ``coef_state``, the V that its last
+    coefficient step returned: a whitening by the factor of V^-1 that the
+    step already holds on the dense route, and in the Kronecker basis with
+    no Mp x Mp matrix on the other.
     ln p(y | beta, Sigma^-1) comes from :meth:`DesignData.log_likelihood`.
     """
     n = draws.n_kept
@@ -262,17 +256,18 @@ def _ris_summary(log_w: np.ndarray) -> dict:
     lnML + ln(n/(n-1)) - d_i with d_i = ln(1 - s_i/total), so the jackknife
     SE is the spread of the d_i.  These carry neither the shift nor lnML's
     own size, whose round-off the leave-one-out values would pass on to
-    the SE.  The largest weight takes its d from the sum of the others:
-    1 - s_i/total cancels when that weight holds most of the total.
+    the SE.  The largest weight takes its d = -ln(1 + 1/r) from the
+    log-sum-exp ln r of the others' s_i: 1 - s_i/total cancels when that
+    weight holds most of the total, and r underflows when it holds all.
     """
     n = log_w.size
     mx = log_w.max()
     shifted = np.exp(log_w - mx)
     total = shifted.sum()
     lnml = -(mx + np.log(total / n))
-    top = int(np.argmax(shifted))
-    others = np.delete(shifted, top)
-    d = np.insert(np.log1p(-others / total), top, -np.log1p(1.0 / others.sum()))
+    top = int(np.argmax(log_w))
+    log_r = logsumexp(np.delete(log_w, top) - mx)
+    d = np.insert(np.log1p(-np.delete(shifted, top) / total), top, -np.logaddexp(0.0, -log_r))
     se = float(np.sqrt((n - 1) / n * np.sum((d - d.mean()) ** 2)))
     ess = float(total**2 / np.sum(shifted**2))
     return {

@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 from scipy.special import multigammaln
 
-from .conditional import _coefficient_step, _precision_step
+from .conditional import _coefficient_step, _precision_step, _prior_precision_rows
 from .mvdist import (
     NotPositiveDefiniteError,
     UndefinedMomentError,
@@ -64,10 +64,10 @@ class IndependentVbPosterior:
     """q(beta) = N(mean_b, cov_b), q(Sigma^-1) = W(scale_q^-1, dof).
 
     ``coef_state`` holds cov_b as the state the last step returned
-    (:mod:`vbvar.conditional`), with its ln |cov_b| and tr(V0^-1 cov_b): it
-    scores q(beta), gives the predictive's normal part and the ELBO's cov_b
-    terms without the dense matrix.  :attr:`cov_b` forms that matrix on
-    first access, once, read-only; no library code reads it."""
+    (:mod:`vbvar.conditional`, a factor of cov_b^-1 or a basis), with its
+    ln |cov_b| and tr(V0^-1 cov_b): it scores q(beta), gives the predictive's
+    normal part and the ELBO's terms with no dense cov_b and no factor of
+    it.  :attr:`cov_b` forms it on first access, once, read-only."""
 
     mean_b: np.ndarray
     coef_state: object
@@ -182,7 +182,7 @@ def _elbo(prior, data, mean_b, logdet_cov_b, trace_cov_b, logdet_scale_q, dof) -
     and dof = T + prior dof; both coefficient routes supply the first two."""
     t, m, p = data.effective_T, data.n_vars, data.n_regressors
     db = mean_b - prior.mean_b
-    tr_term = float(np.einsum("i,ij,j->", db, prior.cov_inv, db)) + trace_cov_b
+    tr_term = float(_prior_precision_rows(prior, db) @ db) + trace_cov_b
     return (
         m * p / 2.0
         - m * t / 2.0 * np.log(np.pi)

@@ -3,9 +3,9 @@ mean/variance/mode ratio tables, lnML vs ELBO vs KL, predictive ratios.
 
 Reports are deterministic given seeds: serializing the same report twice
 yields identical JSON bytes, and the same inputs and seeds give identical
-bytes at one BLAS thread count.  Between thread counts the RIS cells of an
-independent report can move in their last bits (about 3e-13 relative
-between one and two OpenBLAS threads).
+bytes at one BLAS thread count, and at Mp = 21 under one and two OpenBLAS
+threads alike.  At larger Mp an independent report's cells can move in
+their last bits between thread counts (7.3e-14 relative at Mp = 203).
 """
 
 from __future__ import annotations

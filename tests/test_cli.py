@@ -209,6 +209,32 @@ class TestFitCommand:
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error:") and "--out" in proc.stderr
 
+    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs 2 CPUs")
+    def test_independent_report_is_thread_count_free_at_mp_21(self, tmp_path):
+        # at M = 3, d = 2 no BLAS or LAPACK step of the fit changes its bits
+        # with the OpenBLAS thread count (the dense state runs no potri,
+        # whose lauum did); only the child's environment sets the count
+        path = tmp_path / "series.csv"
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["a", "b", "c"])
+            writer.writerows(simulate_var(3, 2, 200, seed=2801).tolist())
+        reports = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"report_{threads}.json"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+                str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH")]))
+            proc = subprocess.run(
+                [sys.executable, "-m", "vbvar.cli", "fit", "--prior", "independent",
+                 "--data", str(path), "--lags", "2", "--seed", "7", "--out", str(out)],
+                capture_output=True, text=True, env=env, timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr
+            reports.append(out.read_bytes())
+        assert json.loads(reports[0])["meta"]["p"] == 7
+        assert reports[0] == reports[1]
+
     @pytest.mark.parametrize("flag", ["--export-draws", "--export-elbo-trace"])
     def test_missing_export_directory_found_before_gibbs(self, data_csv, tmp_path, capsys,
                                                          monkeypatch, flag):

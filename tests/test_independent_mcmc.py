@@ -439,6 +439,8 @@ class TestLnmlRis:
     @given(n=st.integers(2, 2000), offset=st.floats(-1e4, 1e4), spread=st.floats(0.1, 30.0),
            lift=st.floats(0.0, 60.0), seed=st.integers(0, 2**32 - 1))
     @example(n=1000, offset=9999.0, spread=1.0, lift=60.0, seed=0)  # one weight holds ~all
+    # the others' shifted weights underflow to 0: a NaN SE before
+    @example(n=3, offset=0.0, spread=1.0, lift=800.0, seed=0)
     @settings(max_examples=60, deadline=None)
     def test_std_error_matches_mpmath(self, n, offset, spread, lift, seed):
         # the SE must not inherit the round-off of the shift max(log_w),
