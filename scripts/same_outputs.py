@@ -26,7 +26,7 @@ status to 1.
 
 Byte identity holds at one BLAS thread count only, except at small Mp:
 with the same inputs and seeds, `vbvar compare` at M = 7, d = 4
-(Mp = 203) moved cells of its independent report by up to 7.3e-14
+(Mp = 203) moved cells of its independent report by up to 1.8e-14
 relative between one and two OpenBLAS threads, while at M = 3, d = 2
 (Mp = 21) the bytes held.  Both checkouts run under
 this script's environment, and the summary line ends with the variables of

@@ -335,8 +335,9 @@ class _KroneckerStep:
 class _DenseCovariance:
     """V as :meth:`_CoefficientStep.moments` returns it: the factor L of
     V^-1 = L L' and Li = L^-1 in C order, so V = Li' Li, with ln |V| and
-    tr(V0^-1 V).  The products are scipy's trmm and stacks of M x p matmuls
-    too small for OpenBLAS to thread, so none wakes numpy's thread pool."""
+    tr(V0^-1 V).  Besides :meth:`cov`, the products are scipy's trmm and
+    stacks of M x p matmuls too small for OpenBLAS to thread, so none wakes
+    numpy's thread pool."""
 
     lower: np.ndarray
     li: np.ndarray

@@ -5,7 +5,7 @@ Reports are deterministic given seeds: serializing the same report twice
 yields identical JSON bytes, and the same inputs and seeds give identical
 bytes at one BLAS thread count, and at Mp = 21 under one and two OpenBLAS
 threads alike.  At larger Mp an independent report's cells can move in
-their last bits between thread counts (7.3e-14 relative at Mp = 203).
+their last bits between thread counts (1.8e-14 relative at Mp = 203).
 """
 
 from __future__ import annotations
