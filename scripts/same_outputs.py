@@ -26,8 +26,9 @@ status to 1.
 
 Byte identity holds at one BLAS thread count only, except at small Mp:
 with the same inputs and seeds, `vbvar compare` at M = 7, d = 4
-(Mp = 203) moved cells of its independent report by up to 1.8e-14
-relative between one and two OpenBLAS threads, while at M = 3, d = 2
+(Mp = 203) moved 47-53 Gibbs and RIS cells of its independent report
+between one and two OpenBLAS threads, by up to 2.2e-13 relative (1.3e-12
+in the kl cell, where lnML - ELBO cancels), while at M = 3, d = 2
 (Mp = 21) the bytes held.  Both checkouts run under
 this script's environment, and the summary line ends with the variables of
 BLAS_THREAD_VARS as they were set ("unset" when absent), so a summary says

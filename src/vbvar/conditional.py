@@ -22,15 +22,16 @@ regressor row, the normal part of the predictive); only ``cov`` forms V.
   with z ~ N(0, I_Mp), by trtrs.  Its state (:class:`_DenseCovariance`) is
   L and L^-1 by trtri: no potri forms V, and ``logpdf`` whitens by L'.
 - Kronecker (:class:`_KroneckerStep`), when V0^-1 = D is diagonal
-  (``cov_inv_diag``, as under the Minnesota prior) and
-  Mp >= _KRONECKER_MIN_MP.  Q is diagonalised by the eigenvectors of X'X
+  (``cov_inv_diag``, as under the Minnesota prior) and Mp reaches the
+  router's threshold.  Q is diagonalised by the eigenvectors of X'X
   and P scaled by a separable fit S^2 of D.  When D is separable to
   _SEPARABLE_RTOL (Minnesota with lambda2 = 1), the mean, ln |V|, Omega
   and tr(V0^-1 V) have closed forms in O(M^3 + p^3 + Mp(M + p)), and VB
-  and the modes take this route.  Its state (:class:`_KroneckerCovariance`)
-  is the basis and the last step's eigenvectors and eigenvalues, in which
-  ``logpdf`` and ``normal_part`` have closed forms too, with no factor.
-  For any diagonal D, Gibbs draws by perturb-then-solve PCG on Q, with no
+  and the modes take this route from Mp = _SEPARABLE_MIN_MP.  Its state
+  (:class:`_KroneckerCovariance`) is the basis and the last step's
+  eigenvectors and eigenvalues, in which ``logpdf`` and ``normal_part``
+  have closed forms too, with no factor.  For any diagonal D, Gibbs draws
+  from Mp = _KRONECKER_MIN_MP by perturb-then-solve PCG on Q, with no
   Mp x Mp matrix and the exact separable solve as preconditioner.
   It draws 2 Mp normals where the dense draw takes Mp, so the two Gibbs
   routes give different streams.
@@ -43,11 +44,20 @@ current beta (with Omega for the VB mode), and Gibbs a Bartlett draw from
 F at a drawn beta.  :func:`_precision_step` forms S and F = L^-T, S = L L',
 from one potrf and one trtri, so no loop runs potri.
 
-The threshold, 300, is the measured crossover of the PCG draw.  Under the
-Minnesota default lambda2 = 1, PCG converges in one or two iterations and
-is the faster route from below Mp = 203.  A tighter lambda2 takes tens of
-iterations, and 300 is the smallest Mp at which two-lag models are no
-slower on PCG for every lambda2 down to 0.1.
+Each router states its own threshold, measured on 2 vCPUs at 2 BLAS
+threads under the Minnesota prior.  _KRONECKER_MIN_MP = 300 is the
+crossover of the PCG draw.  Under the default lambda2 = 1, PCG converges in
+one or two iterations and is the faster route from below Mp = 203.  A
+tighter lambda2 takes tens of iterations, and 300 is the smallest Mp at
+which two-lag models are no slower on PCG for every lambda2 down to 0.1.
+_SEPARABLE_MIN_MP = 100 serves VB and the modes, whose Kronecker step is
+taken only for a separable D and has no iterations, so lambda2 costs it
+nothing.  VB plus both mode iterations took about as long on either route
+at Mp = 55 (4.1 ms dense, 4.2 ms Kronecker), and 6.2 against 5.1 ms at
+Mp = 84, 7.5 against 4.4 ms at Mp = 100 and 27 against 4.8 ms at Mp = 203;
+100 sits above the crossover.  Between 100 and about 180 the Kronecker
+state's ``logpdf`` over a chain is a few ms slower than the dense trmm, so
+RIS gives back part of that saving.
 """
 
 from __future__ import annotations
@@ -59,9 +69,11 @@ from scipy.linalg import blas, lapack
 
 from .mvdist import chol_logdet, kron_add, lapack_checked
 
-# The Kronecker route needs a diagonal V0^-1 and Mp at least this; below it
-# both routers take the dense route
+# The Gibbs draw takes the Kronecker route (PCG) for a diagonal V0^-1 at Mp
+# at least this, and VB and the modes, whose step is a closed form for a
+# separable V0^-1, at Mp at least the second; below each, the dense route
 _KRONECKER_MIN_MP = 300
+_SEPARABLE_MIN_MP = 100
 # VB and the modes take the Kronecker route only when the separable fit S^2
 # reproduces D to this relative error; Minnesota with lambda2 = 1 fits to
 # about 1e-14, and lambda2 = 0.999 misses by 1e-3
@@ -71,16 +83,17 @@ _PCG_RTOL = 1e-13
 _PCG_MAX_ITERS = 500
 
 
-def _kronecker_applies(prior) -> bool:
-    """Whether V0^-1 is diagonal and Mp >= _KRONECKER_MIN_MP."""
-    return prior.cov_inv_diag is not None and prior.mean_b.size >= _KRONECKER_MIN_MP
+def _kronecker_applies(prior, min_mp) -> bool:
+    """Whether V0^-1 is diagonal and Mp >= ``min_mp``."""
+    return prior.cov_inv_diag is not None and prior.mean_b.size >= min_mp
 
 
 def _coefficient_step(prior, data):
-    """The step of VB and the mode iterations: :class:`_KroneckerStep` when
-    the Kronecker route applies and the separable fit is within
-    _SEPARABLE_RTOL, :class:`_CoefficientStep` otherwise."""
-    if _kronecker_applies(prior):
+    """The step of VB and the mode iterations: :class:`_KroneckerStep` for a
+    diagonal V0^-1 at Mp >= _SEPARABLE_MIN_MP whose separable fit is within
+    _SEPARABLE_RTOL, where every output is a closed form;
+    :class:`_CoefficientStep` otherwise."""
+    if _kronecker_applies(prior, _SEPARABLE_MIN_MP):
         step = _KroneckerStep(prior, data)
         if step.separable_error <= _SEPARABLE_RTOL:
             return step
@@ -89,9 +102,9 @@ def _coefficient_step(prior, data):
 
 def _beta_draw(prior, data):
     """The beta | Sigma^-1 step of the Gibbs sweep: :class:`_KroneckerStep`
-    on the eigh basis when the Kronecker route applies, whatever the
-    separable fit, :class:`_CoefficientStep` otherwise."""
-    if _kronecker_applies(prior):
+    on the eigh basis for a diagonal V0^-1 at Mp >= _KRONECKER_MIN_MP,
+    whatever the separable fit, :class:`_CoefficientStep` otherwise."""
+    if _kronecker_applies(prior, _KRONECKER_MIN_MP):
         return _KroneckerStep(prior, data, jacobi=False)
     return _CoefficientStep(prior, data)
 

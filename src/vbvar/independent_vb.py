@@ -67,7 +67,8 @@ class IndependentVbPosterior:
     (:mod:`vbvar.conditional`, a factor of cov_b^-1 or a basis), with its
     ln |cov_b| and tr(V0^-1 cov_b): it scores q(beta), gives the predictive's
     normal part and the ELBO's terms with no dense cov_b and no factor of
-    it.  :attr:`cov_b` forms it on first access, once, read-only."""
+    it.  :attr:`cov_b` forms it on first access, once, read-only, and
+    :meth:`precision_density` builds q(Sigma^-1) on its first call, once."""
 
     mean_b: np.ndarray
     coef_state: object
@@ -99,8 +100,15 @@ class IndependentVbPosterior:
     def n_regressors(self) -> int:
         return self.mean_b.size // self.n_vars
 
-    def precision_density(self) -> WishartDist:
+    @cached_property
+    def _precision_density(self) -> WishartDist:
         return WishartDist(spd_inverse(self.scale_q, "scale_q")[0], self.dof)
+
+    def precision_density(self) -> WishartDist:
+        """q(Sigma^-1) = W(scale_q^-1, dof), built on the first call and
+        returned by every later one: the report and :func:`lnml_ris` share
+        one inverse and one factor of scale_q."""
+        return self._precision_density
 
     def coef_matrix(self) -> np.ndarray:
         """mean_b reshaped to the p x M coefficient layout."""
@@ -131,6 +139,8 @@ def fit_vb_independent(
     converged = False
     mean_b = scale_q = coef_state = None
     for _ in range(cfg.max_iters):
+        # the last state goes before the step makes the next: one at a time
+        coef_state = None
         try:
             mean_b, omega, coef_state = beta_step.moments(e_prec)
             scale_q, logdet_scale_q, root = _precision_step(prior, data, mean_b, omega)
@@ -218,7 +228,7 @@ def _iterate_modes(prior, data, tol, vb_corrected):
     for it in range(MODE_MAX_ITERS):
         try:
             if vb_corrected:
-                beta_new, omega, _ = beta_step.moments(lam * prec)
+                beta_new, omega = beta_step.moments(lam * prec)[:2]
             else:
                 beta_new, omega = beta_step.mean(lam * prec), None
             root = _precision_step(prior, data, beta_new, omega)[2]

@@ -3,6 +3,7 @@
 from dataclasses import replace
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -70,7 +71,9 @@ def _gibbs_route(prior, data):
 def _force_route(monkeypatch, prior, data, route):
     """Send VB and the mode iterations down ``route`` whatever Mp is; the
     Kronecker route still needs a separable diagonal V0^-1."""
-    monkeypatch.setattr(cond, "_KRONECKER_MIN_MP", 0 if route == "kronecker" else 10**9)
+    threshold = 0 if route == "kronecker" else 10**9
+    for name in ("_KRONECKER_MIN_MP", "_SEPARABLE_MIN_MP"):
+        monkeypatch.setattr(cond, name, threshold)
     assert _route(prior, data) == route
 
 
@@ -497,10 +500,12 @@ class TestKroneckerStep:
                 runs[route] = _fits(prior, data)
         _assert_fits_agree(runs["dense"], runs["kronecker"])
 
-    def test_matches_dense_step_at_mp_820(self, monkeypatch):
-        data = perfbench_design(20, 2, 300, monkeypatch)
+    @staticmethod
+    def _assert_minnesota_routes_agree(data, mp, monkeypatch):
+        """Both steps at the OLS residuals' Sigma^-1, then VB and both mode
+        iterations on each route, under the default Minnesota prior."""
         prior = minnesota_independent(data, MinnesotaConfig())
-        assert prior.mean_b.size == 820 and _route(prior, data) == "kronecker"
+        assert prior.mean_b.size == mp and _route(prior, data) == "kronecker"
         coef = np.linalg.lstsq(data.X, data.Y, rcond=None)[0]
         resid = data.Y - data.X @ coef
         prec = (data.effective_T + prior.dof) * np.linalg.inv(prior.scale + resid.T @ resid)
@@ -508,6 +513,15 @@ class TestKroneckerStep:
         kron = _fits(prior, data)
         _force_route(monkeypatch, prior, data, "dense")
         _assert_fits_agree(_fits(prior, data), kron)
+
+    def test_matches_dense_step_at_mp_820(self, monkeypatch):
+        self._assert_minnesota_routes_agree(perfbench_design(20, 2, 300, monkeypatch), 820,
+                                            monkeypatch)
+
+    def test_matches_dense_step_at_mp_203(self, monkeypatch):
+        # vb-sweep's M = 7 model, between _SEPARABLE_MIN_MP and _KRONECKER_MIN_MP
+        self._assert_minnesota_routes_agree(perfbench_design(7, 4, 200, monkeypatch), 203,
+                                            monkeypatch)
 
     def test_matches_dense_step_with_fewer_observations_than_regressors(self, monkeypatch):
         # T = 60 observations of p = 121 regressors: X'X is singular
@@ -672,6 +686,23 @@ class TestPosteriorState:
         lnml_ris(draws, vb, prior, data)
         assert sizes and max(sizes) == data.n_vars
 
+    @pytest.mark.parametrize("fit", [fit_vb_independent, modes_vb_iterative])
+    def test_loop_holds_one_state(self, fit):
+        # the dense state is two Mp x Mp arrays (L and L^-1) and the step
+        # keeps a third, its precision buffer; a loop that kept the last
+        # state through the next step peaked near 6.3 Mp^2 doubles
+        data = synthetic_design(7, 4, 400, seed=2901)
+        prior = minnesota_independent(data, MinnesotaConfig(cross_tightness=0.5))
+        mp = prior.mean_b.size
+        assert mp == 203 and _route(prior, data) == "dense"
+        tracemalloc.start()
+        try:
+            fit(prior, data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * mp * mp * 8
+
     def test_dense_consumers_match_cov_b(self):
         # lnml_ris and the predictive at Mp = 21 agree with the explicit forms
         # on cov_b, spd_cholesky and a triangular solve for ln q(beta) and
@@ -705,7 +736,9 @@ ROUTES = [
     (12, 2, 200, 1.0, "kronecker", "pcg"),  # Mp = 300
     (12, 2, 200, 0.5, "dense", "pcg"),      # lambda2 < 1: D is not separable
     (3, 2, 200, 1.0, "dense", "dense"),     # Mp = 21, fit-small-export
-    (7, 4, 400, 1.0, "dense", "dense"),     # Mp = 203, criterion 6
+    (4, 5, 400, 1.0, "dense", "dense"),     # Mp = 84, below _SEPARABLE_MIN_MP
+    (4, 6, 400, 1.0, "kronecker", "dense"),  # Mp = 100, _SEPARABLE_MIN_MP
+    (7, 4, 400, 1.0, "kronecker", "dense"),  # Mp = 203, criterion 6, vb-sweep
     (7, 4, 400, 0.5, "dense", "dense"),
 ]
 
@@ -713,8 +746,8 @@ ROUTES = [
 class TestKroneckerRouting:
     """Both routers of the coefficient conditional: VB and the mode
     iterations take the Kronecker route only for a separable diagonal V0^-1
-    at Mp >= _KRONECKER_MIN_MP, and the Gibbs draw takes PCG for any
-    diagonal V0^-1 there."""
+    at Mp >= _SEPARABLE_MIN_MP, and the Gibbs draw takes PCG for any
+    diagonal V0^-1 at Mp >= _KRONECKER_MIN_MP."""
 
     # the ids name the VB route only
     @pytest.mark.parametrize("n_vars,lags,t_raw,cross,route,gibbs", ROUTES,

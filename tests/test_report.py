@@ -183,6 +183,19 @@ class TestIndependentReport:
         rep = independent_report(prior, data, x, vb, draws)
         assert rep.kl_section["elbo"] == vb.elbo_trace[-1]
 
+    def test_inverts_scale_q_once(self, monkeypatch):
+        # the ratio cells and lnml_ris share one q(Sigma^-1) = W(scale_q^-1, dof)
+        data = synthetic_design(2, 1, 60, seed=310)
+        prior = minnesota_independent(data, MinnesotaConfig())
+        x = np.concatenate([[1.0], data.Y[-1]])
+        vb, draws = _fits(prior, data, GibbsConfig(n_draws=300, burn_in=100, seed=311))
+        names = []
+        original = ivb.spd_inverse
+        monkeypatch.setattr(ivb, "spd_inverse",
+                            lambda a, name="matrix": names.append(name) or original(a, name))
+        independent_report(prior, data, x, vb, draws)
+        assert names == ["scale_q"]
+
     def test_traceability(self, indep_report):
         # the elbo, kl and pred_var_ratio cells were once traced to the
         # conjugate closed forms
