@@ -689,8 +689,8 @@ class TestPosteriorState:
     @pytest.mark.parametrize("fit", [fit_vb_independent, modes_vb_iterative])
     def test_loop_holds_one_state(self, fit):
         # the dense state is two Mp x Mp arrays (L and L^-1) and the step
-        # keeps a third, its precision buffer; a loop that kept the last
-        # state through the next step peaked near 6.3 Mp^2 doubles
+        # keeps a third, its precision buffer; a loop that keeps the last
+        # state through the next step holds two more at its peak
         data = synthetic_design(7, 4, 400, seed=2901)
         prior = minnesota_independent(data, MinnesotaConfig(cross_tightness=0.5))
         mp = prior.mean_b.size
