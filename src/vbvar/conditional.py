@@ -41,8 +41,9 @@ W(S^-1, T + prior dof) with S = S0 + E'E (+ Omega), the same Wishart for
 all three loops: VB takes E_q[Sigma^-1] = (T + prior dof) F F' and ln |S|
 at E_q[beta] (with Omega), the modes (T + prior dof - M - 1) F F' at the
 current beta (with Omega for the VB mode), and Gibbs a Bartlett draw from
-F at a drawn beta.  :func:`_precision_step` forms S and F = L^-T, S = L L',
-from one potrf and one trtri, so no loop runs potri.
+F at a drawn beta.  :func:`_precision_step` returns S, its factor L,
+S = L L', and F = L^-T, from one potrf and one trtri, so no loop runs
+potri; only VB takes ln |S| from L.
 
 Each router states its own threshold, measured on 2 vCPUs at 2 BLAS
 threads under the Minnesota prior.  _KRONECKER_MIN_MP = 300 is the
@@ -125,14 +126,15 @@ def _prior_precision_rows(prior, db):
 
 def _precision_step(prior, data, beta, omega=None):
     """The Sigma^-1 | beta conditional W(S^-1, T + prior dof) at ``beta``:
-    (S, ln |S|, F) for the scale S = S0 + E'E (+ Omega), with E the
-    residuals at beta, and F = L^-T for S = L L', so F F' = S^-1.  E'E is
-    symmetric as formed (numpy's A'A is one syrk); with Omega, which is
-    symmetric only to round-off, S is symmetrised.  One potrf and one trtri
-    give F; potri is not called, because its second half, lauum, wakes
-    scipy's BLAS thread pool even at M = 20.  A failed factor, or a
-    non-finite ln |S| (potrf passes an infinite diagonal), raises
-    np.linalg.LinAlgError."""
+    (S, L, F) for the scale S = S0 + E'E (+ Omega), with E the residuals at
+    beta, its lower Cholesky factor L, S = L L', and F = L^-T, so
+    F F' = S^-1.  VB takes ln |S| from L; Gibbs and the modes need only F.
+    E'E is symmetric as formed (numpy's A'A is one syrk); with Omega, which
+    is symmetric only to round-off, S is symmetrised.  One potrf and one
+    trtri give F; potri is not called, because its second half, lauum,
+    wakes scipy's BLAS thread pool even at M = 20.  A failed factor, or a
+    diagonal of L that is not finite (potrf passes an infinite one),
+    raises np.linalg.LinAlgError."""
     resid = data.residuals(beta)
     scale = prior.scale + resid.T @ resid
     if omega is not None:
@@ -141,10 +143,9 @@ def _precision_step(prior, data, beta, omega=None):
     # trtri writes only the lower triangle; clean=1 leaves zeros above it, so
     # the whole array is L^-1
     lower = lapack_checked(lapack.dpotrf(scale, lower=1, clean=1), "potrf")
-    logdet = chol_logdet(lower)
-    if not np.isfinite(logdet):
+    if not np.isfinite(lower.diagonal()).all():
         raise np.linalg.LinAlgError("the Sigma^-1 conditional's scale is not finite")
-    return scale, logdet, lapack_checked(lapack.dtrtri(lower, lower=1), "trtri").T
+    return scale, lower, lapack_checked(lapack.dtrtri(lower, lower=1), "trtri").T
 
 
 def _jacobi_gram(g):

@@ -12,13 +12,21 @@ Both routes then draw Sigma^-1 | beta the same way, by Bartlett from the
 root F = L^-T of the scale S = L L' that the Sigma^-1 step of
 :mod:`vbvar.conditional` returns, the step VB and the mode iterations take
 too: one LAPACK potrf and one trtri, with no scale^-1 formed and no potri.
-Every ``info`` is checked, and a failure, or PCG missing its tolerance,
-raises :class:`NotPositiveDefiniteError` naming the iteration.
+:func:`vbvar.mvdist.bartlett_draw` is the one Bartlett sampler, for this
+single draw and for the stacks of :meth:`WishartDist.sample`.  Every
+``info`` is checked, and a failure, or PCG missing its tolerance, raises
+:class:`NotPositiveDefiniteError` naming the iteration.
+
+The kept precision draws are factored once, by one stacked
+:func:`vbvar.mvdist.spd_cholesky` that checks each draw
+(``GibbsDraws.precision_chol``); the simulation predictive and RIS both
+read that factor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.special import logsumexp
@@ -74,7 +82,9 @@ class GibbsConfig:
 
 @dataclass(frozen=True)
 class GibbsDraws:
-    """Retained draws: beta_draws (n_kept x Mp), precision_draws (n_kept x M x M)."""
+    """Retained draws: beta_draws (n_kept x Mp), precision_draws (n_kept x M x M).
+
+    ``precision_chol`` factors the precision draws on first use."""
 
     beta_draws: np.ndarray
     precision_draws: np.ndarray
@@ -87,6 +97,16 @@ class GibbsDraws:
         if b.ndim != 2 or w.ndim != 3 or b.shape[0] != w.shape[0]:
             raise ValueError("draw arrays have inconsistent shapes")
         set_fields(self, beta_draws=b, precision_draws=w)
+
+    @cached_property
+    def precision_chol(self) -> np.ndarray:
+        """The (n_kept, M, M) lower Cholesky factors of the precision draws,
+        read-only, from one stacked :func:`spd_cholesky`: a draw that is not
+        finite, symmetric and positive definite raises
+        :class:`NotPositiveDefiniteError`."""
+        lw = spd_cholesky(self.precision_draws, "precision draw")
+        lw.setflags(write=False)
+        return lw
 
     @property
     def n_kept(self) -> int:
@@ -163,7 +183,8 @@ def summarize_draws(draws: GibbsDraws) -> dict:
 
 def predictive_gibbs(draws: GibbsDraws, x_next, rng: np.random.Generator) -> dict:
     """Simulation predictive: per kept draw, y = (x Gamma)' + eps with
-    eps ~ N(0, Sigma) from the drawn precision."""
+    eps ~ N(0, Sigma) from the drawn precision, through
+    ``draws.precision_chol``."""
     m = draws.n_vars
     n = draws.n_kept
     x = regressor_row(x_next, draws.beta_draws.shape[1] // m)
@@ -171,7 +192,7 @@ def predictive_gibbs(draws: GibbsDraws, x_next, rng: np.random.Generator) -> dic
         raise ValueError(f"need at least {MIN_PREDICTIVE_DRAWS} kept draws for prediction")
     # row j of draw i is column j of Gamma_i = beta_i.reshape((p, M), order="F")
     means = draws.beta_draws.reshape(n, m, x.size) @ x
-    lw = np.linalg.cholesky(draws.precision_draws)
+    lw = draws.precision_chol
     # eps_i = L_i^-T z_i has covariance (L_i L_i')^-1 = Sigma_i; one call
     # draws the same stream as n calls of standard_normal(M)
     z = rng.standard_normal((n, m))
@@ -231,7 +252,7 @@ def lnml_ris(
     log_2pi = np.log(2.0 * np.pi)
 
     lq_b = vb_post.coef_state.logpdf(beta, vb_post.mean_b)
-    lw = spd_cholesky(precs, "precision draw")
+    lw = draws.precision_chol
     lq_w = vb_post.precision_density().logpdf_chol(lw)
 
     # ln p(y | beta, Sigma^-1); Gamma_i = beta_i.reshape((p, M), order="F")

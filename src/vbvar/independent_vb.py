@@ -143,12 +143,12 @@ def fit_vb_independent(
         coef_state = None
         try:
             mean_b, omega, coef_state = beta_step.moments(e_prec)
-            scale_q, logdet_scale_q, root = _precision_step(prior, data, mean_b, omega)
+            scale_q, lower, root = _precision_step(prior, data, mean_b, omega)
         except np.linalg.LinAlgError as exc:
             raise NotPositiveDefiniteError("Cholesky failure in VB update") from exc
         e_prec = nub * (root @ root.T)
         trace.append(_elbo(prior, data, mean_b, coef_state.logdet, coef_state.prior_trace,
-                           logdet_scale_q, nub))
+                           chol_logdet(lower), nub))
         if len(trace) > 1:
             step = trace[-1] - trace[-2]
             if step < -ELBO_FALL_TOL * max(abs(trace[-2]), 1.0):

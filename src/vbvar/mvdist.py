@@ -290,57 +290,52 @@ class WishartDist:
         )
 
     def sample(self, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
-        """SPD draws W_i = (L A_i)(L A_i)' by the Bartlett decomposition, L
-        the scale's lower Cholesky factor: one M x M matrix for ``size``
-        None, else an (n, M, M) stack of ``size`` = n.
-
-        One chi-square call draws the (n, M) diagonals, sqrt(chi2(dof - j))
-        at diagonal entry j, then one standard-normal call the (n, M(M-1)/2)
-        strict lower triangles.  None is the stack at n = 1, so ``sample(rng)``
-        equals ``sample(rng, 1)[0]``, and both equal :func:`bartlett_draw`
-        on L, which draws one A in the same order.
-        """
-        m, n = self.dim, 1 if size is None else size
-        offsets, diag, strict = _bartlett_slots(m)
-        a = np.zeros((n, m * m))
-        a[:, diag] = np.sqrt(rng.chisquare(self.dof - offsets, (n, m)))
-        if m > 1:
-            a[:, strict] = rng.standard_normal((n, strict.size))
-        fa = self._chol @ a.reshape(n, m, m)
-        w = fa @ fa.transpose(0, 2, 1)
-        return w[0] if size is None else w
+        """SPD draws by the Bartlett decomposition: :func:`bartlett_draw` on
+        the scale's lower Cholesky factor, one M x M matrix for ``size``
+        None, else an (n, M, M) stack of ``size`` = n."""
+        return bartlett_draw(self._chol, self.dof, rng, size)
 
 
-@functools.lru_cache(maxsize=None)
-def _bartlett_slots(m: int):
-    """Offsets 0..m-1 and the flat indices of the diagonal and the strict
-    lower triangle of an m x m matrix, built once per dimension."""
+# the Gibbs sweep asks for (M, 1) once per draw, so its entry stays cached
+@functools.lru_cache(maxsize=16)
+def _bartlett_slots(m: int, n: int):
+    """Offsets 0..m-1 and the flat indices of the diagonals, shape (n, m),
+    and of the strict lower triangles, shape (n, m(m-1)/2), of an
+    (n, m, m) stack, built once per (m, n)."""
     rows, cols = np.tril_indices(m, -1)
     offsets = np.arange(m)
-    slots = (offsets, offsets * (m + 1), rows * m + cols)
+    start = np.arange(n)[:, None] * (m * m)
+    slots = (offsets, start + offsets * (m + 1), start + rows * m + cols)
     for a in slots:
         a.setflags(write=False)  # shared by every caller
     return slots
 
 
-def bartlett_draw(root, dof: float, rng: np.random.Generator) -> np.ndarray:
-    """One Wishart W(F F', dof) draw from any square root F of the scale,
-    by the Bartlett decomposition W = (F A)(F A)'.
+def bartlett_draw(root, dof: float, rng: np.random.Generator,
+                  size: int | None = None) -> np.ndarray:
+    """Wishart W(F F', dof) draws from any square root F of the scale, by
+    the Bartlett decomposition W_i = (F A_i)(F A_i)': one M x M matrix for
+    ``size`` None, else an (n, M, M) stack of ``size`` = n.
 
-    F may be the lower Cholesky factor of the scale or, as the Gibbs sweep
-    passes it, L^-T for the factor L of the scale's inverse: each gives the
-    same law, but not the same W from the same A.  A is lower triangular
-    with sqrt(chi2(dof - j)) on the diagonal and standard normals below it,
-    drawn in that order.  The caller checks dof > M - 1.
+    F may be the lower Cholesky factor of the scale, as
+    :meth:`WishartDist.sample` passes it, or L^-T for the factor L of the
+    scale's inverse, as the Gibbs sweep passes it: each gives the same law,
+    but not the same W from the same A.  Each A_i is lower triangular.  One
+    chi-square call draws the (n, M) diagonals, sqrt(chi2(dof - j)) at
+    entry j, then one standard-normal call the (n, M(M-1)/2) strict lower
+    triangles; at M = 1 that call has size zero and leaves the generator
+    as it was.  None is the stack at n = 1, so ``bartlett_draw(F, dof,
+    rng)`` equals ``bartlett_draw(F, dof, rng, 1)[0]``.  The caller checks
+    dof > M - 1.
     """
-    m = root.shape[0]
-    offsets, diag, strict = _bartlett_slots(m)
-    a = np.zeros(m * m)
-    a[diag] = np.sqrt(rng.chisquare(dof - offsets))
-    if m > 1:
-        a[strict] = rng.standard_normal(strict.size)
-    fa = root @ a.reshape(m, m)
-    return fa @ fa.T
+    m, n = root.shape[0], 1 if size is None else size
+    offsets, diag, strict = _bartlett_slots(m, n)
+    a = np.zeros(n * m * m)
+    a[diag] = np.sqrt(rng.chisquare(dof - offsets, diag.shape))
+    a[strict] = rng.standard_normal(strict.shape)
+    fa = root @ a.reshape(n, m, m)
+    w = fa @ fa.transpose(0, 2, 1)
+    return w[0] if size is None else w
 
 
 @dataclass(frozen=True)

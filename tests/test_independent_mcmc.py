@@ -23,7 +23,9 @@ import vbvar.independent_mcmc as imc
 import vbvar.mvdist as mvdist
 from vbvar.conditional import _beta_draw, _CoefficientStep, _KroneckerStep
 from vbvar.independent_mcmc import (
+    MIN_PREDICTIVE_DRAWS,
     GibbsConfig,
+    GibbsDraws,
     _batch_means_se,
     _gibbs_sweep,
     _log_joint_independent,
@@ -111,6 +113,19 @@ class TestGibbsRun:
         data = synthetic_design(2, 1, 40, seed=101)
         prior = random_independent_prior(2, 3, seed=102)
         monkeypatch.setattr(IndependentPrior, "scale", property(lambda _: -1e6 * np.eye(2)),
+                            raising=False)
+        with pytest.raises(NotPositiveDefiniteError, match="iteration 0"):
+            gibbs_run(prior, data, GibbsConfig(n_draws=10, burn_in=0, seed=3))
+
+    @pytest.mark.parametrize("route", ["dense", "pcg"])
+    def test_infinite_scale_raises(self, toy, route, monkeypatch):
+        # potrf passes S0 + E'E = [[inf]] with an infinite diagonal; the
+        # Sigma^-1 step must not
+        prior, data = toy
+        if route == "pcg":
+            monkeypatch.setattr(cond, "_KRONECKER_MIN_MP", 0)
+        assert isinstance(_beta_draw(prior, data), _KroneckerStep) == (route == "pcg")
+        monkeypatch.setattr(IndependentPrior, "scale", property(lambda _: np.inf * np.eye(1)),
                             raising=False)
         with pytest.raises(NotPositiveDefiniteError, match="iteration 0"):
             gibbs_run(prior, data, GibbsConfig(n_draws=10, burn_in=0, seed=3))
@@ -405,6 +420,27 @@ class TestPredictiveGibbs:
     def test_x_next_size_is_checked(self, toy_draws):
         with pytest.raises(ValueError, match="x_next must have p = 1 entries, got 2"):
             predictive_gibbs(toy_draws, np.array([1.0, 0.0]), np.random.default_rng(0))
+
+
+class TestPrecisionChol:
+    def test_asymmetric_draws_raise_in_predictive_and_ris(self):
+        # both read the one checked factor of the precision draws
+        data = synthetic_design(2, 1, 60, seed=130)
+        prior = minnesota_independent(data, MinnesotaConfig())
+        n = MIN_PREDICTIVE_DRAWS
+        draws = GibbsDraws(beta_draws=np.zeros((n, prior.mean_b.size)),
+                           precision_draws=np.tile([[1.0, 0.5], [0.2, 1.0]], (n, 1, 1)),
+                           seed=0, burn_in=0)
+        x = np.concatenate([[1.0], data.Y[-1]])
+        with pytest.raises(NotPositiveDefiniteError, match="precision draw is not symmetric"):
+            predictive_gibbs(draws, x, np.random.default_rng(0))
+        with pytest.raises(NotPositiveDefiniteError, match="precision draw is not symmetric"):
+            lnml_ris(draws, fit_vb_independent(prior, data), prior, data)
+
+    def test_factor_is_cached_and_read_only(self, toy_draws):
+        lw = toy_draws.precision_chol
+        assert lw is toy_draws.precision_chol and not lw.flags.writeable
+        np.testing.assert_array_equal(lw, np.linalg.cholesky(toy_draws.precision_draws))
 
 
 class TestLnmlRis:

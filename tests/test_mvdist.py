@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
+from scipy.linalg import solve_triangular
 
 from conftest import compound_matric_normal, perfbench_design
 import vbvar.mvdist as mvdist
@@ -184,13 +185,39 @@ class TestWishart:
         assert a[0, 0] > 0
         assert np.array_equal(a, b)
 
+    @staticmethod
+    def _bartlett_by_hand(root, dof, seed, n):
+        # n draws W_i = (F A_i)(F A_i)' one matrix at a time, from the stream
+        # of one (n, M) chi-square call, then one (n, M(M-1)/2) normal call
+        m = root.shape[0]
+        rng = np.random.default_rng(seed)
+        chi = rng.chisquare(dof - np.arange(m), (n, m))
+        z = rng.standard_normal((n, m * (m - 1) // 2))
+        out = np.empty((n, m, m))
+        for i in range(n):
+            a = np.diag(np.sqrt(chi[i]))
+            a[np.tril_indices(m, -1)] = z[i]
+            fa = root @ a
+            out[i] = fa @ fa.T
+        return out
+
     def test_bartlett_draw_matches_sample(self):
+        # one sampler serves the sweep's single draw from L^-T and
+        # WishartDist's stacks from the scale's factor, to the bit
         rng = np.random.default_rng(13)
-        for m in (1, 3):
+        for m in (1, 3, 20):
             s = _rand_spd(rng, m)
-            a = WishartDist(s, m + 1.5).sample(np.random.default_rng(14))
-            b = bartlett_draw(np.linalg.cholesky(s), m + 1.5, np.random.default_rng(14))
-            np.testing.assert_allclose(b, a, rtol=1e-14)
+            dof = m + 1.5
+            lower = spd_cholesky(s)
+            upper = solve_triangular(spd_cholesky(np.linalg.inv(s)), np.eye(m), lower=True).T
+            for size in (None, 1, 7):
+                for root in (lower, upper):
+                    want = self._bartlett_by_hand(root, dof, 14, size or 1)
+                    got = bartlett_draw(root, dof, np.random.default_rng(14), size)
+                    assert np.array_equal(got, want[0] if size is None else want)
+                got = WishartDist(s, dof).sample(np.random.default_rng(14), size)
+                want = bartlett_draw(lower, dof, np.random.default_rng(14), size)
+                assert np.array_equal(got, want)
 
     def test_sampler_moments(self, seed_offset):
         # mean within 3 MC standard errors over a large seeded run

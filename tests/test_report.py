@@ -196,6 +196,19 @@ class TestIndependentReport:
         independent_report(prior, data, x, vb, draws)
         assert names == ["scale_q"]
 
+    def test_factors_precision_draws_once(self, monkeypatch):
+        # predictive_gibbs and lnml_ris share one stacked Cholesky of the draws
+        data = synthetic_design(2, 1, 60, seed=310)
+        prior = minnesota_independent(data, MinnesotaConfig())
+        x = np.concatenate([[1.0], data.Y[-1]])
+        vb, draws = _fits(prior, data, GibbsConfig(n_draws=300, burn_in=100, seed=311))
+        shapes = []
+        original = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky",
+                            lambda a: shapes.append(np.shape(a)) or original(a))
+        independent_report(prior, data, x, vb, draws)
+        assert shapes.count(draws.precision_draws.shape) == 1
+
     def test_traceability(self, indep_report):
         # the elbo, kl and pred_var_ratio cells were once traced to the
         # conjugate closed forms
